@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import algorithms
@@ -441,22 +439,8 @@ def _sweep_row(point: tuple[Algorithm, int, int, int, int]) -> str:
     )
 
 
-def _sweep_workers() -> int:
-    raw = os.environ.get("IOMMA_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cmd_sweep(cfg: RunConfig) -> int:
-    points = _sweep_points(cfg)
-    workers = _sweep_workers()
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, points))
-    else:
-        rows = [_sweep_row(p) for p in points]
+    rows = [_sweep_row(p) for p in _sweep_points(cfg)]
     _emit(cfg, "\n".join([SWEEP_CSV_HEADER] + rows) + "\n")
     return 0
 

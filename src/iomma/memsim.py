@@ -12,6 +12,7 @@ C element costs one write.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,13 @@ from .model import (
     ProblemDims,
     Schedule,
     Store,
-    validate_event,
 )
 
 
 class SimulationError(Exception):
-    """Base class for schedule-execution failures."""
+    """Base class for schedule-execution failures; see execute() for ``index``."""
+
+    index: int | None = None
 
 
 class NonResidentOperandError(SimulationError):
@@ -85,96 +87,13 @@ class ExecutionResult:
     output_c: np.ndarray
 
 
-class FastMemoryState:
-    """Structural residency tracker: which elements are resident, which are dirty.
-
-    Enforces the same legality rules as execute() without touching values,
-    so a trace can be replayed for analysis when the numeric inputs are not
-    around. capacity=None disables the occupancy bound (used when the trace's
-    fast-memory size is unknown).
-    """
-
-    def __init__(self, capacity: int | None = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be positive or None")
-        self.capacity = capacity
-        self._slots: dict[OperandRef, bool] = {}
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._slots)
-
-    def is_resident(self, ref: OperandRef) -> bool:
-        return ref in self._slots
-
-    def apply(self, event, dims: ProblemDims) -> None:
-        validate_event(event, dims)
-        slots = self._slots
-        if isinstance(event, Fma):
-            needed = (
-                OperandRef(Matrix.A, event.i, event.p),
-                OperandRef(Matrix.B, event.p, event.j),
-                OperandRef(Matrix.C, event.i, event.j),
-            )
-            for ref in needed:
-                if ref not in slots:
-                    raise NonResidentOperandError(
-                        f"fma({event.i},{event.j},{event.p}) needs "
-                        f"{ref.matrix.value}({ref.row},{ref.col}) resident"
-                    )
-            slots[needed[2]] = True
-        elif isinstance(event, Load):
-            ref = event.ref
-            if ref in slots:
-                raise DoubleLoadError(
-                    f"{ref.matrix.value}({ref.row},{ref.col}) is already resident"
-                )
-            if self.capacity is not None and len(slots) >= self.capacity:
-                raise CapacityExceededError(
-                    f"load of {ref.matrix.value}({ref.row},{ref.col}) exceeds "
-                    f"capacity {self.capacity}"
-                )
-            slots[ref] = False
-        elif isinstance(event, Store):
-            ref = event.ref
-            if ref.matrix is not Matrix.C:
-                raise StoreNonCError(f"cannot store read-only {ref.matrix.value}")
-            if ref not in slots:
-                raise StoreNonResidentError(
-                    f"store of non-resident C({ref.row},{ref.col})"
-                )
-            del slots[ref]
-        elif isinstance(event, Evict):
-            ref = event.ref
-            if ref not in slots:
-                raise NonResidentOperandError(
-                    f"evict of non-resident {ref.matrix.value}({ref.row},{ref.col})"
-                )
-            if slots[ref]:
-                raise DirtyEvictionError(
-                    f"evict of dirty C({ref.row},{ref.col}); store it first"
-                )
-            del slots[ref]
-        else:
-            raise TypeError(f"unknown event type {type(event).__name__}")
-
-    def finish(self) -> None:
-        dirty = [ref for ref, d in self._slots.items() if d]
-        if dirty:
-            ref = dirty[0]
-            raise IncompleteWritebackError(
-                f"{len(dirty)} dirty C element(s) still resident at end of "
-                f"schedule, e.g. C({ref.row},{ref.col})"
-            )
-
-
-def _as_rows(mat, rows: int, cols: int, name: str) -> list[list[float]]:
+def _flat(mat, rows: int, cols: int, name: str) -> list[float]:
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.shape != (rows, cols):
         raise ShapeMismatchError(
             f"{name} must have shape ({rows}, {cols}), got {arr.shape}"
         )
-    return arr.tolist()
+    return arr.ravel().tolist()
 
 
 def execute(
@@ -186,175 +105,128 @@ def execute(
     a C slot marks it dirty; a store writes the slot back and frees it. The
     schedule must leave no dirty slot behind. Returns the counters, the
     as-executed trace, and the final C as a fresh array.
+
+    This is the one home of the model's rules. A failure's ``index`` is the
+    offending event's position (the schedule's length for a missing
+    writeback), and its message starts with ``event <index>: ``.
     """
     dims = schedule.dims
     m, n, k = dims.m, dims.n, dims.k
     cap = config.S
-    a_rows = _as_rows(a, m, k, "a")
-    b_rows = _as_rows(b, k, n, "b")
-    c_rows = _as_rows(c_in, m, n, "c_in")
-
-    res_a: dict[tuple[int, int], float] = {}
-    res_b: dict[tuple[int, int], float] = {}
-    res_c: dict[tuple[int, int], list] = {}  # (i, j) -> [value, dirty]
+    b_off = m * k
+    c_off = b_off + k * n
+    # element ids: A row-major at [0, mk), then B, then C; state per id is
+    # 0 (absent), 1 (clean) or 2 (dirty)
+    slow = _flat(a, m, k, "a") + _flat(b, k, n, "b") + _flat(c_in, m, n, "c_in")
+    fast = [0.0] * len(slow)
+    state = bytearray(len(slow))
+    shapes = {Matrix.A: (m, k, 0), Matrix.B: (k, n, b_off), Matrix.C: (m, n, c_off)}
 
     reads = writes = fmas = 0
     occupancy = peak = 0
 
-    for event in schedule.events:
-        cls = event.__class__
-        if cls is Fma:
-            i = event.i
-            j = event.j
-            p = event.p
-            if not 0 <= i < m:
-                raise OutOfBoundsError("i", f"fma i={i} outside [0, {m})")
-            if not 0 <= j < n:
-                raise OutOfBoundsError("j", f"fma j={j} outside [0, {n})")
-            if not 0 <= p < k:
-                raise OutOfBoundsError("p", f"fma p={p} outside [0, {k})")
-            try:
-                av = res_a[(i, p)]
-            except KeyError:
-                raise NonResidentOperandError(
-                    f"fma({i},{j},{p}) needs A({i},{p}) resident"
-                ) from None
-            try:
-                bv = res_b[(p, j)]
-            except KeyError:
-                raise NonResidentOperandError(
-                    f"fma({i},{j},{p}) needs B({p},{j}) resident"
-                ) from None
-            try:
-                slot = res_c[(i, j)]
-            except KeyError:
-                raise NonResidentOperandError(
-                    f"fma({i},{j},{p}) needs C({i},{j}) resident"
-                ) from None
-            slot[0] += av * bv
-            slot[1] = True
-            fmas += 1
-        elif cls is Load:
+    events = schedule.events
+    it = iter(events)
+    try:
+        for event in it:
+            cls = event.__class__
+            if cls is Fma:
+                i = event.i
+                j = event.j
+                p = event.p
+                if not 0 <= i < m:
+                    raise OutOfBoundsError("i", f"fma i={i} outside [0, {m})")
+                if not 0 <= j < n:
+                    raise OutOfBoundsError("j", f"fma j={j} outside [0, {n})")
+                if not 0 <= p < k:
+                    raise OutOfBoundsError("p", f"fma p={p} outside [0, {k})")
+                ea = i * k + p
+                eb = b_off + p * n + j
+                ec = c_off + i * n + j
+                if not (state[ea] and state[eb] and state[ec]):
+                    missing = (
+                        f"A({i},{p})" if not state[ea]
+                        else f"B({p},{j})" if not state[eb]
+                        else f"C({i},{j})"
+                    )
+                    raise NonResidentOperandError(
+                        f"fma({i},{j},{p}) needs {missing} resident"
+                    )
+                fast[ec] += fast[ea] * fast[eb]
+                state[ec] = 2
+                fmas += 1
+                continue
+            if cls is not Load and cls is not Store and cls is not Evict:
+                raise TypeError(f"unknown event type {cls.__name__}")
             ref = event.ref
-            row = ref.row
-            col = ref.col
             mat = ref.matrix
-            if mat is Matrix.A:
-                if not 0 <= row < m:
-                    raise OutOfBoundsError("row", f"A row {row} outside [0, {m})")
-                if not 0 <= col < k:
-                    raise OutOfBoundsError("col", f"A col {col} outside [0, {k})")
-                pool = res_a
-                key = (row, col)
-                if key in pool:
-                    raise DoubleLoadError(f"A({row},{col}) is already resident")
-                if occupancy >= cap:
-                    raise CapacityExceededError(
-                        f"load of A({row},{col}) exceeds capacity {cap}"
-                    )
-                pool[key] = a_rows[row][col]
-            elif mat is Matrix.B:
-                if not 0 <= row < k:
-                    raise OutOfBoundsError("row", f"B row {row} outside [0, {k})")
-                if not 0 <= col < n:
-                    raise OutOfBoundsError("col", f"B col {col} outside [0, {n})")
-                pool = res_b
-                key = (row, col)
-                if key in pool:
-                    raise DoubleLoadError(f"B({row},{col}) is already resident")
-                if occupancy >= cap:
-                    raise CapacityExceededError(
-                        f"load of B({row},{col}) exceeds capacity {cap}"
-                    )
-                pool[key] = b_rows[row][col]
-            else:
-                if not 0 <= row < m:
-                    raise OutOfBoundsError("row", f"C row {row} outside [0, {m})")
-                if not 0 <= col < n:
-                    raise OutOfBoundsError("col", f"C col {col} outside [0, {n})")
-                key = (row, col)
-                if key in res_c:
-                    raise DoubleLoadError(f"C({row},{col}) is already resident")
-                if occupancy >= cap:
-                    raise CapacityExceededError(
-                        f"load of C({row},{col}) exceeds capacity {cap}"
-                    )
-                res_c[key] = [c_rows[row][col], False]
-            reads += 1
-            occupancy += 1
-            if occupancy > peak:
-                peak = occupancy
-        elif cls is Store:
-            ref = event.ref
-            if ref.matrix is not Matrix.C:
-                raise StoreNonCError(f"cannot store read-only {ref.matrix.value}")
+            if cls is Store and mat is not Matrix.C:
+                raise StoreNonCError(f"cannot store read-only {mat.value}")
+            rows, cols, off = shapes[mat]  # off: the matrix's first id
             row = ref.row
             col = ref.col
-            if not 0 <= row < m:
-                raise OutOfBoundsError("row", f"C row {row} outside [0, {m})")
-            if not 0 <= col < n:
-                raise OutOfBoundsError("col", f"C col {col} outside [0, {n})")
-            try:
-                slot = res_c.pop((row, col))
-            except KeyError:
-                raise StoreNonResidentError(
-                    f"store of non-resident C({row},{col})"
-                ) from None
-            c_rows[row][col] = slot[0]
-            writes += 1
+            if not 0 <= row < rows:
+                raise OutOfBoundsError("row", f"{mat.value} row {row} outside [0, {rows})")
+            if not 0 <= col < cols:
+                raise OutOfBoundsError("col", f"{mat.value} col {col} outside [0, {cols})")
+            e = off + row * cols + col
+            status = state[e]
+            if cls is Load:
+                if status:
+                    raise DoubleLoadError(
+                        f"{mat.value}({row},{col}) is already resident"
+                    )
+                if occupancy >= cap:
+                    raise CapacityExceededError(
+                        f"load of {mat.value}({row},{col}) exceeds capacity {cap}"
+                    )
+                state[e] = 1
+                fast[e] = slow[e]
+                reads += 1
+                occupancy += 1
+                if occupancy > peak:
+                    peak = occupancy
+                continue
+            # store or evict: both free the slot
+            if cls is Store:
+                if not status:
+                    raise StoreNonResidentError(
+                        f"store of non-resident C({row},{col})"
+                    )
+                slow[e] = fast[e]
+                writes += 1
+            elif not status:
+                raise NonResidentOperandError(
+                    f"evict of non-resident {mat.value}({row},{col})"
+                )
+            elif status == 2:
+                raise DirtyEvictionError(
+                    f"evict of dirty C({row},{col}); store it first"
+                )
+            state[e] = 0
             occupancy -= 1
-        elif cls is Evict:
-            ref = event.ref
-            row = ref.row
-            col = ref.col
-            mat = ref.matrix
-            if mat is Matrix.A:
-                if not 0 <= row < m:
-                    raise OutOfBoundsError("row", f"A row {row} outside [0, {m})")
-                if not 0 <= col < k:
-                    raise OutOfBoundsError("col", f"A col {col} outside [0, {k})")
-                if (row, col) not in res_a:
-                    raise NonResidentOperandError(
-                        f"evict of non-resident A({row},{col})"
-                    )
-                del res_a[(row, col)]
-            elif mat is Matrix.B:
-                if not 0 <= row < k:
-                    raise OutOfBoundsError("row", f"B row {row} outside [0, {k})")
-                if not 0 <= col < n:
-                    raise OutOfBoundsError("col", f"B col {col} outside [0, {n})")
-                if (row, col) not in res_b:
-                    raise NonResidentOperandError(
-                        f"evict of non-resident B({row},{col})"
-                    )
-                del res_b[(row, col)]
-            else:
-                if not 0 <= row < m:
-                    raise OutOfBoundsError("row", f"C row {row} outside [0, {m})")
-                if not 0 <= col < n:
-                    raise OutOfBoundsError("col", f"C col {col} outside [0, {n})")
-                slot = res_c.get((row, col))
-                if slot is None:
-                    raise NonResidentOperandError(
-                        f"evict of non-resident C({row},{col})"
-                    )
-                if slot[1]:
-                    raise DirtyEvictionError(
-                        f"evict of dirty C({row},{col}); store it first"
-                    )
-                del res_c[(row, col)]
-            occupancy -= 1
-        else:
-            raise TypeError(f"unknown event type {cls.__name__}")
+    except (SimulationError, OutOfBoundsError) as exc:
+        # the iterator knows how many events are left; the failing one was
+        # the last it handed out
+        _locate(exc, len(events) - operator.length_hint(it) - 1)
+        raise
 
-    for (i, j), slot in res_c.items():
-        if slot[1]:
-            raise IncompleteWritebackError(
-                f"dirty C({i},{j}) still resident at end of schedule"
-            )
+    dirty = state.find(2, c_off)
+    if dirty >= 0:
+        i, j = divmod(dirty - c_off, n)
+        message = f"dirty C({i},{j}) still resident at end of schedule"
+        raise _locate(IncompleteWritebackError(message), len(events))
 
     stats = IOStats(reads=reads, writes=writes, fmas=fmas, peak_residency=peak)
-    return ExecutionResult(stats=stats, trace=schedule, output_c=np.array(c_rows, dtype=float))
+    output_c = np.array(slow[c_off:], dtype=float).reshape(m, n)
+    return ExecutionResult(stats=stats, trace=schedule, output_c=output_c)
+
+
+def _locate(exc: Exception, index: int) -> Exception:
+    """Stamp a rule violation with the position of the event that broke it."""
+    exc.index = index
+    exc.args = (f"event {index}: {exc.args[0]}",)
+    return exc
 
 
 def reference_gemm(a, b, c_in) -> np.ndarray:
@@ -409,13 +281,16 @@ def dump_trace(schedule: Schedule) -> str:
 
 
 def parse_trace(text: str, dims: ProblemDims) -> Schedule:
-    """Inverse of dump_trace. Raises ValueError on malformed lines."""
+    """Inverse of dump_trace. Raises ValueError on malformed lines.
+
+    A ``#`` starts a comment that runs to the end of the line; blank and
+    comment-only lines are skipped.
+    """
     events: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
         kind = parts[0]
         try:
             if kind == "F":

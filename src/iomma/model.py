@@ -22,8 +22,11 @@ class Matrix(str, Enum):
 class OutOfBoundsError(ValueError):
     """An event coordinate falls outside the problem dimensions.
 
-    ``coordinate`` names the offending index ("i", "j", "p", "row" or "col").
+    ``coordinate`` names the offending index ("i", "j", "p", "row" or "col");
+    ``index`` is the position of the offending event in the schedule.
     """
+
+    index: int | None = None
 
     def __init__(self, coordinate: str, message: str):
         super().__init__(message)
@@ -118,39 +121,3 @@ def fma_count(dims: ProblemDims) -> int:
     """Total multiply-accumulates a complete schedule must perform: m*n*k."""
     return dims.m * dims.n * dims.k
 
-
-# row-limit and column-limit dimension names per matrix
-_REF_LIMITS = {
-    Matrix.A: ("m", "k"),
-    Matrix.B: ("k", "n"),
-    Matrix.C: ("m", "n"),
-}
-
-
-def validate_event(event: TraceEvent, dims: ProblemDims) -> None:
-    """Check event coordinates against the problem shape.
-
-    Raises OutOfBoundsError naming the offending coordinate. Policy errors
-    (storing A, evicting dirty data, ...) are the simulator's business, not
-    validation's.
-    """
-    if isinstance(event, Fma):
-        if not 0 <= event.i < dims.m:
-            raise OutOfBoundsError("i", f"fma i={event.i} outside [0, {dims.m})")
-        if not 0 <= event.j < dims.n:
-            raise OutOfBoundsError("j", f"fma j={event.j} outside [0, {dims.n})")
-        if not 0 <= event.p < dims.k:
-            raise OutOfBoundsError("p", f"fma p={event.p} outside [0, {dims.k})")
-        return
-    ref = event.ref
-    row_dim, col_dim = _REF_LIMITS[ref.matrix]
-    row_limit = getattr(dims, row_dim)
-    col_limit = getattr(dims, col_dim)
-    if not 0 <= ref.row < row_limit:
-        raise OutOfBoundsError(
-            "row", f"{ref.matrix.value} row {ref.row} outside [0, {row_limit})"
-        )
-    if not 0 <= ref.col < col_limit:
-        raise OutOfBoundsError(
-            "col", f"{ref.matrix.value} col {ref.col} outside [0, {col_limit})"
-        )

@@ -14,12 +14,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .memsim import FastMemoryState, SimulationError
-from .model import Fma, Load, OutOfBoundsError, Schedule, Store
+import numpy as np
+
+from .memsim import MemoryConfig, SimulationError, execute
+from .model import Evict, Fma, Load, OutOfBoundsError, Schedule
 
 
 class UnvalidatedTraceError(Exception):
-    """The trace breaks a residency or bounds rule and cannot be analyzed."""
+    """The trace breaks a residency or bounds rule and cannot be analyzed.
+
+    ``index`` is the failing event's position, as execute() reported it.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class EmptyInputError(ValueError):
@@ -61,77 +70,67 @@ class PhaseReport:
         return math.sqrt(self.x * self.y * self.z)
 
 
-class _PhaseAccumulator:
-    __slots__ = ("loads", "stores", "fmas", "xs", "ys", "zs", "resident_at_start")
-
-    def __init__(self, resident_at_start: int):
-        self.loads = 0
-        self.stores = 0
-        self.fmas = 0
-        self.xs: set = set()
-        self.ys: set = set()
-        self.zs: set = set()
-        self.resident_at_start = resident_at_start
-
-    def to_report(self, index: int) -> PhaseReport:
-        return PhaseReport(
-            index=index,
-            loads=self.loads,
-            stores=self.stores,
-            fmas=self.fmas,
-            x=len(self.xs),
-            y=len(self.ys),
-            z=len(self.zs),
-            resident_at_start=self.resident_at_start,
-        )
-
-
 def partition_phases(trace: Schedule, config: PhaseConfig) -> list[PhaseReport]:
     """Split a valid trace at every M-th transfer and report each phase.
 
-    Replays residency as it goes; any rule violation (non-resident fma input,
-    double load, dirty eviction, missing writeback, bad coordinates) raises
-    UnvalidatedTraceError. An empty trace yields no phases.
+    The trace is first checked by execute() on zero matrices with room for
+    every element, so the fast-memory size need not be known. Any rule
+    violation (non-resident fma input, double load, dirty eviction, missing
+    writeback, bad coordinates) raises UnvalidatedTraceError with the
+    failing event's index. An empty trace yields no phases.
     """
     M = config.M
-    state = FastMemoryState(capacity=None)
     dims = trace.dims
-    reports: list[PhaseReport] = []
-    current: _PhaseAccumulator | None = None
-    io_in_phase = 0
+    m, n, k = dims.m, dims.n, dims.k
+    try:
+        execute(
+            trace,
+            MemoryConfig(m * k + k * n + m * n),
+            np.zeros((m, k)),
+            np.zeros((k, n)),
+            np.zeros((m, n)),
+        )
+    except (SimulationError, OutOfBoundsError) as exc:
+        raise UnvalidatedTraceError(f"invalid trace: {exc}", exc.index) from exc
 
+    if not trace.events:
+        return []
+    # one (loads, stores, fmas, x, y, z, resident_at_start) row per phase;
+    # footprints hold ids a(i,p) -> i*k+p, b(p,j) -> p*n+j, c(i,j) -> i*n+j
+    rows = []
+    xs: set[int] = set()
+    ys: set[int] = set()
+    zs: set[int] = set()
+    loads = stores = fmas = 0
+    resident = resident_at_start = 0  # loads - stores - evicts so far
     for event in trace.events:
         cls = event.__class__
-        is_io = cls is Load or cls is Store
-        if current is None:
-            current = _PhaseAccumulator(resident_at_start=state.occupancy)
-        elif is_io and io_in_phase == M:
-            reports.append(current.to_report(len(reports)))
-            current = _PhaseAccumulator(resident_at_start=state.occupancy)
-            io_in_phase = 0
-        try:
-            state.apply(event, dims)
-        except (SimulationError, OutOfBoundsError) as exc:
-            raise UnvalidatedTraceError(f"invalid trace: {exc}") from exc
-        if cls is Load:
-            current.loads += 1
-            io_in_phase += 1
-        elif cls is Store:
-            current.stores += 1
-            io_in_phase += 1
-        elif cls is Fma:
-            current.fmas += 1
-            current.xs.add((event.i, event.p))
-            current.ys.add((event.p, event.j))
-            current.zs.add((event.i, event.j))
-
-    try:
-        state.finish()
-    except SimulationError as exc:
-        raise UnvalidatedTraceError(f"invalid trace: {exc}") from exc
-    if current is not None:
-        reports.append(current.to_report(len(reports)))
-    return reports
+        if cls is Fma:
+            i = event.i
+            j = event.j
+            p = event.p
+            fmas += 1
+            xs.add(i * k + p)
+            ys.add(p * n + j)
+            zs.add(i * n + j)
+        elif cls is Evict:
+            resident -= 1
+        else:
+            if loads + stores == M:
+                rows.append(
+                    (loads, stores, fmas, len(xs), len(ys), len(zs), resident_at_start)
+                )
+                xs, ys, zs = set(), set(), set()
+                loads = stores = fmas = 0
+                resident_at_start = resident
+            if cls is Load:
+                loads += 1
+                resident += 1
+            else:
+                stores += 1
+                resident -= 1
+    rows.append((loads, stores, fmas, len(xs), len(ys), len(zs), resident_at_start))
+    return [PhaseReport(index, *row) for index, row in enumerate(rows)]
 
 
 def check_loomis_whitney(report: PhaseReport) -> bool:

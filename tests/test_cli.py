@@ -194,16 +194,6 @@ def test_sweep_naive_ratio_flat_near_8(capsys):
     assert ratios[0] < 8.01
 
 
-def test_sweep_threads_do_not_change_output(capsys, monkeypatch):
-    argv = ["sweep", "--sizes", "6,12,24", "--capacities", "4,9,16"]
-    monkeypatch.delenv("IOMMA_THREADS", raising=False)
-    _, serial, _ = _run(capsys, *argv)
-    monkeypatch.setenv("IOMMA_THREADS", "4")
-    _, threaded, _ = _run(capsys, *argv)
-    assert serial == threaded
-    assert len(serial.splitlines()) == 1 + 4 * 3 * 3
-
-
 def test_output_file(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, out, _ = _run(

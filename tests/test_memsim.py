@@ -1,6 +1,8 @@
 """Simulator semantics: residency, dirty accounting, the error taxonomy,
 and the trace wire format."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,12 @@ def _run(events, dims, S, a, b, c):
     return execute(Schedule(tuple(events), dims), MemoryConfig(S), a, b, c)
 
 
+def _assert_at(exc_info, index):
+    """The failure names the offending event's position, in .index and text."""
+    assert exc_info.value.index == index
+    assert str(exc_info.value).startswith(f"event {index}: ")
+
+
 def test_naive_one_by_one():
     dims = ProblemDims(1, 1, 2)
     a = [[2.0, 3.0]]
@@ -79,33 +87,42 @@ def test_double_load_rejected():
     dims = ProblemDims(1, 1, 1)
     a, b, c = seeded_matrices(dims, 1)
     events = [Load(_ref(A, 0, 0)), Load(_ref(A, 0, 0))]
-    with pytest.raises(DoubleLoadError):
+    with pytest.raises(DoubleLoadError) as exc:
         _run(events, dims, 4, a, b, c)
+    _assert_at(exc, 1)
 
 
 def test_capacity_enforced():
     dims = ProblemDims(2, 2, 2)
     a, b, c = seeded_matrices(dims, 1)
     events = [Load(_ref(A, 0, 0)), Load(_ref(A, 0, 1)), Load(_ref(A, 1, 0))]
-    with pytest.raises(CapacityExceededError):
+    with pytest.raises(CapacityExceededError) as exc:
         _run(events, dims, 2, a, b, c)
+    _assert_at(exc, 2)
+    assert str(exc.value) == "event 2: load of A(1,0) exceeds capacity 2"
 
 
 def test_fma_requires_all_three_operands():
     dims = ProblemDims(1, 1, 1)
     a, b, c = seeded_matrices(dims, 1)
     partial = [Load(_ref(A, 0, 0)), Load(_ref(B, 0, 0)), Fma(0, 0, 0)]
-    with pytest.raises(NonResidentOperandError):
+    with pytest.raises(NonResidentOperandError) as exc:
         _run(partial, dims, 4, a, b, c)
+    _assert_at(exc, 2)
 
 
 def test_store_only_c_and_only_resident():
     dims = ProblemDims(1, 1, 1)
     a, b, c = seeded_matrices(dims, 1)
-    with pytest.raises(StoreNonCError):
+    with pytest.raises(StoreNonCError) as exc:
         _run([Load(_ref(A, 0, 0)), Store(_ref(A, 0, 0))], dims, 4, a, b, c)
-    with pytest.raises(StoreNonResidentError):
+    _assert_at(exc, 1)
+    with pytest.raises(StoreNonResidentError) as exc:
         _run([Store(_ref(C, 0, 0))], dims, 4, a, b, c)
+    _assert_at(exc, 0)
+    # the read-only check comes before the bounds check
+    with pytest.raises(StoreNonCError):
+        _run([Store(_ref(A, 9, 9))], dims, 4, a, b, c)
 
 
 def test_store_frees_slot():
@@ -116,8 +133,9 @@ def test_store_frees_slot():
         # slot freed, so S=1 admits the next load; a second store must fail
         Load(_ref(C, 0, 0)), Store(_ref(C, 0, 0)), Store(_ref(C, 0, 0)),
     ]
-    with pytest.raises(StoreNonResidentError):
+    with pytest.raises(StoreNonResidentError) as exc:
         _run(events, dims, 1, a, b, c)
+    _assert_at(exc, 4)
 
 
 def test_dirty_eviction_rejected():
@@ -127,8 +145,9 @@ def test_dirty_eviction_rejected():
         Load(_ref(A, 0, 0)), Load(_ref(B, 0, 0)), Load(_ref(C, 0, 0)),
         Fma(0, 0, 0), Evict(_ref(C, 0, 0)),
     ]
-    with pytest.raises(DirtyEvictionError):
+    with pytest.raises(DirtyEvictionError) as exc:
         _run(events, dims, 4, a, b, c)
+    _assert_at(exc, 4)
 
 
 def test_clean_c_evictable():
@@ -142,8 +161,9 @@ def test_clean_c_evictable():
 def test_evict_requires_resident():
     dims = ProblemDims(1, 1, 1)
     a, b, c = seeded_matrices(dims, 1)
-    with pytest.raises(NonResidentOperandError):
+    with pytest.raises(NonResidentOperandError) as exc:
         _run([Evict(_ref(B, 0, 0))], dims, 4, a, b, c)
+    _assert_at(exc, 0)
 
 
 def test_incomplete_writeback_detected():
@@ -153,15 +173,39 @@ def test_incomplete_writeback_detected():
         Load(_ref(A, 0, 0)), Load(_ref(B, 0, 0)), Load(_ref(C, 0, 0)),
         Fma(0, 0, 0),
     ]
-    with pytest.raises(IncompleteWritebackError):
+    with pytest.raises(IncompleteWritebackError) as exc:
         _run(events, dims, 4, a, b, c)
+    # found after the last event, so the index is the schedule length
+    _assert_at(exc, 4)
+    assert str(exc.value) == "event 4: dirty C(0,0) still resident at end of schedule"
 
 
 def test_out_of_bounds_event_rejected():
     dims = ProblemDims(2, 2, 2)
     a, b, c = seeded_matrices(dims, 1)
-    with pytest.raises(OutOfBoundsError):
+    with pytest.raises(OutOfBoundsError) as exc:
         _run([Load(_ref(A, 2, 0))], dims, 4, a, b, c)
+    _assert_at(exc, 0)
+    assert str(exc.value) == "event 0: A row 2 outside [0, 2)"
+
+
+@pytest.mark.parametrize(
+    "event,coordinate",
+    [
+        (Store(_ref(C, 2, 0)), "row"),
+        (Store(_ref(C, 0, -1)), "col"),
+        (Evict(_ref(A, -1, 0)), "row"),
+        (Evict(_ref(B, 0, 3)), "col"),
+        (Evict(_ref(C, 0, 3)), "col"),
+    ],
+)
+def test_store_and_evict_bounds_checked(event, coordinate):
+    dims = ProblemDims(2, 3, 4)  # A is 2x4, B 4x3, C 2x3
+    a, b, c = seeded_matrices(dims, 1)
+    with pytest.raises(OutOfBoundsError) as exc:
+        _run([Load(_ref(C, 0, 0)), event], dims, 4, a, b, c)
+    assert exc.value.coordinate == coordinate
+    _assert_at(exc, 1)
 
 
 def test_shape_mismatch_rejected():
@@ -199,6 +243,21 @@ def test_trace_round_trip():
     parsed = parse_trace(text, dims)
     assert parsed.events == schedule.events
     assert dump_trace(parsed) == text
+
+
+def test_parse_trace_accepts_readme_example():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Wire formats", 1)[1]
+    block = section.split("```\n", 2)[1]
+    assert "# load a(0,3)" in block
+    parsed = parse_trace(block + "\n# a comment-only line\n", ProblemDims(2, 3, 4))
+    assert parsed.events == (
+        Load(_ref(A, 0, 3)),
+        Store(_ref(C, 1, 2)),
+        Evict(_ref(B, 3, 1)),
+        Fma(0, 2, 1),
+    )
+    assert dump_trace(parsed) == "L A 0 3\nS C 1 2\nE B 3 1\nF 0 2 1\n"
 
 
 def test_parse_trace_rejects_garbage():

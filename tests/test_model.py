@@ -1,4 +1,6 @@
-"""Core types: dimensions, operand references, events, bounds checking."""
+"""Core types: dimensions, operand references, events, bounds checking.
+
+Bounds are checked by execute(), the one home of the model's rules."""
 
 import pytest
 
@@ -8,13 +10,21 @@ from iomma import (
     IOStats,
     Load,
     Matrix,
+    MemoryConfig,
     OperandRef,
     OutOfBoundsError,
     ProblemDims,
+    Schedule,
     Store,
+    execute,
     fma_count,
-    validate_event,
+    seeded_matrices,
 )
+
+
+def _execute(events, dims):
+    a, b, c = seeded_matrices(dims, 1)
+    return execute(Schedule(tuple(events), dims), MemoryConfig(4), a, b, c)
 
 
 def test_dims_reject_nonpositive():
@@ -56,8 +66,9 @@ def test_events_hashable_and_frozen():
 def test_load_bounds_checked(ref, coordinate):
     dims = ProblemDims(2, 3, 3)  # A is 2x3, B 3x3, C 2x3
     with pytest.raises(OutOfBoundsError) as exc:
-        validate_event(Load(ref), dims)
+        _execute([Load(ref)], dims)
     assert exc.value.coordinate == coordinate
+    assert exc.value.index == 0
 
 
 @pytest.mark.parametrize(
@@ -67,15 +78,22 @@ def test_load_bounds_checked(ref, coordinate):
 def test_fma_bounds_checked(i, j, p, coordinate):
     dims = ProblemDims(2, 3, 4)
     with pytest.raises(OutOfBoundsError) as exc:
-        validate_event(Fma(i, j, p), dims)
+        _execute([Load(OperandRef(Matrix.A, 0, 0)), Fma(i, j, p)], dims)
     assert exc.value.coordinate == coordinate
+    assert exc.value.index == 1
 
 
 def test_validate_accepts_in_range():
     dims = ProblemDims(2, 3, 4)
-    validate_event(Fma(1, 2, 3), dims)
-    validate_event(Load(OperandRef(Matrix.A, 1, 3)), dims)
-    validate_event(Store(OperandRef(Matrix.C, 1, 2)), dims)
+    a_ref = OperandRef(Matrix.A, 1, 3)
+    b_ref = OperandRef(Matrix.B, 3, 2)
+    c_ref = OperandRef(Matrix.C, 1, 2)
+    events = [
+        Load(a_ref), Load(b_ref), Load(c_ref), Fma(1, 2, 3),
+        Store(c_ref), Evict(a_ref), Evict(b_ref),
+    ]
+    stats = _execute(events, dims).stats
+    assert (stats.reads, stats.writes, stats.fmas) == (3, 1, 1)
 
 
 def test_iostats_totals():

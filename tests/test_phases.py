@@ -2,6 +2,8 @@
 fmas-per-transfer efficiency ratio."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iomma import (
     Algorithm,
@@ -12,10 +14,12 @@ from iomma import (
     Matrix,
     MemoryConfig,
     OperandRef,
+    OutOfBoundsError,
     PHASE_CSV_HEADER,
     PhaseConfig,
     ProblemDims,
     Schedule,
+    SimulationError,
     Store,
     UnvalidatedTraceError,
     build_schedule,
@@ -142,7 +146,7 @@ def test_invalid_traces_rejected():
         partition_phases(Schedule((Fma(0, 0, 0),), dims), PhaseConfig(4))
     with pytest.raises(UnvalidatedTraceError):
         partition_phases(Schedule((Store(c_ref),), dims), PhaseConfig(4))
-    with pytest.raises(UnvalidatedTraceError):
+    with pytest.raises(UnvalidatedTraceError) as exc:
         # dirty at end of trace
         partition_phases(
             Schedule(
@@ -156,10 +160,67 @@ def test_invalid_traces_rejected():
             ),
             PhaseConfig(4),
         )
-    with pytest.raises(UnvalidatedTraceError):
+    assert exc.value.index == 4
+    with pytest.raises(UnvalidatedTraceError) as exc:
         partition_phases(
-            Schedule((Load(OperandRef(Matrix.A, 5, 0)),), dims), PhaseConfig(4)
+            Schedule((Load(c_ref), Load(OperandRef(Matrix.A, 5, 0))), dims),
+            PhaseConfig(4),
         )
+    # the index of execute's error passes through, and so does its text
+    assert exc.value.index == 1
+    assert str(exc.value) == "invalid trace: event 1: A row 5 outside [0, 1)"
+    assert isinstance(exc.value.__cause__, OutOfBoundsError)
+
+
+@st.composite
+def _random_trace(draw):
+    """Small dims and mostly illegal events, coordinates in [-1, dim]."""
+    m, n, k = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def coord(dim):  # in range more often than not
+        return draw(st.integers(-1, dim) | st.integers(0, dim - 1))
+
+    shapes = {Matrix.A: (m, k), Matrix.B: (k, n), Matrix.C: (m, n)}
+    # half the traces start by loading most elements at random, so
+    # that fmas, stores and dirty evictions can get past the residency check
+    warm = draw(st.booleans())
+    events = [
+        Load(OperandRef(mat, row, col))
+        for mat, (rows, cols) in shapes.items() if warm
+        for row in range(rows) for col in range(cols) if draw(st.integers(0, 3))
+    ]
+    for _ in range(draw(st.sampled_from([0, 1, 2, 4, 8, 16, 24]))):
+        kind = draw(st.sampled_from("LLSEFF"))
+        if kind == "F":
+            i, j, p = coord(m), coord(n), coord(k)
+            events.append(Fma(i, j, p))
+        else:
+            mat = draw(st.sampled_from(list(Matrix)))
+            rows, cols = shapes[mat]
+            ref = OperandRef(mat, coord(rows), coord(cols))
+            events.append({"L": Load, "S": Store, "E": Evict}[kind](ref))
+    return Schedule(tuple(events), ProblemDims(m, n, k)), draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_trace())
+def test_partition_phases_rejects_what_execute_rejects(case):
+    trace, M = case
+    m, n, k = trace.dims.m, trace.dims.n, trace.dims.k
+    a, b, c = seeded_matrices(trace.dims, 3)
+    unbounded = MemoryConfig(m * k + k * n + m * n)
+    try:
+        stats = execute(trace, unbounded, a, b, c).stats
+    except (SimulationError, OutOfBoundsError) as exc:
+        with pytest.raises(UnvalidatedTraceError) as rejected:
+            partition_phases(trace, PhaseConfig(M))
+        assert type(rejected.value.__cause__) is type(exc)
+        assert rejected.value.index == exc.index
+        return
+    reports = partition_phases(trace, PhaseConfig(M))
+    assert sum(r.loads for r in reports) == stats.reads
+    assert sum(r.stores for r in reports) == stats.writes
+    assert sum(r.fmas for r in reports) == stats.fmas
 
 
 def test_loomis_whitney_is_exact_integer_comparison():
