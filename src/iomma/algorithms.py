@@ -85,9 +85,10 @@ class BlockGrid:
 class PredictedIO:
     """Structural transfer counts plus the divisible-dims closed forms.
 
-    reads and writes come from the same block summation the generators use,
-    so they match simulation exactly, partial edge blocks included. The
-    closed forms are the real-valued approximations that ignore remainders.
+    reads and writes are exact integers in m, n, k and the number of
+    b-segments along each dimension, so they match simulation exactly,
+    partial edge blocks included. The closed forms are the real-valued
+    approximations that ignore remainders.
     """
 
     reads: int
@@ -245,8 +246,9 @@ def build_schedule(algorithm: Algorithm, dims: ProblemDims, S: int) -> Schedule:
 def predicted_io(algorithm: Algorithm, dims: ProblemDims, S: int) -> PredictedIO:
     """Exact structural read/write counts for one algorithm at one capacity.
 
-    The sums walk the same block decomposition the generators emit, so they
-    agree with simulation on every input, partial edge blocks included.
+    O(1): the counts are integer closed forms over the per-dimension segment
+    counts of the block grid the generators walk, so they agree with
+    simulation on every input, partial edge blocks included.
     """
     algorithm = Algorithm(algorithm)
     m, n, k = dims.m, dims.n, dims.k
@@ -259,39 +261,22 @@ def predicted_io(algorithm: Algorithm, dims: ProblemDims, S: int) -> PredictedIO
             closed_form_writes=float(mnk),
         )
     b = block_size(S)
+    grid = BlockGrid.for_dims(dims, b)
+    # Each generator tiles two dimensions into b-segments and pays a per-block
+    # cost linear in the segment sizes (alg-c: bm*bn + k*(bm + bn)). Summed
+    # over one dimension's segments, the segment size adds up to the dimension
+    # itself and a constant adds up to the segment count ceil(x/b), which is
+    # the full blocks plus one for a nonempty tail.
+    sm = grid.full_blocks_m + (grid.rem_m > 0)
+    sn = grid.full_blocks_n + (grid.rem_n > 0)
+    sk = grid.full_blocks_k + (grid.rem_k > 0)
     if algorithm is Algorithm.C:
-        reads = 0
-        for _, bm in _segments(m, b):
-            for _, bn in _segments(n, b):
-                reads += bm * bn + k * (bm + bn)
-        return PredictedIO(
-            reads=reads,
-            writes=m * n,
-            closed_form_reads=2.0 * mnk / b + m * n,
-            closed_form_writes=float(m * n),
-        )
-    if algorithm is Algorithm.B:
-        reads = 0
-        writes = 0
-        for _, bk in _segments(k, b):
-            for _, bn in _segments(n, b):
-                reads += bk * bn + m * (bk + bn)
-                writes += m * bn
-        return PredictedIO(
-            reads=reads,
-            writes=writes,
-            closed_form_reads=2.0 * mnk / b + n * k,
-            closed_form_writes=mnk / b,
-        )
-    reads = 0
-    writes = 0
-    for _, bm in _segments(m, b):
-        for _, bk in _segments(k, b):
-            reads += bm * bk + n * (bm + bk)
-            writes += n * bm
-    return PredictedIO(
-        reads=reads,
-        writes=writes,
-        closed_form_reads=2.0 * mnk / b + m * k,
-        closed_form_writes=mnk / b,
-    )
+        reads, writes = m * n + k * (m * sn + n * sm), m * n
+        closed_reads, closed_writes = 2.0 * mnk / b + m * n, float(m * n)
+    elif algorithm is Algorithm.B:
+        reads, writes = k * n + m * (k * sn + n * sk), m * n * sk
+        closed_reads, closed_writes = 2.0 * mnk / b + n * k, mnk / b
+    else:
+        reads, writes = m * k + n * (m * sk + k * sm), m * n * sk
+        closed_reads, closed_writes = 2.0 * mnk / b + m * k, mnk / b
+    return PredictedIO(reads, writes, closed_reads, closed_writes)

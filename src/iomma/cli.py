@@ -37,6 +37,7 @@ from .memsim import (
     execute,
     parse_trace,
     reference_gemm,
+    trace_line,
 )
 from .model import ProblemDims, fma_count
 from .phases import (
@@ -336,13 +337,22 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
 def cmd_phases(cfg: RunConfig) -> int:
     dims = cfg.dims
+    text = None
     if cfg.trace_in:
         with open(cfg.trace_in) as handle:
-            schedule = parse_trace(handle.read(), dims)
+            text = handle.read()
+        schedule = parse_trace(text, dims)
     else:
         schedule = build_schedule(cfg.algorithm, dims, cfg.S)
     M = cfg.phase_budget()
-    reports = partition_phases(schedule, PhaseConfig(M))
+    try:
+        reports = partition_phases(schedule, PhaseConfig(M))
+    except UnvalidatedTraceError as exc:
+        # name the file line too; a missing writeback has no event to point at
+        if text is None or exc.index >= len(schedule.events):
+            raise
+        line = trace_line(text, exc.index)
+        raise UnvalidatedTraceError(f"trace line {line}: {exc}", exc.index) from exc
     if cfg.out_format == "csv":
         _emit(cfg, phases_to_csv(reports))
         return 0

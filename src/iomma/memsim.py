@@ -12,6 +12,7 @@ C element costs one write.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -261,6 +262,9 @@ def reference_gemm(a, b, c_in) -> np.ndarray:
 
 
 _EVENT_LETTER = {Load: "L", Store: "S", Evict: "E"}
+_EVENT_CLASS = {letter: cls for cls, letter in _EVENT_LETTER.items()}
+# dict lookup is much cheaper than Matrix(letter); Matrix() still raises on a miss
+_MATRIX_BY_LETTER = {matrix.value: matrix for matrix in Matrix}
 
 
 def dump_trace(schedule: Schedule) -> str:
@@ -280,6 +284,14 @@ def dump_trace(schedule: Schedule) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _event_lines(text: str):
+    """(1-based line number, fields) of each line of a trace that holds an event."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.partition("#")[0].split()
+        if parts:
+            yield lineno, parts
+
+
 def parse_trace(text: str, dims: ProblemDims) -> Schedule:
     """Inverse of dump_trace. Raises ValueError on malformed lines.
 
@@ -287,23 +299,26 @@ def parse_trace(text: str, dims: ProblemDims) -> Schedule:
     comment-only lines are skipped.
     """
     events: list = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.partition("#")[0].split()
-        if not parts:
-            continue
+    for lineno, parts in _event_lines(text):
         kind = parts[0]
         try:
             if kind == "F":
                 if len(parts) != 4:
                     raise ValueError("expected 'F i j p'")
                 events.append(Fma(int(parts[1]), int(parts[2]), int(parts[3])))
-            elif kind in ("L", "S", "E"):
+            elif kind in _EVENT_CLASS:
                 if len(parts) != 4:
                     raise ValueError(f"expected '{kind} X row col'")
-                ref = OperandRef(Matrix(parts[1]), int(parts[2]), int(parts[3]))
-                events.append({"L": Load, "S": Store, "E": Evict}[kind](ref))
+                matrix = _MATRIX_BY_LETTER.get(parts[1]) or Matrix(parts[1])
+                ref = OperandRef(matrix, int(parts[2]), int(parts[3]))
+                events.append(_EVENT_CLASS[kind](ref))
             else:
                 raise ValueError(f"unknown event letter {kind!r}")
         except ValueError as exc:
             raise ValueError(f"trace line {lineno}: {exc}") from None
     return Schedule(tuple(events), dims)
+
+
+def trace_line(text: str, index: int) -> int:
+    """1-based line of the trace text that parse_trace() read event ``index`` from."""
+    return next(itertools.islice(_event_lines(text), index, None))[0]

@@ -17,6 +17,7 @@ from iomma import (
     reference_gemm,
     seeded_matrices,
 )
+from iomma.algorithms import _segments
 
 ALL_ALGS = list(Algorithm)
 BLOCKED = [Algorithm.A, Algorithm.B, Algorithm.C]
@@ -143,3 +144,59 @@ def test_alg_c_reads_beat_naive(dims, S):
     blocked = predicted_io(Algorithm.C, dims, S)
     assert blocked.reads <= naive.reads
     assert blocked.writes <= naive.writes
+
+
+def _summed_io(alg, dims, S):
+    """(reads, writes, closed_form_reads, closed_form_writes) by walking every
+    block pair the generators emit; the oracle for the closed-form counts."""
+    m, n, k = dims.m, dims.n, dims.k
+    mnk = m * n * k
+    if alg is Algorithm.NAIVE:
+        return 3 * mnk, mnk, 3.0 * mnk, float(mnk)
+    b = block_size(S)
+    reads = writes = 0
+    if alg is Algorithm.C:
+        for _, bm in _segments(m, b):
+            for _, bn in _segments(n, b):
+                reads += bm * bn + k * (bm + bn)
+        return reads, m * n, 2.0 * mnk / b + m * n, float(m * n)
+    if alg is Algorithm.B:
+        for _, bk in _segments(k, b):
+            for _, bn in _segments(n, b):
+                reads += bk * bn + m * (bk + bn)
+                writes += m * bn
+        return reads, writes, 2.0 * mnk / b + n * k, mnk / b
+    for _, bm in _segments(m, b):
+        for _, bk in _segments(k, b):
+            reads += bm * bk + n * (bm + bk)
+            writes += n * bm
+    return reads, writes, 2.0 * mnk / b + m * k, mnk / b
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(min_value=1, max_value=40)] * 3),
+    S=st.integers(min_value=4, max_value=400),
+    alg=st.sampled_from(ALL_ALGS),
+)
+def test_predicted_io_matches_block_summation(dims, S, alg):
+    # S 4..400 gives b = 1..19, so dims smaller than b and b = 1 both occur
+    dims = ProblemDims(*dims)
+    predicted = predicted_io(alg, dims, S)
+    fields = (predicted.reads, predicted.writes,
+              predicted.closed_form_reads, predicted.closed_form_writes)
+    assert fields == _summed_io(alg, dims, S)
+
+
+def test_predicted_io_is_closed_form_at_scale():
+    # a block walk would take ~10^11 steps here; ceil(10^6 / 3) = 333334 segments
+    dims = ProblemDims(10**6, 10**6, 10**6)
+    expected = {
+        Algorithm.NAIVE: (3 * 10**18, 10**18),
+        Algorithm.C: (666_669 * 10**12, 10**12),
+        Algorithm.B: (666_669 * 10**12, 333_334 * 10**12),
+        Algorithm.A: (666_669 * 10**12, 333_334 * 10**12),
+    }
+    for alg, counts in expected.items():
+        predicted = predicted_io(alg, dims, 16)
+        assert (predicted.reads, predicted.writes) == counts

@@ -254,6 +254,23 @@ def test_bad_trace_file_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_trace_names_file_line(tmp_path, capsys):
+    # the comment-only line 2 puts event 3 on file line 5
+    trace = tmp_path / "commented.txt"
+    trace.write_text("L A 0 0\n# comment only\nL B 0 0\nL C 0 0\nF 0 0 1\nS C 0 0\n")
+    argv = ["phases", "-m", "1", "-n", "1", "-k", "1", "-S", "4", "--trace-in", str(trace)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: trace line 5: invalid trace: event 3: fma p=1 outside [0, 1)\n"
+    )
+    # a missing writeback fails past the last event, so no line is named
+    trace.write_text("L A 0 0\n# comment only\nL B 0 0\nL C 0 0\nF 0 0 0\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid trace: event 4: dirty C(0,0) still resident at end of schedule\n"
+    )
+
+
 def test_verify_quick_passes(capsys):
     code, out, _ = _run(capsys, "verify", "--quick")
     assert code == 0
