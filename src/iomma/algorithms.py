@@ -26,7 +26,8 @@ from .model import (
 
 
 class TooSmallError(ValueError):
-    """Blocked schedules need S >= 4; below that no b-by-b block fits."""
+    """The capacity cannot hold the schedule's working set: blocked schedules
+    need S >= 4 (no b-by-b block fits below that), naive needs S >= 3."""
 
 
 class Algorithm(str, Enum):
@@ -254,6 +255,8 @@ def predicted_io(algorithm: Algorithm, dims: ProblemDims, S: int) -> PredictedIO
     m, n, k = dims.m, dims.n, dims.k
     mnk = m * n * k
     if algorithm is Algorithm.NAIVE:
+        if S < 3:
+            raise TooSmallError(f"S={S} is too small for the naive schedule (need S >= 3)")
         return PredictedIO(
             reads=3 * mnk,
             writes=mnk,

@@ -10,24 +10,13 @@ mismatch or a failing verify suite.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict
 
-from . import algorithms
 from .algorithms import Algorithm, build_schedule, predicted_io
-from .bounds import (
-    BoundReport,
-    fmax,
-    grid_search_xyz,
-    lower_bound_final,
-    lower_bound_general,
-    lower_bound_MS,
-    optimal_M,
-    optimal_xyz,
-    tiny_optimal_schedule,
-)
+from .bounds import BoundReport, lower_bound_final, tiny_optimal_schedule
 from .goto import DEFAULT_SUBOPTIMAL_THRESHOLD, GotoParams, goto_report
 from .inputs import seeded_matrices
 from .memsim import (
@@ -39,7 +28,7 @@ from .memsim import (
     reference_gemm,
     trace_line,
 )
-from .model import ProblemDims, fma_count
+from .model import ProblemDims
 from .phases import (
     PhaseConfig,
     UnvalidatedTraceError,
@@ -52,41 +41,8 @@ from .phases import (
 
 _DEFAULT_SEED = 42
 _DEFAULT_BUDGET = 3_000_000
-_ALL_ALGS = [Algorithm.NAIVE, Algorithm.A, Algorithm.B, Algorithm.C]
 
 SWEEP_CSV_HEADER = "alg,m,n,k,S,reads,writes,io_total,lb_final,ratio"
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, normalized from the parsed arguments."""
-
-    command: str
-    dims: ProblemDims | None = None
-    S: int | None = None
-    M: int | None = None
-    algorithm: Algorithm | None = None
-    seed: int = _DEFAULT_SEED
-    out_format: str = "json"
-    output: str | None = None
-    trace_in: str | None = None
-    trace_out: str | None = None
-    goto_params: GotoParams | None = None
-    suboptimal_threshold: float = DEFAULT_SUBOPTIMAL_THRESHOLD
-    algs: list[Algorithm] = field(default_factory=list)
-    sizes: list[int] | None = None
-    m_list: list[int] | None = None
-    n_list: list[int] | None = None
-    k_list: list[int] | None = None
-    capacities: list[int] | None = None
-    budget: int = _DEFAULT_BUDGET
-    quick: bool = False
-
-    def phase_budget(self) -> int:
-        """M, defaulting to 2S."""
-        if self.M is not None:
-            return self.M
-        return 2 * self.S
 
 
 def _positive_int(text: str) -> int:
@@ -121,7 +77,10 @@ def _add_output(parser: argparse.ArgumentParser, default_format: str = "json") -
     parser.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: building it costs more than
+    most commands, and main() may run many times in one process."""
     parser = argparse.ArgumentParser(
         prog="iomma",
         description="I/O accounting, lower bounds and phase analysis for "
@@ -174,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
 
     p = sub.add_parser("sweep", help="predicted cost vs lower bound over a parameter grid")
-    p.add_argument("--algs", type=_alg_list, default=list(_ALL_ALGS))
+    p.add_argument("--algs", type=_alg_list, default=tuple(Algorithm))
     p.add_argument("--sizes", type=_int_list, default=None, help="comma list, m=n=k per entry")
     p.add_argument("--m-list", type=_int_list, default=None)
     p.add_argument("--n-list", type=_int_list, default=None)
@@ -194,29 +153,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    if hasattr(ns, "m"):
-        cfg.dims = ProblemDims(ns.m, ns.n, ns.k)
-    for name in ("S", "M", "seed", "out_format", "output", "trace_in", "trace_out",
-                 "algs", "sizes", "m_list", "n_list", "k_list", "capacities",
-                 "budget", "quick"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    if getattr(ns, "alg", None) is not None:
-        cfg.algorithm = ns.alg
-    if ns.command == "goto":
-        cfg.goto_params = GotoParams(
-            n_c=ns.n_c, k_c=ns.k_c, m_c=ns.m_c, n_r=ns.n_r, m_r=ns.m_r,
-            S2=ns.s2, S3=ns.s3,
-        )
-        cfg.suboptimal_threshold = ns.threshold
-    return cfg
+def _dims(ns: argparse.Namespace) -> ProblemDims:
+    return ProblemDims(ns.m, ns.n, ns.k)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", newline="\n") as handle:
+def _phase_budget(ns: argparse.Namespace) -> int:
+    """M, defaulting to 2S."""
+    return ns.M or 2 * ns.S
+
+
+def _fields(report, names: tuple[str, ...]) -> dict:
+    """The named attributes of a report, in the given (output) order."""
+    return {name: getattr(report, name) for name in names}
+
+
+def _emit(ns: argparse.Namespace, text: str) -> None:
+    if ns.output:
+        with open(ns.output, "w", newline="\n") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -251,41 +204,35 @@ def _flat_csv(payload: dict) -> str:
     return header + "\n" + row + "\n"
 
 
-def _emit_payload(cfg: RunConfig, payload: dict) -> None:
-    if cfg.out_format == "csv":
-        _emit(cfg, _flat_csv(payload))
+def _emit_payload(ns: argparse.Namespace, payload: dict) -> None:
+    if ns.out_format == "csv":
+        _emit(ns, _flat_csv(payload))
     else:
-        _emit(cfg, _json_text(payload))
+        _emit(ns, _json_text(payload))
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    dims = cfg.dims
-    schedule = build_schedule(cfg.algorithm, dims, cfg.S)
-    a, b, c = seeded_matrices(dims, cfg.seed)
-    result = execute(schedule, MemoryConfig(cfg.S), a, b, c)
+def cmd_simulate(ns: argparse.Namespace) -> int:
+    dims = _dims(ns)
+    schedule = build_schedule(ns.alg, dims, ns.S)
+    a, b, c = seeded_matrices(dims, ns.seed)
+    result = execute(schedule, MemoryConfig(ns.S), a, b, c)
     reference = reference_gemm(a, b, c)
     bitwise = result.output_c.tobytes() == reference.tobytes()
-    predicted = predicted_io(cfg.algorithm, dims, cfg.S)
+    predicted = predicted_io(ns.alg, dims, ns.S)
     stats = result.stats
     counts_match = (
         stats.reads == predicted.reads and stats.writes == predicted.writes
     )
-    if cfg.trace_out:
-        with open(cfg.trace_out, "w", newline="\n") as handle:
+    if ns.trace_out:
+        with open(ns.trace_out, "w", newline="\n") as handle:
             handle.write(dump_trace(schedule))
     payload = {
         "command": "simulate",
-        "algorithm": cfg.algorithm.value,
-        "m": dims.m,
-        "n": dims.n,
-        "k": dims.k,
-        "S": cfg.S,
-        "seed": cfg.seed,
-        "reads": stats.reads,
-        "writes": stats.writes,
-        "fmas": stats.fmas,
-        "io_total": stats.io_total,
-        "peak_residency": stats.peak_residency,
+        "algorithm": ns.alg.value,
+        **asdict(dims),
+        "S": ns.S,
+        "seed": ns.seed,
+        **_fields(stats, ("reads", "writes", "fmas", "io_total", "peak_residency")),
         "effective_io": max(stats.reads, stats.writes),
         "predicted_reads": predicted.reads,
         "predicted_writes": predicted.writes,
@@ -295,56 +242,40 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "bitwise_match": bitwise,
         "match": counts_match and bitwise,
     }
-    _emit_payload(cfg, payload)
+    _emit_payload(ns, payload)
     return 0 if payload["match"] else 2
 
 
-def cmd_predict(cfg: RunConfig) -> int:
-    predicted = predicted_io(cfg.algorithm, cfg.dims, cfg.S)
+def cmd_predict(ns: argparse.Namespace) -> int:
+    dims = _dims(ns)
+    predicted = predicted_io(ns.alg, dims, ns.S)
     payload = {
         "command": "predict",
-        "algorithm": cfg.algorithm.value,
-        "m": cfg.dims.m,
-        "n": cfg.dims.n,
-        "k": cfg.dims.k,
-        "S": cfg.S,
-        "reads": predicted.reads,
-        "writes": predicted.writes,
-        "io_total": predicted.io_total,
-        "effective_io": predicted.effective_io,
-        "closed_form_reads": predicted.closed_form_reads,
-        "closed_form_writes": predicted.closed_form_writes,
+        "algorithm": ns.alg.value,
+        **asdict(dims),
+        "S": ns.S,
+        **_fields(predicted, ("reads", "writes", "io_total", "effective_io",
+                              "closed_form_reads", "closed_form_writes")),
     }
-    _emit_payload(cfg, payload)
+    _emit_payload(ns, payload)
     return 0
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    report = BoundReport.compute(cfg.dims, cfg.S, cfg.phase_budget())
-    payload = {
-        "dims": {"m": cfg.dims.m, "n": cfg.dims.n, "k": cfg.dims.k},
-        "S": report.S,
-        "M": report.M,
-        "f_max": report.f_max,
-        "general_bound": report.general_bound,
-        "bound_M_eq_S": report.bound_M_eq_S,
-        "bound_M_eq_2S": report.bound_M_eq_2S,
-        "hong_kung_reference": report.hong_kung_reference,
-    }
-    _emit_payload(cfg, payload)
+def cmd_bounds(ns: argparse.Namespace) -> int:
+    _emit_payload(ns, asdict(BoundReport.compute(_dims(ns), ns.S, _phase_budget(ns))))
     return 0
 
 
-def cmd_phases(cfg: RunConfig) -> int:
-    dims = cfg.dims
+def cmd_phases(ns: argparse.Namespace) -> int:
+    dims = _dims(ns)
     text = None
-    if cfg.trace_in:
-        with open(cfg.trace_in) as handle:
+    if ns.trace_in:
+        with open(ns.trace_in) as handle:
             text = handle.read()
         schedule = parse_trace(text, dims)
     else:
-        schedule = build_schedule(cfg.algorithm, dims, cfg.S)
-    M = cfg.phase_budget()
+        schedule = build_schedule(ns.alg, dims, ns.S)
+    M = _phase_budget(ns)
     try:
         reports = partition_phases(schedule, PhaseConfig(M))
     except UnvalidatedTraceError as exc:
@@ -353,84 +284,55 @@ def cmd_phases(cfg: RunConfig) -> int:
             raise
         line = trace_line(text, exc.index)
         raise UnvalidatedTraceError(f"trace line {line}: {exc}", exc.index) from exc
-    if cfg.out_format == "csv":
-        _emit(cfg, phases_to_csv(reports))
+    if ns.out_format == "csv":
+        _emit(ns, phases_to_csv(reports))
         return 0
     payload = {
-        "m": dims.m,
-        "n": dims.n,
-        "k": dims.k,
-        "S": cfg.S,
+        **asdict(dims),
+        "S": ns.S,
         "M": M,
-        "algorithm": cfg.algorithm.value if cfg.algorithm else None,
+        "algorithm": ns.alg.value if ns.alg else None,
         "phases": [
-            {
-                "phase": r.index,
-                "loads": r.loads,
-                "stores": r.stores,
-                "fmas": r.fmas,
-                "x": r.x,
-                "y": r.y,
-                "z": r.z,
-                "lw_bound": r.lw_bound,
-                "resident_at_start": r.resident_at_start,
-            }
+            {"phase": r.index,
+             **_fields(r, ("loads", "stores", "fmas", "x", "y", "z", "lw_bound",
+                           "resident_at_start"))}
             for r in reports
         ],
-        "efficiency": phase_efficiency(reports, cfg.S, M) if reports else None,
+        "efficiency": phase_efficiency(reports, ns.S, M) if reports else None,
         "loomis_whitney_ok": all(check_loomis_whitney(r) for r in reports),
-        "capacity_ok": all(check_capacity(r, cfg.S, M) for r in reports),
+        "capacity_ok": all(check_capacity(r, ns.S, M) for r in reports),
     }
-    _emit(cfg, _json_text(payload))
+    _emit(ns, _json_text(payload))
     return 0
 
 
-def cmd_goto(cfg: RunConfig) -> int:
-    params = cfg.goto_params
-    report = goto_report(cfg.dims, params, cfg.suboptimal_threshold)
-    payload = {
-        "dims": {"m": cfg.dims.m, "n": cfg.dims.n, "k": cfg.dims.k},
-        "params": {
-            "n_c": params.n_c,
-            "k_c": params.k_c,
-            "m_c": params.m_c,
-            "n_r": params.n_r,
-            "m_r": params.m_r,
-            "S2": params.S2,
-            "S3": params.S3,
-        },
-        "l3_reads": report.l3_reads,
-        "l2_reads": report.l2_reads,
-        "l3_reference": report.l3_reference,
-        "l2_reference": report.l2_reference,
-        "l3_ratio": report.l3_ratio,
-        "l2_ratio": report.l2_ratio,
-        "l3_suboptimal": report.l3_suboptimal,
-    }
-    _emit_payload(cfg, payload)
+def cmd_goto(ns: argparse.Namespace) -> int:
+    dims = _dims(ns)
+    params = GotoParams(
+        n_c=ns.n_c, k_c=ns.k_c, m_c=ns.m_c, n_r=ns.n_r, m_r=ns.m_r, S2=ns.s2, S3=ns.s3,
+    )
+    report = goto_report(dims, params, ns.threshold)
+    _emit_payload(ns, {"dims": asdict(dims), "params": asdict(params), **asdict(report)})
     return 0
 
 
-def _sweep_points(cfg: RunConfig) -> list[tuple[Algorithm, int, int, int, int]]:
-    if cfg.sizes is not None and any(
-        lst is not None for lst in (cfg.m_list, cfg.n_list, cfg.k_list)
-    ):
+def _sweep_points(ns: argparse.Namespace) -> list[tuple[Algorithm, int, int, int, int]]:
+    lists = (ns.m_list, ns.n_list, ns.k_list)
+    if ns.sizes is not None and any(lst is not None for lst in lists):
         raise ValueError("pass either --sizes or --m-list/--n-list/--k-list, not both")
-    if cfg.sizes is not None:
-        shapes = [(s, s, s) for s in cfg.sizes]
-    elif cfg.m_list is not None or cfg.n_list is not None or cfg.k_list is not None:
-        if not (cfg.m_list is not None and cfg.n_list is not None and cfg.k_list is not None):
+    if ns.sizes is not None:
+        shapes = [(s, s, s) for s in ns.sizes]
+    elif any(lst is not None for lst in lists):
+        if any(lst is None for lst in lists):
             raise ValueError("--m-list, --n-list and --k-list must be given together")
-        shapes = [
-            (m, n, k) for m in cfg.m_list for n in cfg.n_list for k in cfg.k_list
-        ]
+        shapes = [(m, n, k) for m in ns.m_list for n in ns.n_list for k in ns.k_list]
     else:
         raise ValueError("sweep needs --sizes or --m-list/--n-list/--k-list")
     points = [
         (alg, m, n, k, S)
-        for alg in cfg.algs
+        for alg in ns.algs
         for (m, n, k) in shapes
-        for S in cfg.capacities
+        for S in ns.capacities
     ]
     points.sort(key=lambda t: (t[0].value, t[1], t[2], t[3], t[4]))
     return points
@@ -449,310 +351,36 @@ def _sweep_row(point: tuple[Algorithm, int, int, int, int]) -> str:
     )
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    rows = [_sweep_row(p) for p in _sweep_points(cfg)]
-    _emit(cfg, "\n".join([SWEEP_CSV_HEADER] + rows) + "\n")
+def cmd_sweep(ns: argparse.Namespace) -> int:
+    rows = [_sweep_row(p) for p in _sweep_points(ns)]
+    _emit(ns, "\n".join([SWEEP_CSV_HEADER] + rows) + "\n")
     return 0
 
 
-def cmd_brute_force(cfg: RunConfig) -> int:
-    result = tiny_optimal_schedule(cfg.dims, cfg.S, cfg.budget)
+def cmd_brute_force(ns: argparse.Namespace) -> int:
+    dims = _dims(ns)
+    result = tiny_optimal_schedule(dims, ns.S, ns.budget)
     payload = {
         "command": "brute-force",
-        "m": cfg.dims.m,
-        "n": cfg.dims.n,
-        "k": cfg.dims.k,
-        "S": cfg.S,
-        "budget": cfg.budget,
-        "min_io": result.min_io,
-        "optimal": result.optimal,
-        "nodes": result.nodes,
-        "lower_bound_final": lower_bound_final(cfg.dims, cfg.S),
+        **asdict(dims),
+        "S": ns.S,
+        "budget": ns.budget,
+        **_fields(result, ("min_io", "optimal", "nodes")),
+        "lower_bound_final": lower_bound_final(dims, ns.S),
         "trace": dump_trace(result.schedule).splitlines(),
     }
-    _emit(cfg, _json_text(payload))
+    _emit(ns, _json_text(payload))
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify: the cross-module invariant suite
-# ---------------------------------------------------------------------------
+def cmd_verify(ns: argparse.Namespace) -> int:
+    from . import verify  # on use only: no other command needs the suite
 
-
-def _all_dims(limit: int) -> list[ProblemDims]:
-    return [
-        ProblemDims(m, n, k)
-        for m in range(1, limit + 1)
-        for n in range(1, limit + 1)
-        for k in range(1, limit + 1)
-    ]
-
-
-def _input_cache():
-    cache: dict = {}
-
-    def get(dims: ProblemDims):
-        key = (dims.m, dims.n, dims.k)
-        if key not in cache:
-            cache[key] = seeded_matrices(dims, _DEFAULT_SEED)
-        return cache[key]
-
-    return get
-
-
-def _check_agreement(quick: bool):
-    limit = 4 if quick else 6
-    s_values = (4, 9, 16) if quick else (4, 9, 16, 25)
-    inputs = _input_cache()
-    cases = 0
-    for dims in _all_dims(limit):
-        for S in s_values:
-            for alg in _ALL_ALGS:
-                label = f"{alg.value} ({dims.m},{dims.n},{dims.k}) S={S}"
-                try:
-                    schedule = build_schedule(alg, dims, S)
-                    a, b, c = inputs(dims)
-                    result = execute(schedule, MemoryConfig(S), a, b, c)
-                except Exception as exc:
-                    return False, f"{label}: {exc}"
-                predicted = predicted_io(alg, dims, S)
-                stats = result.stats
-                if stats.reads != predicted.reads or stats.writes != predicted.writes:
-                    return False, (
-                        f"{label}: simulated ({stats.reads},{stats.writes}) != "
-                        f"predicted ({predicted.reads},{predicted.writes})"
-                    )
-                if stats.fmas != fma_count(dims):
-                    return False, f"{label}: {stats.fmas} fmas != {fma_count(dims)}"
-                cases += 1
-    return True, f"{cases} cases exact"
-
-
-def _check_closed_forms(quick: bool):
-    combos = [(6, 16), (9, 16), (4, 9), (8, 9), (3, 16)]
-    if not quick:
-        combos += [(12, 16), (10, 36), (5, 36)]
-    cases = 0
-    for size, S in combos:
-        dims = ProblemDims(size, size, size)
-        b = algorithms.block_size(S)
-        if size % b:
-            continue
-        for alg in _ALL_ALGS:
-            predicted = predicted_io(alg, dims, S)
-            if predicted.reads != predicted.closed_form_reads or (
-                predicted.writes != predicted.closed_form_writes
-            ):
-                return False, (
-                    f"{alg.value} m=n=k={size} S={S}: structural "
-                    f"({predicted.reads},{predicted.writes}) != closed form "
-                    f"({predicted.closed_form_reads},{predicted.closed_form_writes})"
-                )
-            cases += 1
-    return True, f"{cases} divisible cases exact"
-
-
-def _check_bitwise(quick: bool):
-    limit = 4 if quick else 6
-    s_values = (4, 9, 16)
-    inputs = _input_cache()
-    cases = 0
-    for dims in _all_dims(limit):
-        a, b, c = inputs(dims)
-        reference_bytes = reference_gemm(a, b, c).tobytes()
-        for S in s_values:
-            for alg in _ALL_ALGS:
-                schedule = build_schedule(alg, dims, S)
-                result = execute(schedule, MemoryConfig(S), a, b, c)
-                if result.output_c.tobytes() != reference_bytes:
-                    return False, (
-                        f"{alg.value} ({dims.m},{dims.n},{dims.k}) S={S}: "
-                        "output differs from the reference loop"
-                    )
-                cases += 1
-    return True, f"{cases} executions bitwise identical"
-
-
-def _check_phase_inequalities(quick: bool):
-    limit = 4 if quick else 6
-    s_values = (4, 9, 16)
-    checked = 0
-    for dims in _all_dims(limit):
-        for S in s_values:
-            for alg in _ALL_ALGS:
-                schedule = build_schedule(alg, dims, S)
-                for M in (S, 2 * S):
-                    for report in partition_phases(schedule, PhaseConfig(M)):
-                        if not check_loomis_whitney(report):
-                            return False, (
-                                f"{alg.value} ({dims.m},{dims.n},{dims.k}) "
-                                f"S={S} M={M} phase {report.index}: "
-                                f"fmas^2 > x*y*z"
-                            )
-                        if not check_capacity(report, S, M):
-                            return False, (
-                                f"{alg.value} ({dims.m},{dims.n},{dims.k}) "
-                                f"S={S} M={M} phase {report.index}: "
-                                f"footprint exceeds capacity"
-                            )
-                        checked += 1
-    return True, f"{checked} phases within both inequalities"
-
-
-def _check_phase_conservation(quick: bool):
-    limit = 3 if quick else 5
-    s_values = (4, 16)
-    inputs = _input_cache()
-    cases = 0
-    for dims in _all_dims(limit):
-        for S in s_values:
-            for alg in _ALL_ALGS:
-                schedule = build_schedule(alg, dims, S)
-                a, b, c = inputs(dims)
-                stats = execute(schedule, MemoryConfig(S), a, b, c).stats
-                M = 2 * S
-                reports = partition_phases(schedule, PhaseConfig(M))
-                loads = sum(r.loads for r in reports)
-                stores = sum(r.stores for r in reports)
-                fmas = sum(r.fmas for r in reports)
-                if (loads, stores, fmas) != (stats.reads, stats.writes, stats.fmas):
-                    return False, (
-                        f"{alg.value} ({dims.m},{dims.n},{dims.k}) S={S}: phase "
-                        f"sums ({loads},{stores},{fmas}) != stats "
-                        f"({stats.reads},{stats.writes},{stats.fmas})"
-                    )
-                for report in reports[:-1]:
-                    if report.loads + report.stores != M:
-                        return False, (
-                            f"{alg.value} ({dims.m},{dims.n},{dims.k}) S={S}: "
-                            f"non-final phase {report.index} has "
-                            f"{report.loads + report.stores} transfers, not {M}"
-                        )
-                cases += 1
-    return True, f"{cases} traces conserve counters"
-
-
-def _relative_gap(left: float, right: float) -> float:
-    scale = max(1.0, abs(left), abs(right))
-    return abs(left - right) / scale
-
-
-def _check_bound_identities(quick: bool):
-    rng = random.Random(20250819)
-    samples = 60 if quick else 300
-    worst = 0.0
-    for _ in range(samples):
-        dims = ProblemDims(
-            rng.randint(1, 64), rng.randint(1, 64), rng.randint(1, 64)
-        )
-        S = rng.randint(1, 512)
-        worst = max(
-            worst,
-            _relative_gap(lower_bound_general(dims, S, 2 * S), lower_bound_final(dims, S)),
-            _relative_gap(lower_bound_general(dims, S, S), lower_bound_MS(dims, S)),
-        )
-        worst = max(worst, _relative_gap(fmax(S, 2 * S), S * (S**0.5)))
-    if worst > 1e-12:
-        return False, f"worst relative gap {worst:.3e} exceeds 1e-12"
-    return True, f"{samples} samples, worst relative gap {worst:.3e}"
-
-
-def _check_xyz_oracle(quick: bool):
-    exact = grid_search_xyz(16, 32, 1.0)
-    analytic = optimal_xyz(16, 32)
-    if (exact.x, exact.y, exact.z) != (16.0, 16.0, 16.0) or exact.f != 64.0:
-        return False, (
-            f"grid optimum ({exact.x},{exact.y},{exact.z}) f={exact.f}, "
-            "expected (16,16,16) f=64"
-        )
-    if exact.f != analytic.f or abs(exact.f - fmax(16, 32)) > 1e-12 * exact.f:
-        return False, "grid, analytic and fmax values disagree at S=16, M=32"
-    rng = random.Random(7)
-    samples = 4 if quick else 10
-    for _ in range(samples):
-        S = rng.randint(4, 300)
-        M = rng.randint(4, 600)
-        best = grid_search_xyz(S, M, (S + M) / 100)
-        cap = fmax(S, M)
-        if not best.f <= cap * (1 + 1e-12):
-            return False, f"grid f {best.f} exceeds analytic cap {cap} at S={S} M={M}"
-        if cap - best.f > 0.01 * cap:
-            return False, f"grid f {best.f} more than 1% below cap {cap} at S={S} M={M}"
-    return True, f"exact at (16,32); {samples} random grids within 1%"
-
-
-def _check_optimal_M(quick: bool):
-    for S in (16, 64) if quick else (16, 64, 256):
-        low, high = S / 4, 8 * S
-        grid = [low + i * (high - low) / 199 for i in range(200)]
-        got = optimal_M(S, grid)
-        nearest = min(grid, key=lambda candidate: (abs(candidate - 2 * S), candidate))
-        if got != nearest:
-            return False, f"S={S}: picked M={got}, nearest grid point to 2S is {nearest}"
-    return True, "argmax lands nearest 2S on every grid"
-
-
-def _check_attainment_trend(quick: bool):
-    S = 16
-    ratios = []
-    for size in (60, 120, 240):
-        dims = ProblemDims(size, size, size)
-        predicted = predicted_io(Algorithm.C, dims, S)
-        ratios.append(predicted.io_total / lower_bound_final(dims, S))
-    if not (ratios[0] > ratios[1] > ratios[2]):
-        return False, f"ratios {ratios} are not strictly decreasing"
-    if ratios[-1] > 1.45:
-        return False, f"ratio at 240 is {ratios[-1]:.4f} > 1.45"
-    return True, f"ratios {', '.join(f'{r:.4f}' for r in ratios)} decreasing toward 4/3"
-
-
-def _check_tiny_optima(quick: bool):
-    inputs = _input_cache()
-    for (dims_tuple, S, expected) in (((1, 1, 1), 3, 4), ((2, 2, 1), 4, 12)):
-        dims = ProblemDims(*dims_tuple)
-        result = tiny_optimal_schedule(dims, S)
-        if not result.optimal or result.min_io != expected:
-            return False, (
-                f"({dims.m},{dims.n},{dims.k}) S={S}: found {result.min_io} "
-                f"(optimal={result.optimal}), expected {expected}"
-            )
-        a, b, c = inputs(dims)
-        stats = execute(result.schedule, MemoryConfig(S), a, b, c).stats
-        if stats.io_total != result.min_io:
-            return False, f"witness replays to {stats.io_total}, not {result.min_io}"
-        for alg in _ALL_ALGS:
-            try:
-                predicted = predicted_io(alg, dims, S)
-            except algorithms.TooSmallError:
-                continue
-            if result.min_io > predicted.io_total:
-                return False, (
-                    f"exact optimum {result.min_io} exceeds {alg.value} cost "
-                    f"{predicted.io_total} at ({dims.m},{dims.n},{dims.k}) S={S}"
-                )
-    return True, "exact optima 4 and 12 reproduced and beaten by no algorithm"
-
-
-_VERIFY_CHECKS = [
-    ("schedule/prediction agreement", _check_agreement),
-    ("divisible closed forms", _check_closed_forms),
-    ("bitwise agreement", _check_bitwise),
-    ("phase inequalities", _check_phase_inequalities),
-    ("phase conservation", _check_phase_conservation),
-    ("bound identities", _check_bound_identities),
-    ("xyz grid oracle agreement", _check_xyz_oracle),
-    ("optimal M selection", _check_optimal_M),
-    ("attainment trend", _check_attainment_trend),
-    ("tiny exact optima", _check_tiny_optima),
-]
-
-
-def cmd_verify(cfg: RunConfig) -> int:
     first_failure = None
     passed = 0
-    for name, check in _VERIFY_CHECKS:
+    for name, check in verify.CHECKS:
         try:
-            ok, detail = check(cfg.quick)
+            ok, detail = check(ns.quick)
         except Exception as exc:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         status = "pass" if ok else "FAIL"
@@ -762,9 +390,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         elif first_failure is None:
             first_failure = name
     if first_failure is None:
-        print(f"{passed}/{len(_VERIFY_CHECKS)} checks passed")
+        print(f"{passed}/{len(verify.CHECKS)} checks passed")
         return 0
-    print(f"{passed}/{len(_VERIFY_CHECKS)} checks passed; first failure: {first_failure}")
+    print(f"{passed}/{len(verify.CHECKS)} checks passed; first failure: {first_failure}")
     return 2
 
 
@@ -781,14 +409,12 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        cfg = _config_from(ns)
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[ns.command](ns)
     except (ValueError, OSError, SimulationError, UnvalidatedTraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -89,6 +89,8 @@ def goto_report(
     ratio toward 1 as the problem grows; a strongly skewed L3 panel shows up
     as l3_ratio >> 1 and trips the suboptimal flag at the given threshold.
     """
+    if not math.isfinite(suboptimal_threshold):
+        raise ValueError(f"suboptimal threshold must be finite, got {suboptimal_threshold!r}")
     mnk = fma_count(dims)
     l3 = l3_reads(dims, params)
     l2 = l2_reads(dims, params)

@@ -4,43 +4,25 @@ Every test prints exactly one `criterion NN: PASS/FAIL (...)` line before
 asserting, so a single glance at the verbose run shows the whole gate.
 Tolerances are stated inline: integer counts are exact, analytic identities
 allow 1e-12 relative error, grid-vs-analytic comparisons allow 1%.
+Criteria 3-9 run the matching `iomma.verify` check on its full grid, the
+same function `iomma verify` runs, so each invariant has one home.
 """
-
-import math
-import random
-import time
-
-import pytest
 
 from iomma import (
     Algorithm,
     GotoParams,
     MemoryConfig,
-    PhaseConfig,
     ProblemDims,
     block_size,
     build_schedule,
-    check_capacity,
-    check_loomis_whitney,
     execute,
-    fmax,
     goto_report,
-    grid_search_xyz,
     l2_reads,
     l3_reads,
-    lower_bound_final,
-    lower_bound_general,
-    lower_bound_MS,
-    optimal_M,
-    optimal_xyz,
-    partition_phases,
-    predicted_io,
-    reference_gemm,
     seeded_matrices,
-    tiny_optimal_schedule,
+    verify,
 )
 
-ALL_ALGS = list(Algorithm)
 SEED = 42
 
 
@@ -92,162 +74,31 @@ def test_criterion_02_alg_a_b_exact_counts():
 
 
 def test_criterion_03_bound_identities():
-    rng = random.Random(31415)
-    worst = 0.0
-    for _ in range(1000):
-        dims = ProblemDims(rng.randint(1, 100), rng.randint(1, 100), rng.randint(1, 100))
-        S = rng.randint(1, 1000)
-        for general, named in (
-            (lower_bound_general(dims, S, 2 * S), lower_bound_final(dims, S)),
-            (lower_bound_general(dims, S, S), lower_bound_MS(dims, S)),
-        ):
-            scale = max(1.0, abs(general), abs(named))
-            worst = max(worst, abs(general - named) / scale)
-    exact76 = lower_bound_final(ProblemDims(6, 6, 6), 16)
-    ok = worst <= 1e-12 and exact76 == 76.0
-    _report(
-        3, ok,
-        f"1000 samples, worst relative gap {worst:.2e} (tol 1e-12); "
-        f"final bound at (6,6,6,16) = {exact76} (exact 76 required)",
-    )
+    _report(3, *verify.check_bound_identities(quick=False))
 
 
 def test_criterion_04_xyz_grid_oracle():
-    best = grid_search_xyz(16, 32, 1.0)
-    analytic = optimal_xyz(16, 32)
-    cap = fmax(16, 32)
-    exact_ok = (
-        (best.x, best.y, best.z) == (16.0, 16.0, 16.0)
-        and best.f == 64.0
-        and abs(best.f - analytic.f) <= 1e-12 * best.f
-        and abs(best.f - cap) <= 1e-12 * best.f
-    )
-    rng = random.Random(2718)
-    worst_pct = 0.0
-    for _ in range(20):
-        S = rng.randint(4, 400)
-        M = rng.randint(4, 800)
-        grid = grid_search_xyz(S, M, (S + M) / 200)
-        worst_pct = max(worst_pct, (fmax(S, M) - grid.f) / fmax(S, M))
-    ok = exact_ok and worst_pct <= 0.01
-    _report(
-        4, ok,
-        f"grid(16,32,1) = ({best.x:.0f},{best.y:.0f},{best.z:.0f}) f={best.f} "
-        f"(exact 64, analytic within 1e-12); 20 random grids within "
-        f"{worst_pct:.3%} of analytic (tol 1%)",
-    )
+    _report(4, *verify.check_xyz_oracle(quick=False))
 
 
 def test_criterion_05_optimal_M_near_2S():
-    failures = []
-    for S in (16, 64, 256, 1024):
-        low, high = S / 4, 8 * S
-        grid = [low + i * (high - low) / 199 for i in range(200)]
-        got = optimal_M(S, grid)
-        nearest = min(grid, key=lambda M: (abs(M - 2 * S), M))
-        if got != nearest:
-            failures.append((S, got, nearest))
-    _report(
-        5, not failures,
-        "S in {16,64,256,1024}: argmax over 200-point [S/4,8S] grid equals "
-        f"the point nearest 2S (exact); failures: {failures or 'none'}",
-    )
+    _report(5, *verify.check_optimal_M(quick=False))
 
 
 def test_criterion_06_phase_inequalities_full_grid():
-    violations = 0
-    phases = 0
-    for m in range(1, 9):
-        for n in range(1, 9):
-            for k in range(1, 9):
-                dims = ProblemDims(m, n, k)
-                for S in (4, 9, 16):
-                    for alg in ALL_ALGS:
-                        schedule = build_schedule(alg, dims, S)
-                        for M in (S, 2 * S):
-                            for r in partition_phases(schedule, PhaseConfig(M)):
-                                phases += 1
-                                if not check_loomis_whitney(r):
-                                    violations += 1
-                                elif not check_capacity(r, S, M):
-                                    violations += 1
-    _report(
-        6, violations == 0,
-        f"dims {{1..8}}^3, S in {{4,9,16}}, M in {{S,2S}}, all algorithms: "
-        f"{phases} phases, {violations} violations (zero required)",
-    )
+    _report(6, *verify.check_phase_inequalities(quick=False))
 
 
 def test_criterion_07_attainment_trend():
-    S = 16
-    anchor_dims = ProblemDims(60, 60, 60)
-    anchor = _simulate(Algorithm.C, anchor_dims, S).stats
-    predicted_anchor = predicted_io(Algorithm.C, anchor_dims, S)
-    anchored = (anchor.reads, anchor.writes) == (
-        predicted_anchor.reads, predicted_anchor.writes
-    )
-    ratios = []
-    for size in (60, 120, 240):
-        dims = ProblemDims(size, size, size)
-        io_total = predicted_io(Algorithm.C, dims, S).io_total
-        ratios.append(io_total / lower_bound_final(dims, S))
-    ok = anchored and ratios[0] > ratios[1] > ratios[2] and ratios[2] <= 1.45
-    _report(
-        7, ok,
-        f"simulation equals structural io at 60^3 ({anchored}); ratios "
-        f"{ratios[0]:.4f} > {ratios[1]:.4f} > {ratios[2]:.4f}, last <= 1.45",
-    )
+    _report(7, *verify.check_attainment_trend(quick=False))
 
 
 def test_criterion_08_bitwise_agreement_full_grid():
-    mismatches = 0
-    cases = 0
-    for m in range(1, 9):
-        for n in range(1, 9):
-            for k in range(1, 9):
-                dims = ProblemDims(m, n, k)
-                a, b, c = seeded_matrices(dims, SEED)
-                expected = reference_gemm(a, b, c).tobytes()
-                for S in (4, 9, 16):
-                    for alg in ALL_ALGS:
-                        schedule = build_schedule(alg, dims, S)
-                        result = execute(schedule, MemoryConfig(S), a, b, c)
-                        cases += 1
-                        if result.output_c.tobytes() != expected:
-                            mismatches += 1
-    _report(
-        8, mismatches == 0,
-        f"dims {{1..8}}^3, S in {{4,9,16}}, all algorithms: {cases} runs, "
-        f"{mismatches} byte-level mismatches (zero required)",
-    )
+    _report(8, *verify.check_bitwise(quick=False))
 
 
 def test_criterion_09_tiny_exact_optima():
-    t0 = time.perf_counter()
-    one = tiny_optimal_schedule(ProblemDims(1, 1, 1), 3)
-    flat = tiny_optimal_schedule(ProblemDims(2, 2, 1), 4)
-    elapsed = time.perf_counter() - t0
-    checks = [
-        one.min_io == 4 and one.optimal,
-        flat.min_io == 12 and flat.optimal,
-        one.min_io >= lower_bound_final(ProblemDims(1, 1, 1), 3),
-        flat.min_io >= lower_bound_final(ProblemDims(2, 2, 1), 4),
-        elapsed < 60.0,
-    ]
-    for dims, S, found in ((ProblemDims(1, 1, 1), 3, one), (ProblemDims(2, 2, 1), 4, flat)):
-        for alg in ALL_ALGS:
-            try:
-                cost = predicted_io(alg, dims, S).io_total
-            except ValueError:  # blocked algorithms need S >= 4
-                continue
-            checks.append(found.min_io <= cost)
-    ok = all(checks)
-    _report(
-        9, ok,
-        f"(1,1,1,S=3) -> {one.min_io} (expect 4), (2,2,1,S=4) -> {flat.min_io} "
-        f"(expect 12); both >= final bound and <= every runnable algorithm; "
-        f"search took {elapsed:.2f}s (< 60s)",
-    )
+    _report(9, *verify.check_tiny_optima(quick=False))
 
 
 def test_criterion_10_goto_model():

@@ -2,19 +2,67 @@
 suite's failure reporting."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 import iomma.cli as cli
+import iomma.verify
 from iomma import Algorithm, PredictedIO, ProblemDims, build_schedule, phases_to_csv
 from iomma.cli import main
 from iomma.phases import PhaseConfig, partition_phases
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "cli_golden"
+GOLDEN_TRACE = GOLDEN_DIR / "simulate_trace.txt"
+_DIMS_6 = ["-m", "6", "-n", "6", "-k", "6", "-S", "16"]
+_DIMS_60 = ["-m", "60", "-n", "60", "-k", "60", "-S", "16"]
+_GOTO_96 = ["-m", "96", "-n", "96", "-k", "96", "--n-c", "48", "--k-c", "12",
+            "--m-c", "12", "--s2", "144", "--s3", "576"]
+
+# The README's documented commands at small sizes. Each file holds the exact
+# stdout bytes recorded before the CLI payloads were rebuilt from the report
+# dataclasses, so any drift in key order, float text or CSV flattening fails.
+GOLDEN = {
+    "simulate.json": ["simulate", *_DIMS_6, "--alg", "alg-c"],
+    "simulate.csv": ["simulate", *_DIMS_6, "--alg", "alg-c", "--format", "csv"],
+    "predict.json": ["predict", *_DIMS_60, "--alg", "alg-c"],
+    "predict.csv": ["predict", *_DIMS_60, "--alg", "alg-c", "--format", "csv"],
+    "bounds.json": ["bounds", *_DIMS_6],
+    "bounds.csv": ["bounds", *_DIMS_6, "--format", "csv"],
+    "phases.csv": ["phases", *_DIMS_6, "--alg", "alg-c"],
+    "phases.json": ["phases", *_DIMS_6, "--alg", "alg-c", "--format", "json"],
+    "phases_trace.csv": ["phases", *_DIMS_6, "--trace-in", str(GOLDEN_TRACE)],
+    "phases_trace.json": ["phases", *_DIMS_6, "--trace-in", str(GOLDEN_TRACE),
+                          "--format", "json"],
+    "goto.json": ["goto", *_GOTO_96],
+    "goto.csv": ["goto", *_GOTO_96, "--format", "csv"],
+    "sweep_sizes.csv": ["sweep", "--algs", "alg-c,alg-b", "--sizes", "60,120,240",
+                        "--capacities", "16,64"],
+    "sweep_lists.csv": ["sweep", "--algs", "naive", "--m-list", "4,8", "--n-list", "4",
+                        "--k-list", "2,4", "--capacities", "9"],
+    "brute_force.json": ["brute-force", "-m", "2", "-n", "2", "-k", "1", "-S", "4"],
+}
 
 
 def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_documented_command_output_is_golden(capsys, name):
+    code, out, err = _run(capsys, *GOLDEN[name])
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_trace_out_is_golden(tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    code, out, _ = _run(capsys, *GOLDEN["simulate.json"], "--trace-out", str(trace))
+    assert code == 0
+    assert out.encode() == (GOLDEN_DIR / "simulate.json").read_bytes()
+    assert trace.read_bytes() == GOLDEN_TRACE.read_bytes()
 
 
 def test_simulate_json(capsys):
@@ -229,6 +277,10 @@ def test_brute_force_json(capsys):
          "--capacities", "16"],
         ["phases", "-m", "2", "-n", "2", "-k", "2", "-S", "16"],
         ["nonsense"],
+        ["predict", "-m", "2", "-n", "2", "-k", "2", "-S", "2", "--alg", "naive"],
+        ["sweep", "--algs", "naive", "--sizes", "2", "--capacities", "1,2"],
+        ["goto", *_GOTO_96, "--threshold", "nan"],
+        ["goto", *_GOTO_96, "--threshold", "inf"],
     ],
 )
 def test_invalid_usage_exits_1(capsys, argv):
@@ -282,7 +334,7 @@ def test_verify_quick_passes(capsys):
 
 
 def test_verify_names_first_failure(capsys, monkeypatch):
-    real = cli.predicted_io
+    real = iomma.verify.predicted_io
 
     def skewed(algorithm, dims, S):
         honest = real(algorithm, dims, S)
@@ -293,7 +345,7 @@ def test_verify_names_first_failure(capsys, monkeypatch):
             closed_form_writes=honest.closed_form_writes,
         )
 
-    monkeypatch.setattr(cli, "predicted_io", skewed)
+    monkeypatch.setattr(iomma.verify, "predicted_io", skewed)
     code, out, _ = _run(capsys, "verify", "--quick")
     assert code == 2
     lines = out.splitlines()
