@@ -13,15 +13,17 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .model import (
-    Evict,
-    Fma,
-    Load,
+    MATRIX_CODE,
+    OP_EVICT,
+    OP_FMA,
+    OP_LOAD,
+    OP_STORE,
     Matrix,
-    OperandRef,
     ProblemDims,
     Schedule,
-    Store,
 )
 
 
@@ -107,24 +109,139 @@ class PredictedIO:
         return max(self.reads, self.writes)
 
 
+# Generators build each event as an (op, kind, i, j, p) row, where kind is
+# the matrix code or _KIND_FMA, and turn the rows into trace codes at the end.
+# Offsets and loop steps are then plain additions to the i, j or p column.
+_KIND_FMA = 3
+# row columns that feed code columns 1..3: the matrix's (kind, row, col),
+# or an fma's (i, j, p)
+_FIELDS = np.array([[1, 2, 4], [1, 4, 3], [1, 2, 3], [2, 3, 4]])
+# the i/j/p axes (0, 1, 2) that index each matrix's rows and cols
+_AXES = {Matrix.A: (0, 2), Matrix.B: (2, 1), Matrix.C: (0, 1)}
+
+
+def _loop(*loops: tuple[int, int]) -> np.ndarray:
+    """(i, j, p) of every iteration of a loop nest, outermost loop first.
+
+    Each loop is (axis, extent); axes the nest does not mention stay 0.
+    """
+    axes = [axis for axis, _ in loops]
+    extents = [extent for _, extent in loops]
+    ijp = np.zeros((math.prod(extents), 3), dtype=np.int64)
+    ijp[:, axes] = np.indices(extents).reshape(len(loops), -1).T
+    return ijp
+
+
+def _rows(op: int, kind: int, ijp: np.ndarray) -> np.ndarray:
+    rows = np.empty((len(ijp), 5), dtype=np.int64)
+    rows[:, 0] = op
+    rows[:, 1] = kind
+    rows[:, 2:] = ijp
+    return rows
+
+
+def _repeat(rows: np.ndarray, axis: int, count: int) -> np.ndarray:
+    """rows once per step 0..count-1 along an axis, in step order."""
+    out = np.tile(rows, (count, 1))
+    out[:, 2 + axis] += np.repeat(np.arange(count), len(rows))
+    return out
+
+
+def _to_codes(rows: np.ndarray) -> np.ndarray:
+    codes = np.empty((len(rows), 4), dtype=np.int64)
+    codes[:, 0] = rows[:, 0]
+    codes[:, 1:] = np.take_along_axis(rows, _FIELDS[rows[:, 1]], axis=1)
+    return codes
+
+
 def naive_schedule(dims: ProblemDims) -> Schedule:
     """One load-compute-store round trip per fma. Peak residency 3."""
-    events: list = []
-    emit = events.append
-    for i in range(dims.m):
-        for j in range(dims.n):
-            for p in range(dims.k):
-                a_ref = OperandRef(Matrix.A, i, p)
-                b_ref = OperandRef(Matrix.B, p, j)
-                c_ref = OperandRef(Matrix.C, i, j)
-                emit(Load(a_ref))
-                emit(Load(b_ref))
-                emit(Load(c_ref))
-                emit(Fma(i, j, p))
-                emit(Store(c_ref))
-                emit(Evict(a_ref))
-                emit(Evict(b_ref))
-    return Schedule(tuple(events), dims)
+    a, b, c = (MATRIX_CODE[matrix] for matrix in Matrix)
+    origin = np.zeros((1, 3), dtype=np.int64)
+    step = np.concatenate([
+        _rows(OP_LOAD, a, origin),
+        _rows(OP_LOAD, b, origin),
+        _rows(OP_LOAD, c, origin),
+        _rows(OP_FMA, _KIND_FMA, origin),
+        _rows(OP_STORE, c, origin),
+        _rows(OP_EVICT, a, origin),
+        _rows(OP_EVICT, b, origin),
+    ])
+    rows = _repeat(_repeat(_repeat(step, 2, dims.k), 1, dims.n), 0, dims.m)
+    return Schedule.from_codes(_to_codes(rows), dims)
+
+
+def _block_codes(resident: Matrix, shape: tuple[int, int], steps: int):
+    """Codes of one resident block at the origin, streaming over ``steps``,
+    and the change in its codes per unit of row and of col offset.
+
+    The block is loaded row-major. Each step loads the pieces of the two
+    other matrices that meet the block, in matrix order, runs the block's
+    fmas with the i, j, p loops nested in that order, writes back a streamed
+    C piece, evicts the streamed A or B pieces, and advances the streamed
+    axis. The block then leaves: stored if it is C, evicted otherwise.
+    """
+    row_axis, col_axis = _AXES[resident]
+    stream_axis = 3 - row_axis - col_axis
+    extents = dict(zip((row_axis, col_axis), shape))
+    streamed = [matrix for matrix in Matrix if matrix is not resident]
+    piece = {}
+    for matrix in streamed:
+        (axis,) = (axis for axis in _AXES[matrix] if axis != stream_axis)
+        piece[matrix] = _loop((axis, extents[axis]))
+    step = [_rows(OP_LOAD, MATRIX_CODE[matrix], piece[matrix]) for matrix in streamed]
+    step.append(_rows(OP_FMA, _KIND_FMA, _loop(*sorted(extents.items()))))
+    if Matrix.C in piece:
+        step.append(_rows(OP_STORE, MATRIX_CODE[Matrix.C], piece[Matrix.C]))
+    step += [
+        _rows(OP_EVICT, MATRIX_CODE[matrix], piece[matrix])
+        for matrix in streamed if matrix is not Matrix.C
+    ]
+    block = _loop(*extents.items())
+    leave = OP_STORE if resident is Matrix.C else OP_EVICT
+    rows = np.concatenate([
+        _rows(OP_LOAD, MATRIX_CODE[resident], block),
+        _repeat(np.concatenate(step), stream_axis, steps),
+        _rows(leave, MATRIX_CODE[resident], block),
+    ])
+    codes = _to_codes(rows)
+    shifts = []
+    for axis in (row_axis, col_axis):
+        moved = rows.copy()
+        moved[:, 2 + axis] += 1
+        shifts.append(_to_codes(moved) - codes)
+    return codes, *shifts
+
+
+def blocked_schedule(resident: Matrix, dims: ProblemDims, S: int) -> Schedule:
+    """Keep a b-by-b block of one operand resident and stream the rest past it.
+
+    Blocks visit the resident matrix's block grid row-major; the third axis
+    streams in full, ascending, through each block. Blocks of one shape
+    differ only by an offset, so each shape's codes are built once.
+    """
+    b = block_size(S)
+    extent = (dims.m, dims.n, dims.k)
+    row_axis, col_axis = _AXES[resident]
+    steps = extent[3 - row_axis - col_axis]
+    blocks = [
+        (r0, c0, (rows, cols))
+        for r0, rows in _segments(extent[row_axis], b)
+        for c0, cols in _segments(extent[col_axis], b)
+    ]
+    shapes = {}
+    for _, _, shape in blocks:
+        if shape not in shapes:
+            shapes[shape] = _block_codes(resident, shape, steps)
+    out = np.empty((sum(len(shapes[shape][0]) for _, _, shape in blocks), 4), dtype=np.int64)
+    start = 0
+    for r0, c0, shape in blocks:
+        codes, row_shift, col_shift = shapes[shape]
+        end = start + len(codes)
+        out[start:end] = codes
+        out[start:end] += r0 * row_shift + c0 * col_shift
+        start = end
+    return Schedule.from_codes(out, dims)
 
 
 def alg_c_schedule(dims: ProblemDims, S: int) -> Schedule:
@@ -135,31 +252,7 @@ def alg_c_schedule(dims: ProblemDims, S: int) -> Schedule:
     once and written once: reads = 2mnk/b + mn, writes = mn on divisible
     dims; peak residency b^2 + 2b.
     """
-    b = block_size(S)
-    m, n, k = dims.m, dims.n, dims.k
-    events: list = []
-    emit = events.append
-    for i0, bm in _segments(m, b):
-        for j0, bn in _segments(n, b):
-            for i in range(i0, i0 + bm):
-                for j in range(j0, j0 + bn):
-                    emit(Load(OperandRef(Matrix.C, i, j)))
-            for p in range(k):
-                for i in range(i0, i0 + bm):
-                    emit(Load(OperandRef(Matrix.A, i, p)))
-                for j in range(j0, j0 + bn):
-                    emit(Load(OperandRef(Matrix.B, p, j)))
-                for i in range(i0, i0 + bm):
-                    for j in range(j0, j0 + bn):
-                        emit(Fma(i, j, p))
-                for i in range(i0, i0 + bm):
-                    emit(Evict(OperandRef(Matrix.A, i, p)))
-                for j in range(j0, j0 + bn):
-                    emit(Evict(OperandRef(Matrix.B, p, j)))
-            for i in range(i0, i0 + bm):
-                for j in range(j0, j0 + bn):
-                    emit(Store(OperandRef(Matrix.C, i, j)))
-    return Schedule(tuple(events), dims)
+    return blocked_schedule(Matrix.C, dims, S)
 
 
 def alg_b_schedule(dims: ProblemDims, S: int) -> Schedule:
@@ -170,31 +263,7 @@ def alg_b_schedule(dims: ProblemDims, S: int) -> Schedule:
     Each row of C is re-read and re-written once per p block: reads =
     2mnk/b + nk, writes = mnk/b on divisible dims.
     """
-    b = block_size(S)
-    m, n, k = dims.m, dims.n, dims.k
-    events: list = []
-    emit = events.append
-    for p0, bk in _segments(k, b):
-        for j0, bn in _segments(n, b):
-            for p in range(p0, p0 + bk):
-                for j in range(j0, j0 + bn):
-                    emit(Load(OperandRef(Matrix.B, p, j)))
-            for i in range(m):
-                for p in range(p0, p0 + bk):
-                    emit(Load(OperandRef(Matrix.A, i, p)))
-                for j in range(j0, j0 + bn):
-                    emit(Load(OperandRef(Matrix.C, i, j)))
-                for j in range(j0, j0 + bn):
-                    for p in range(p0, p0 + bk):
-                        emit(Fma(i, j, p))
-                for j in range(j0, j0 + bn):
-                    emit(Store(OperandRef(Matrix.C, i, j)))
-                for p in range(p0, p0 + bk):
-                    emit(Evict(OperandRef(Matrix.A, i, p)))
-            for p in range(p0, p0 + bk):
-                for j in range(j0, j0 + bn):
-                    emit(Evict(OperandRef(Matrix.B, p, j)))
-    return Schedule(tuple(events), dims)
+    return blocked_schedule(Matrix.B, dims, S)
 
 
 def alg_a_schedule(dims: ProblemDims, S: int) -> Schedule:
@@ -205,31 +274,7 @@ def alg_a_schedule(dims: ProblemDims, S: int) -> Schedule:
     re-read and re-written once per p block: reads = 2mnk/b + mk, writes =
     mnk/b on divisible dims.
     """
-    b = block_size(S)
-    m, n, k = dims.m, dims.n, dims.k
-    events: list = []
-    emit = events.append
-    for i0, bm in _segments(m, b):
-        for p0, bk in _segments(k, b):
-            for i in range(i0, i0 + bm):
-                for p in range(p0, p0 + bk):
-                    emit(Load(OperandRef(Matrix.A, i, p)))
-            for j in range(n):
-                for p in range(p0, p0 + bk):
-                    emit(Load(OperandRef(Matrix.B, p, j)))
-                for i in range(i0, i0 + bm):
-                    emit(Load(OperandRef(Matrix.C, i, j)))
-                for i in range(i0, i0 + bm):
-                    for p in range(p0, p0 + bk):
-                        emit(Fma(i, j, p))
-                for i in range(i0, i0 + bm):
-                    emit(Store(OperandRef(Matrix.C, i, j)))
-                for p in range(p0, p0 + bk):
-                    emit(Evict(OperandRef(Matrix.B, p, j)))
-            for i in range(i0, i0 + bm):
-                for p in range(p0, p0 + bk):
-                    emit(Evict(OperandRef(Matrix.A, i, p)))
-    return Schedule(tuple(events), dims)
+    return blocked_schedule(Matrix.A, dims, S)
 
 
 def build_schedule(algorithm: Algorithm, dims: ProblemDims, S: int) -> Schedule:

@@ -255,9 +255,10 @@ def tiny_optimal_schedule(
     res_b: set[tuple[int, int]] = set()
     res_c: dict[tuple[int, int], bool] = {}  # (i, j) -> dirty
 
-    # the naive schedule is always a valid incumbent at S >= 3
+    # the naive schedule is always a valid incumbent at S >= 3; it is built
+    # only if nothing beats it
     best_cost = 4 * m * n * k
-    best_events = list(naive_schedule(dims).events)
+    best_events = None
     events: list = []
     memo: dict = {}
     nodes = 0
@@ -424,7 +425,7 @@ def tiny_optimal_schedule(
     dfs(0)
     return TinyOptimum(
         min_io=best_cost,
-        schedule=Schedule(tuple(best_events), dims),
+        schedule=naive_schedule(dims) if best_events is None else Schedule(best_events, dims),
         optimal=not exhausted,
         nodes=nodes,
     )

@@ -70,9 +70,13 @@ def _add_dims(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-k", type=_positive_int, required=True, help="cols of A, rows of B")
 
 
-def _add_output(parser: argparse.ArgumentParser, default_format: str = "json") -> None:
+def _add_output(
+    parser: argparse.ArgumentParser,
+    default_format: str = "json",
+    formats: tuple[str, ...] = ("json", "csv"),
+) -> None:
     parser.add_argument(
-        "--format", choices=("json", "csv"), default=default_format, dest="out_format"
+        "--format", choices=formats, default=default_format, dest="out_format"
     )
     parser.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
 
@@ -145,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dims(p)
     p.add_argument("-S", type=_positive_int, required=True)
     p.add_argument("--budget", type=_positive_int, default=_DEFAULT_BUDGET)
-    _add_output(p)
+    _add_output(p, formats=("json",))  # the witness trace has no one-row CSV form
 
     p = sub.add_parser("verify", help="run the cross-module invariant suite")
     p.add_argument("--quick", action="store_true", help="smaller grids, under a minute")
@@ -232,7 +236,8 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         **asdict(dims),
         "S": ns.S,
         "seed": ns.seed,
-        **_fields(stats, ("reads", "writes", "fmas", "io_total", "peak_residency")),
+        **_fields(stats, ("reads", "reads_a", "reads_b", "reads_c", "writes", "fmas",
+                          "io_total", "peak_residency")),
         "effective_io": max(stats.reads, stats.writes),
         "predicted_reads": predicted.reads,
         "predicted_writes": predicted.writes,

@@ -14,21 +14,23 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
-    Evict,
-    Fma,
+    MATRICES,
+    MATRIX_CODE,
+    OP_EVICT,
+    OP_FMA,
+    OP_LOAD,
+    OP_STORE,
     IOStats,
-    Load,
     Matrix,
-    OperandRef,
     OutOfBoundsError,
     ProblemDims,
     Schedule,
-    Store,
 )
 
 
@@ -97,6 +99,17 @@ def _flat(mat, rows: int, cols: int, name: str) -> list[float]:
     return arr.ravel().tolist()
 
 
+_CHUNK = 1 << 12  # events whose ids are listed at once; bounds the lists' size
+_C = MATRIX_CODE[Matrix.C]
+
+
+def _layout(dims: ProblemDims) -> tuple[tuple[int, int, int], ...]:
+    """(rows, cols, first element id) of A, B and C, whose elements take
+    consecutive ids, each matrix row-major."""
+    m, n, k = dims.m, dims.n, dims.k
+    return (m, k, 0), (k, n, m * k), (m, n, m * k + k * n)
+
+
 def execute(
     schedule: Schedule, config: MemoryConfig, a, b, c_in
 ) -> ExecutionResult:
@@ -114,113 +127,139 @@ def execute(
     dims = schedule.dims
     m, n, k = dims.m, dims.n, dims.k
     cap = config.S
-    b_off = m * k
-    c_off = b_off + k * n
-    # element ids: A row-major at [0, mk), then B, then C; state per id is
-    # 0 (absent), 1 (clean) or 2 (dirty)
-    slow = _flat(a, m, k, "a") + _flat(b, k, n, "b") + _flat(c_in, m, n, "c_in")
-    fast = [0.0] * len(slow)
-    state = bytearray(len(slow))
-    shapes = {Matrix.A: (m, k, 0), Matrix.B: (k, n, b_off), Matrix.C: (m, n, c_off)}
-
-    reads = writes = fmas = 0
+    _, _, c_off = _layout(dims)[_C]
+    # state per element id is 0 (absent), 1 (clean) or 2 (dirty), and the
+    # ids follow _layout: A, then B, then C. One value per element serves as
+    # both copies: a fast copy differs from slow memory only while dirty,
+    # and a dirty slot cannot leave fast memory except by a store.
+    fast = _flat(a, m, k, "a") + _flat(b, k, n, "b") + _flat(c_in, m, n, "c_in")
+    state = bytearray(len(fast))
     occupancy = peak = 0
 
-    events = schedule.events
-    it = iter(events)
-    try:
-        for event in it:
-            cls = event.__class__
-            if cls is Fma:
-                i = event.i
-                j = event.j
-                p = event.p
-                if not 0 <= i < m:
-                    raise OutOfBoundsError("i", f"fma i={i} outside [0, {m})")
-                if not 0 <= j < n:
-                    raise OutOfBoundsError("j", f"fma j={j} outside [0, {n})")
-                if not 0 <= p < k:
-                    raise OutOfBoundsError("p", f"fma p={p} outside [0, {k})")
-                ea = i * k + p
-                eb = b_off + p * n + j
-                ec = c_off + i * n + j
-                if not (state[ea] and state[eb] and state[ec]):
-                    missing = (
-                        f"A({i},{p})" if not state[ea]
-                        else f"B({p},{j})" if not state[eb]
-                        else f"C({i},{j})"
-                    )
-                    raise NonResidentOperandError(
-                        f"fma({i},{j},{p}) needs {missing} resident"
-                    )
-                fast[ec] += fast[ea] * fast[eb]
-                state[ec] = 2
-                fmas += 1
-                continue
-            if cls is not Load and cls is not Store and cls is not Evict:
-                raise TypeError(f"unknown event type {cls.__name__}")
-            ref = event.ref
-            mat = ref.matrix
-            if cls is Store and mat is not Matrix.C:
-                raise StoreNonCError(f"cannot store read-only {mat.value}")
-            rows, cols, off = shapes[mat]  # off: the matrix's first id
-            row = ref.row
-            col = ref.col
-            if not 0 <= row < rows:
-                raise OutOfBoundsError("row", f"{mat.value} row {row} outside [0, {rows})")
-            if not 0 <= col < cols:
-                raise OutOfBoundsError("col", f"{mat.value} col {col} outside [0, {cols})")
-            e = off + row * cols + col
-            status = state[e]
-            if cls is Load:
-                if status:
-                    raise DoubleLoadError(
-                        f"{mat.value}({row},{col}) is already resident"
-                    )
-                if occupancy >= cap:
-                    raise CapacityExceededError(
-                        f"load of {mat.value}({row},{col}) exceeds capacity {cap}"
-                    )
-                state[e] = 1
-                fast[e] = slow[e]
-                reads += 1
-                occupancy += 1
-                if occupancy > peak:
-                    peak = occupancy
-                continue
-            # store or evict: both free the slot
-            if cls is Store:
-                if not status:
-                    raise StoreNonResidentError(
-                        f"store of non-resident C({row},{col})"
-                    )
-                slow[e] = fast[e]
-                writes += 1
-            elif not status:
-                raise NonResidentOperandError(
-                    f"evict of non-resident {mat.value}({row},{col})"
-                )
-            elif status == 2:
-                raise DirtyEvictionError(
-                    f"evict of dirty C({row},{col}); store it first"
-                )
-            state[e] = 0
-            occupancy -= 1
-    except (SimulationError, OutOfBoundsError) as exc:
-        # the iterator knows how many events are left; the failing one was
-        # the last it handed out
-        _locate(exc, len(events) - operator.length_hint(it) - 1)
-        raise
+    codes = schedule.codes
+    for start in range(0, len(codes), _CHUNK):
+        chunk = codes[start:start + _CHUNK]
+        ops, xs, ys, zs = _operand_ids(chunk, dims)
+        done, occupancy, peak = _replay(ops, xs, ys, zs, fast, state, occupancy, peak, cap)
+        if done < len(chunk):
+            error = _event_error(chunk[done].tolist(), dims, state, occupancy, cap)
+            raise _locate(error, start + done)
 
     dirty = state.find(2, c_off)
     if dirty >= 0:
         i, j = divmod(dirty - c_off, n)
         message = f"dirty C({i},{j}) still resident at end of schedule"
-        raise _locate(IncompleteWritebackError(message), len(events))
+        raise _locate(IncompleteWritebackError(message), len(codes))
 
-    stats = IOStats(reads=reads, writes=writes, fmas=fmas, peak_residency=peak)
-    output_c = np.array(slow[c_off:], dtype=float).reshape(m, n)
+    ops = codes[:, 0]
+    loads, stores, _, fmas = np.bincount(ops, minlength=4).tolist()
+    reads_a, reads_b, reads_c = np.bincount(codes[ops == OP_LOAD, 1], minlength=3).tolist()
+    stats = IOStats(
+        reads=loads, writes=stores, fmas=fmas, peak_residency=peak,
+        reads_a=reads_a, reads_b=reads_b, reads_c=reads_c,
+    )
+    output_c = np.array(fast[c_off:], dtype=float).reshape(m, n)
+    schedule._legal = True
     return ExecutionResult(stats=stats, trace=schedule, output_c=output_c)
+
+
+def _operand_ids(chunk: np.ndarray, dims: ProblemDims):
+    """Opcodes and element ids of the chunk's events up to its first bounds
+    or read-only-store violation, as lists.
+
+    A load, store or evict names its element in the first id list; an fma
+    names a(i,p), b(p,j) and c(i,j) in the three lists.
+    """
+    m, n, k = dims.m, dims.n, dims.k
+    op, f1, f2, f3 = chunk.T
+    fma = op == OP_FMA
+    mat = np.where(fma, 0, f1)
+    rows, cols, offset = (np.array(column) for column in zip(*_layout(dims)))
+    rows, cols = rows[mat], cols[mat]
+    bad = np.where(
+        fma,
+        (f1 < 0) | (f1 >= m) | (f2 < 0) | (f2 >= n) | (f3 < 0) | (f3 >= k),
+        ((op == OP_STORE) & (f1 != _C)) | (f2 < 0) | (f2 >= rows) | (f3 < 0) | (f3 >= cols),
+    )
+    end = int(bad.argmax()) if bad.any() else len(chunk)
+    op, f1, f2, f3, mat, cols = (column[:end] for column in (op, f1, f2, f3, mat, cols))
+    xs = np.where(op == OP_FMA, f1 * k + f3, offset[mat] + f2 * cols + f3)
+    ys = offset[1] + f3 * n + f2
+    zs = offset[2] + f1 * n + f2
+    return op.tolist(), xs.tolist(), ys.tolist(), zs.tolist()
+
+
+def _replay(ops, xs, ys, zs, fast, state, occupancy, peak, cap):
+    """Apply events in order until one breaks a residency or capacity rule.
+
+    Returns the number applied, then occupancy and peak after them.
+    """
+    FMA, LOAD, STORE = OP_FMA, OP_LOAD, OP_STORE
+    remaining = iter(ops)
+    for op, x, y, z in zip(remaining, xs, ys, zs):
+        if op == FMA:
+            if not (state[x] and state[y] and state[z]):
+                break
+            fast[z] += fast[x] * fast[y]
+            state[z] = 2
+        elif op == LOAD:
+            if state[x] or occupancy >= cap:
+                break
+            state[x] = 1
+            occupancy += 1
+            if occupancy > peak:
+                peak = occupancy
+        elif op == STORE:
+            if not state[x]:
+                break
+            state[x] = 0
+            occupancy -= 1
+        else:
+            if state[x] != 1:
+                break
+            state[x] = 0
+            occupancy -= 1
+    else:
+        return len(ops), occupancy, peak
+    # zip drew the failing opcode last, so it is not among the remaining
+    return len(ops) - operator.length_hint(remaining) - 1, occupancy, peak
+
+
+def _event_error(row: list[int], dims: ProblemDims, state, occupancy: int, cap: int):
+    """The rule one event breaks in the current state, checked in order:
+    read-only store, coordinates, then residency and capacity."""
+    m, n, k = dims.m, dims.n, dims.k
+    op, f1, f2, f3 = row
+    if op == OP_FMA:
+        i, j, p = f1, f2, f3
+        for name, value, size in (("i", i, m), ("j", j, n), ("p", p, k)):
+            if not 0 <= value < size:
+                return OutOfBoundsError(name, f"fma {name}={value} outside [0, {size})")
+        missing = (
+            f"A({i},{p})" if not state[i * k + p]
+            else f"B({p},{j})" if not state[m * k + p * n + j]
+            else f"C({i},{j})"
+        )
+        return NonResidentOperandError(f"fma({i},{j},{p}) needs {missing} resident")
+    mat = MATRICES[f1]
+    if op == OP_STORE and mat is not Matrix.C:
+        return StoreNonCError(f"cannot store read-only {mat.value}")
+    rows, cols, off = _layout(dims)[f1]
+    if not 0 <= f2 < rows:
+        return OutOfBoundsError("row", f"{mat.value} row {f2} outside [0, {rows})")
+    if not 0 <= f3 < cols:
+        return OutOfBoundsError("col", f"{mat.value} col {f3} outside [0, {cols})")
+    status = state[off + f2 * cols + f3]
+    where = f"{mat.value}({f2},{f3})"
+    if op == OP_LOAD:
+        if status:
+            return DoubleLoadError(f"{where} is already resident")
+        return CapacityExceededError(f"load of {where} exceeds capacity {cap}")
+    if op == OP_STORE:
+        return StoreNonResidentError(f"store of non-resident {where}")
+    if not status:
+        return NonResidentOperandError(f"evict of non-resident {where}")
+    return DirtyEvictionError(f"evict of dirty {where}; store it first")
 
 
 def _locate(exc: Exception, index: int) -> Exception:
@@ -261,10 +300,20 @@ def reference_gemm(a, b, c_in) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-_EVENT_LETTER = {Load: "L", Store: "S", Evict: "E"}
-_EVENT_CLASS = {letter: cls for cls, letter in _EVENT_LETTER.items()}
+_OPCODE_BY_LETTER = {"L": OP_LOAD, "S": OP_STORE, "E": OP_EVICT}
 # dict lookup is much cheaper than Matrix(letter); Matrix() still raises on a miss
 _MATRIX_BY_LETTER = {matrix.value: matrix for matrix in Matrix}
+# one line format per (opcode, matrix) pair of a load, store or evict, then the fma's
+_LINE_FORMATS = np.array(
+    [f"{letter} {matrix.value} %d %d\n" for letter in _OPCODE_BY_LETTER for matrix in MATRICES]
+    + ["F %d %d %d\n"],
+    dtype=object,
+)
+_INT64 = np.iinfo(np.int64)
+# exactly dump_trace's output, with coordinates short enough for int64: such
+# a text reads as numbers once each letter becomes its code
+_CANONICAL = re.compile(r"(?>(?>[LSE] [ABC]|F -?[0-9]{1,18}) -?[0-9]{1,18} -?[0-9]{1,18}\n)*+")
+_LETTER_CODES = str.maketrans("LSEFABC", "0123012")
 
 
 def dump_trace(schedule: Schedule) -> str:
@@ -273,15 +322,18 @@ def dump_trace(schedule: Schedule) -> str:
     Lines are ``L A i j`` / ``S C i j`` / ``E X i j`` / ``F i j p`` with a
     trailing newline; all-ASCII, LF line endings.
     """
-    lines = []
-    for event in schedule.events:
-        if isinstance(event, Fma):
-            lines.append(f"F {event.i} {event.j} {event.p}")
-        else:
-            letter = _EVENT_LETTER[type(event)]
-            ref = event.ref
-            lines.append(f"{letter} {ref.matrix.value} {ref.row} {ref.col}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    codes = schedule.codes
+    chunks = []
+    for start in range(0, len(codes), _CHUNK):
+        chunk = codes[start:start + _CHUNK]
+        fma = chunk[:, 0] == OP_FMA
+        kind = np.where(fma, len(_LINE_FORMATS) - 1, chunk[:, 0] * 3 + chunk[:, 1])
+        # an fma prints all three fields, any other event its row and col
+        printed = np.ones((len(chunk), 3), dtype=bool)
+        printed[:, 0] = fma
+        fields = tuple(chunk[:, 1:][printed].tolist())
+        chunks.append("".join(_LINE_FORMATS[kind].tolist()) % fields)
+    return "".join(chunks)
 
 
 def _event_lines(text: str):
@@ -292,31 +344,44 @@ def _event_lines(text: str):
             yield lineno, parts
 
 
+def _coordinate(token: str) -> int:
+    value = int(token)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"coordinate {value} does not fit in 64 bits")
+    return value
+
+
+def _code_row(parts: list[str]) -> tuple[int, int, int, int]:
+    kind = parts[0]
+    if kind == "F":
+        if len(parts) != 4:
+            raise ValueError("expected 'F i j p'")
+        return OP_FMA, _coordinate(parts[1]), _coordinate(parts[2]), _coordinate(parts[3])
+    op = _OPCODE_BY_LETTER.get(kind)
+    if op is None:
+        raise ValueError(f"unknown event letter {kind!r}")
+    if len(parts) != 4:
+        raise ValueError(f"expected '{kind} X row col'")
+    matrix = _MATRIX_BY_LETTER.get(parts[1]) or Matrix(parts[1])
+    return op, MATRIX_CODE[matrix], _coordinate(parts[2]), _coordinate(parts[3])
+
+
 def parse_trace(text: str, dims: ProblemDims) -> Schedule:
     """Inverse of dump_trace. Raises ValueError on malformed lines.
 
     A ``#`` starts a comment that runs to the end of the line; blank and
     comment-only lines are skipped.
     """
-    events: list = []
+    if _CANONICAL.fullmatch(text):
+        codes = np.fromstring(text.translate(_LETTER_CODES), dtype=np.int64, sep=" ")
+        return Schedule.from_codes(codes.reshape(-1, 4), dims)
+    rows = []
     for lineno, parts in _event_lines(text):
-        kind = parts[0]
         try:
-            if kind == "F":
-                if len(parts) != 4:
-                    raise ValueError("expected 'F i j p'")
-                events.append(Fma(int(parts[1]), int(parts[2]), int(parts[3])))
-            elif kind in _EVENT_CLASS:
-                if len(parts) != 4:
-                    raise ValueError(f"expected '{kind} X row col'")
-                matrix = _MATRIX_BY_LETTER.get(parts[1]) or Matrix(parts[1])
-                ref = OperandRef(matrix, int(parts[2]), int(parts[3]))
-                events.append(_EVENT_CLASS[kind](ref))
-            else:
-                raise ValueError(f"unknown event letter {kind!r}")
+            rows.append(_code_row(parts))
         except ValueError as exc:
             raise ValueError(f"trace line {lineno}: {exc}") from None
-    return Schedule(tuple(events), dims)
+    return Schedule.from_codes(np.array(rows, dtype=np.int64).reshape(-1, 4), dims)
 
 
 def trace_line(text: str, index: int) -> int:

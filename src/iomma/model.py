@@ -2,13 +2,17 @@
 
 Everything downstream (the simulator, the schedule generators, the phase
 analyzer) speaks in these types: a problem shape, references to individual
-matrix elements, and the four kinds of trace events.
+matrix elements, the four kinds of trace events, and the schedule that holds
+a trace as one array of integer codes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 class Matrix(str, Enum):
@@ -90,25 +94,151 @@ class Fma:
 TraceEvent = Load | Store | Evict | Fma
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """An ordered event sequence together with the problem shape it targets."""
+# opcodes of a trace's code rows; matrices are coded 0, 1, 2 in Matrix order
+OP_LOAD, OP_STORE, OP_EVICT, OP_FMA = 0, 1, 2, 3
+_EVENT_TYPES = (Load, Store, Evict)
+_OPCODE = {cls: op for op, cls in enumerate(_EVENT_TYPES)}
+MATRICES = tuple(Matrix)
+MATRIX_CODE = {matrix: code for code, matrix in enumerate(MATRICES)}
+_CHUNK = 1 << 12  # rows decoded per step when iterating
 
-    events: tuple[TraceEvent, ...]
-    dims: ProblemDims
+
+def _decode(op: int, f1: int, f2: int, f3: int) -> TraceEvent:
+    if op == OP_FMA:
+        return Fma(f1, f2, f3)
+    return _EVENT_TYPES[op](OperandRef(MATRICES[f1], f2, f3))
+
+
+def _encode(events: Iterable[TraceEvent]) -> np.ndarray:
+    rows = []
+    for event in events:
+        cls = event.__class__
+        if cls is Fma:
+            rows.append((OP_FMA, event.i, event.j, event.p))
+            continue
+        op = _OPCODE.get(cls)
+        if op is None:
+            raise TypeError(f"unknown event type {cls.__name__}")
+        ref = event.ref
+        rows.append((op, MATRIX_CODE[ref.matrix], ref.row, ref.col))
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+class EventView(Sequence):
+    """Read-only sequence of the events a code array holds, decoded on access.
+
+    ``len`` is O(1) and decodes nothing. A view equals another view of the
+    same codes, and a tuple or list of the same events.
+    """
+
+    __slots__ = ("codes",)
+
+    def __init__(self, codes: np.ndarray):
+        self.codes = codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return EventView(self.codes[index])
+        return _decode(*self.codes[index].tolist())
+
+    def __iter__(self):
+        for start in range(0, len(self.codes), _CHUNK):
+            for row in self.codes[start:start + _CHUNK].tolist():
+                yield _decode(*row)
+
+    def __eq__(self, other):
+        if isinstance(other, EventView):
+            return np.array_equal(self.codes, other.codes)
+        if isinstance(other, (tuple, list)):
+            return len(other) == len(self) and all(
+                mine == theirs for mine, theirs in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"EventView(<{len(self)} events>)"
+
+
+class Schedule:
+    """An ordered event trace together with the problem shape it targets.
+
+    The trace is ``codes``, a read-only (N, 4) int64 array with one row per
+    event: the opcode (OP_LOAD, OP_STORE, OP_EVICT or OP_FMA), then the
+    matrix code, row and col; an fma uses the three fields for i, j and p.
+    ``Schedule(events, dims)`` encodes a sequence of Load/Store/Evict/Fma
+    events once; ``Schedule.from_codes`` takes over a code array. ``events``
+    is a view that decodes on access.
+    """
+
+    __slots__ = ("codes", "dims", "_legal")
+
+    def __init__(self, events: Iterable[TraceEvent], dims: ProblemDims):
+        self._adopt(_encode(events), dims)
+
+    @classmethod
+    def from_codes(cls, codes, dims: ProblemDims) -> "Schedule":
+        """Wrap an (N, 4) code array, taken over without a copy when it is
+        int64, and made read-only. Rejects unknown opcodes and matrices."""
+        codes = np.asarray(codes, dtype=np.int64)
+        if codes.ndim != 2 or codes.shape[1] != 4:
+            raise ValueError(f"codes must have shape (N, 4), got {codes.shape}")
+        ops = codes[:, 0]
+        if ((ops < OP_LOAD) | (ops > OP_FMA)).any():
+            raise ValueError("unknown opcode in codes")
+        matrices = codes[ops != OP_FMA, 1]
+        if ((matrices < 0) | (matrices >= len(MATRICES))).any():
+            raise ValueError("unknown matrix code in codes")
+        schedule = cls.__new__(cls)
+        schedule._adopt(codes, dims)
+        return schedule
+
+    def _adopt(self, codes: np.ndarray, dims: ProblemDims) -> None:
+        codes.flags.writeable = False
+        self.codes = codes
+        self.dims = dims
+        # set by execute() once the codes pass every rule; sound because the
+        # codes cannot change
+        self._legal = False
+
+    @property
+    def events(self) -> EventView:
+        return EventView(self.codes)
+
+    def __eq__(self, other):
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return self.dims == other.dims and np.array_equal(self.codes, other.codes)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Schedule(<{len(self.codes)} events>, {self.dims!r})"
 
 
 @dataclass(frozen=True, slots=True)
 class IOStats:
-    """Exact counters produced by executing a schedule."""
+    """Exact counters produced by executing a schedule.
+
+    ``reads_a``, ``reads_b`` and ``reads_c`` split ``reads`` by operand;
+    execute() fills all three.
+    """
 
     reads: int
     writes: int
     fmas: int
     peak_residency: int
+    reads_a: int = 0
+    reads_b: int = 0
+    reads_c: int = 0
 
     def __post_init__(self):
-        for name in ("reads", "writes", "fmas", "peak_residency"):
+        for name in ("reads", "writes", "fmas", "peak_residency",
+                     "reads_a", "reads_b", "reads_c"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .memsim import MemoryConfig, SimulationError, execute
-from .model import Evict, Fma, Load, OutOfBoundsError, Schedule
+from .model import OP_FMA, OP_LOAD, OP_STORE, OutOfBoundsError, Schedule
 
 
 class UnvalidatedTraceError(Exception):
@@ -73,64 +73,60 @@ class PhaseReport:
 def partition_phases(trace: Schedule, config: PhaseConfig) -> list[PhaseReport]:
     """Split a valid trace at every M-th transfer and report each phase.
 
-    The trace is first checked by execute() on zero matrices with room for
-    every element, so the fast-memory size need not be known. Any rule
-    violation (non-resident fma input, double load, dirty eviction, missing
-    writeback, bad coordinates) raises UnvalidatedTraceError with the
-    failing event's index. An empty trace yields no phases.
+    A trace execute() has not yet accepted is first checked by execute() on
+    zero matrices with room for every element, so the fast-memory size need
+    not be known. Any rule violation (non-resident fma input, double load,
+    dirty eviction, missing writeback, bad coordinates) raises
+    UnvalidatedTraceError with the failing event's index. An empty trace
+    yields no phases.
     """
     M = config.M
     dims = trace.dims
     m, n, k = dims.m, dims.n, dims.k
-    try:
-        execute(
-            trace,
-            MemoryConfig(m * k + k * n + m * n),
-            np.zeros((m, k)),
-            np.zeros((k, n)),
-            np.zeros((m, n)),
-        )
-    except (SimulationError, OutOfBoundsError) as exc:
-        raise UnvalidatedTraceError(f"invalid trace: {exc}", exc.index) from exc
+    if not trace._legal:  # set by a successful execute(); the codes are read-only
+        try:
+            execute(
+                trace,
+                MemoryConfig(m * k + k * n + m * n),
+                np.zeros((m, k)),
+                np.zeros((k, n)),
+                np.zeros((m, n)),
+            )
+        except (SimulationError, OutOfBoundsError) as exc:
+            raise UnvalidatedTraceError(f"invalid trace: {exc}", exc.index) from exc
 
-    if not trace.events:
+    codes = trace.codes
+    if not len(codes):
         return []
-    # one (loads, stores, fmas, x, y, z, resident_at_start) row per phase;
+    ops = codes[:, 0]
+    load = ops == OP_LOAD
+    store = ops == OP_STORE
+    fma = ops == OP_FMA
+    # an event belongs to the phase of the latest transfer at or before it,
+    # and events before the first transfer to phase 0
+    phase = np.maximum(np.cumsum(load | store) - 1, 0) // M
+    count = int(phase[-1]) + 1
+    loads, stores, fmas = (np.bincount(phase[mask], minlength=count) for mask in (load, store, fma))
     # footprints hold ids a(i,p) -> i*k+p, b(p,j) -> p*n+j, c(i,j) -> i*n+j
-    rows = []
-    xs: set[int] = set()
-    ys: set[int] = set()
-    zs: set[int] = set()
-    loads = stores = fmas = 0
-    resident = resident_at_start = 0  # loads - stores - evicts so far
-    for event in trace.events:
-        cls = event.__class__
-        if cls is Fma:
-            i = event.i
-            j = event.j
-            p = event.p
-            fmas += 1
-            xs.add(i * k + p)
-            ys.add(p * n + j)
-            zs.add(i * n + j)
-        elif cls is Evict:
-            resident -= 1
-        else:
-            if loads + stores == M:
-                rows.append(
-                    (loads, stores, fmas, len(xs), len(ys), len(zs), resident_at_start)
-                )
-                xs, ys, zs = set(), set(), set()
-                loads = stores = fmas = 0
-                resident_at_start = resident
-            if cls is Load:
-                loads += 1
-                resident += 1
-            else:
-                stores += 1
-                resident -= 1
-    rows.append((loads, stores, fmas, len(xs), len(ys), len(zs), resident_at_start))
+    i, j, p = codes[fma, 1], codes[fma, 2], codes[fma, 3]
+    xs, ys, zs = (
+        _distinct_per_phase(phase[fma], ids, count) for ids in (i * k + p, p * n + j, i * n + j)
+    )
+    # occupancy when a phase opens: loads - stores - evicts before its first event
+    change = load.astype(np.int64) - (~load & ~fma)
+    occupancy = np.cumsum(change) - change
+    resident_at_start = occupancy[np.searchsorted(phase, np.arange(count))]
+    rows = zip(*(column.tolist() for column in (loads, stores, fmas, xs, ys, zs, resident_at_start)))
     return [PhaseReport(index, *row) for index, row in enumerate(rows)]
+
+
+def _distinct_per_phase(phase: np.ndarray, ids: np.ndarray, count: int) -> np.ndarray:
+    """Number of distinct ids in each phase; phase is non-decreasing."""
+    order = np.lexsort((ids, phase))
+    phase, ids = phase[order], ids[order]
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = (phase[1:] != phase[:-1]) | (ids[1:] != ids[:-1])
+    return np.bincount(phase[first], minlength=count)
 
 
 def check_loomis_whitney(report: PhaseReport) -> bool:

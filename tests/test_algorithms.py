@@ -7,8 +7,14 @@ from hypothesis import strategies as st
 
 from iomma import (
     Algorithm,
+    Evict,
+    Fma,
+    Load,
+    Matrix,
     MemoryConfig,
+    OperandRef,
     ProblemDims,
+    Store,
     TooSmallError,
     block_size,
     build_schedule,
@@ -200,3 +206,116 @@ def test_predicted_io_is_closed_form_at_scale():
     for alg, counts in expected.items():
         predicted = predicted_io(alg, dims, 16)
         assert (predicted.reads, predicted.writes) == counts
+
+
+def _loop_events(alg, dims, S):
+    """Every event of a schedule, emitted one at a time by plain loops; the
+    oracle for the array-built generators."""
+    m, n, k = dims.m, dims.n, dims.k
+    A, B, C = Matrix.A, Matrix.B, Matrix.C
+    events = []
+    emit = events.append
+    if alg is Algorithm.NAIVE:
+        for i in range(m):
+            for j in range(n):
+                for p in range(k):
+                    a_ref, b_ref, c_ref = OperandRef(A, i, p), OperandRef(B, p, j), OperandRef(C, i, j)
+                    for event in (Load(a_ref), Load(b_ref), Load(c_ref), Fma(i, j, p),
+                                  Store(c_ref), Evict(a_ref), Evict(b_ref)):
+                        emit(event)
+        return tuple(events)
+    b = block_size(S)
+    if alg is Algorithm.C:
+        for i0, bm in _segments(m, b):
+            for j0, bn in _segments(n, b):
+                rows, cols = range(i0, i0 + bm), range(j0, j0 + bn)
+                for i in rows:
+                    for j in cols:
+                        emit(Load(OperandRef(C, i, j)))
+                for p in range(k):
+                    for i in rows:
+                        emit(Load(OperandRef(A, i, p)))
+                    for j in cols:
+                        emit(Load(OperandRef(B, p, j)))
+                    for i in rows:
+                        for j in cols:
+                            emit(Fma(i, j, p))
+                    for i in rows:
+                        emit(Evict(OperandRef(A, i, p)))
+                    for j in cols:
+                        emit(Evict(OperandRef(B, p, j)))
+                for i in rows:
+                    for j in cols:
+                        emit(Store(OperandRef(C, i, j)))
+    elif alg is Algorithm.B:
+        for p0, bk in _segments(k, b):
+            for j0, bn in _segments(n, b):
+                ps, cols = range(p0, p0 + bk), range(j0, j0 + bn)
+                for p in ps:
+                    for j in cols:
+                        emit(Load(OperandRef(B, p, j)))
+                for i in range(m):
+                    for p in ps:
+                        emit(Load(OperandRef(A, i, p)))
+                    for j in cols:
+                        emit(Load(OperandRef(C, i, j)))
+                    for j in cols:
+                        for p in ps:
+                            emit(Fma(i, j, p))
+                    for j in cols:
+                        emit(Store(OperandRef(C, i, j)))
+                    for p in ps:
+                        emit(Evict(OperandRef(A, i, p)))
+                for p in ps:
+                    for j in cols:
+                        emit(Evict(OperandRef(B, p, j)))
+    else:
+        for i0, bm in _segments(m, b):
+            for p0, bk in _segments(k, b):
+                rows, ps = range(i0, i0 + bm), range(p0, p0 + bk)
+                for i in rows:
+                    for p in ps:
+                        emit(Load(OperandRef(A, i, p)))
+                for j in range(n):
+                    for p in ps:
+                        emit(Load(OperandRef(B, p, j)))
+                    for i in rows:
+                        emit(Load(OperandRef(C, i, j)))
+                    for i in rows:
+                        for p in ps:
+                            emit(Fma(i, j, p))
+                    for i in rows:
+                        emit(Store(OperandRef(C, i, j)))
+                    for p in ps:
+                        emit(Evict(OperandRef(B, p, j)))
+                for i in rows:
+                    for p in ps:
+                        emit(Evict(OperandRef(A, i, p)))
+    return tuple(events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dims=dims_strategy,
+    S=st.integers(min_value=4, max_value=100),
+    alg=st.sampled_from(ALL_ALGS),
+)
+def test_generators_match_loop_oracle(dims, S, alg):
+    # S 4..100 gives b = 1..9, so partial blocks and dims below b both occur
+    dims = ProblemDims(*dims)
+    assert build_schedule(alg, dims, S).events == _loop_events(alg, dims, S)
+
+
+@pytest.mark.parametrize(
+    "alg,dims,split",
+    [
+        (Algorithm.C, (6, 6, 6), (72, 72, 36)),  # k*m*sn, k*n*sm, m*n
+        (Algorithm.B, (6, 6, 6), (72, 36, 72)),  # m*k*sn, k*n, m*n*sk
+        (Algorithm.A, (6, 6, 6), (36, 72, 72)),  # m*k, n*k*sm, n*m*sk
+        (Algorithm.NAIVE, (2, 3, 4), (24, 24, 24)),
+    ],
+)
+def test_reads_split_by_operand(alg, dims, split):
+    stats = _counts(alg, ProblemDims(*dims), 16)
+    assert (stats.reads_a, stats.reads_b, stats.reads_c) == split
+    assert sum(split) == stats.reads

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, wire formats, determinism, and the verify
 suite's failure reporting."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -22,6 +23,8 @@ _GOTO_96 = ["-m", "96", "-n", "96", "-k", "96", "--n-c", "48", "--k-c", "12",
 # The README's documented commands at small sizes. Each file holds the exact
 # stdout bytes recorded before the CLI payloads were rebuilt from the report
 # dataclasses, so any drift in key order, float text or CSV flattening fails.
+# The two simulate files were re-recorded when the per-operand reads joined
+# the report; test_simulate_keeps_every_earlier_key pins the rest of them.
 GOLDEN = {
     "simulate.json": ["simulate", *_DIMS_6, "--alg", "alg-c"],
     "simulate.csv": ["simulate", *_DIMS_6, "--alg", "alg-c", "--format", "csv"],
@@ -63,6 +66,42 @@ def test_trace_out_is_golden(tmp_path, capsys):
     assert code == 0
     assert out.encode() == (GOLDEN_DIR / "simulate.json").read_bytes()
     assert trace.read_bytes() == GOLDEN_TRACE.read_bytes()
+
+
+# sha256 of simulate.json and simulate.csv as recorded before the per-operand
+# read counts were added: without those keys, the output is byte-identical
+_SIMULATE_BEFORE_OPERAND_READS = {
+    "simulate.json": "4e89af6003abc36adc18fdf33d973b8a2ae804f9d98b6ef6e0f4f7f095e15b84",
+    "simulate.csv": "a24529c613dc131d825a26a617dc1c508c6ac1dc103e15f5f3c45ad7e7f9cc2b",
+}
+_OPERAND_READS = ("reads_a", "reads_b", "reads_c")
+
+
+@pytest.mark.parametrize("name", sorted(_SIMULATE_BEFORE_OPERAND_READS))
+def test_simulate_keeps_every_earlier_key(capsys, name):
+    code, out, _ = _run(capsys, *GOLDEN[name])
+    assert code == 0
+    if name.endswith(".json"):
+        payload = json.loads(out)
+        split = [payload[key] for key in _OPERAND_READS]
+        earlier = "".join(
+            line for line in out.splitlines(keepends=True)
+            if line.strip().split(":")[0].strip('"') not in _OPERAND_READS
+        )
+    else:
+        header, row = (line.split(",") for line in out.splitlines())
+        split = [int(row[header.index(key)]) for key in _OPERAND_READS]
+        keep = [index for index, key in enumerate(header) if key not in _OPERAND_READS]
+        earlier = "".join(",".join(cells[index] for index in keep) + "\n" for cells in (header, row))
+    assert split == [72, 72, 36]
+    digest = hashlib.sha256(earlier.encode()).hexdigest()
+    assert digest == _SIMULATE_BEFORE_OPERAND_READS[name]
+
+
+def test_readme_simulate_example_is_golden():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```\n", 1)[0]
+    assert example.encode() == (GOLDEN_DIR / "simulate.json").read_bytes()
 
 
 def test_simulate_json(capsys):
@@ -281,6 +320,7 @@ def test_brute_force_json(capsys):
         ["sweep", "--algs", "naive", "--sizes", "2", "--capacities", "1,2"],
         ["goto", *_GOTO_96, "--threshold", "nan"],
         ["goto", *_GOTO_96, "--threshold", "inf"],
+        ["brute-force", "-m", "1", "-n", "1", "-k", "1", "-S", "3", "--format", "csv"],
     ],
 )
 def test_invalid_usage_exits_1(capsys, argv):

@@ -208,6 +208,27 @@ def test_store_and_evict_bounds_checked(event, coordinate):
     _assert_at(exc, 1)
 
 
+@pytest.mark.parametrize(
+    "index,event,error",
+    [
+        (5000, Evict(_ref(A, 0, 0)), NonResidentOperandError),
+        (6000, Load(_ref(A, 0, 1000)), OutOfBoundsError),
+        (6999, Store(_ref(B, 0, 0)), StoreNonCError),
+    ],
+)
+def test_failure_found_past_the_first_chunk(index, event, error):
+    # 7000 events: execute works through them a few thousand at a time
+    dims = ProblemDims(1, 1, 1000)
+    a, b, c = seeded_matrices(dims, 1)
+    events = list(naive_schedule(dims).events)
+    result = _run(events, dims, 3, a, b, c)
+    assert (result.stats.reads, result.stats.peak_residency) == (3000, 3)
+    events.insert(index, event)
+    with pytest.raises(error) as exc:
+        _run(events, dims, 3, a, b, c)
+    _assert_at(exc, index)
+
+
 def test_shape_mismatch_rejected():
     dims = ProblemDims(2, 3, 4)
     a, b, c = seeded_matrices(dims, 1)
@@ -243,6 +264,45 @@ def test_trace_round_trip():
     parsed = parse_trace(text, dims)
     assert parsed.events == schedule.events
     assert dump_trace(parsed) == text
+    # text dump_trace could not have written reads the same, line by line
+    spaced = "# header\n" + text.replace(" ", "  ").replace("\n", " # note\n")
+    assert parse_trace(spaced, dims) == schedule
+
+
+def test_parse_trace_rejects_coordinates_beyond_64_bits():
+    with pytest.raises(ValueError, match="trace line 2: coordinate 99999999999999999999"):
+        parse_trace("L A 0 0\nL A 99999999999999999999 0\n", ProblemDims(1, 1, 1))
+
+
+def test_events_view_decodes_on_access(monkeypatch):
+    dims = ProblemDims(1, 1, 2)
+    events = (
+        Load(_ref(A, 0, 1)), Load(_ref(B, 1, 0)), Load(_ref(C, 0, 0)),
+        Fma(0, 0, 1), Store(_ref(C, 0, 0)), Evict(_ref(A, 0, 1)), Evict(_ref(B, 1, 0)),
+    )
+    schedule = Schedule(events, dims)
+    view = schedule.events
+    assert view == events and events == view and view == list(events)
+    assert view != events[:-1]
+    assert view[3] == Fma(0, 0, 1) and view[-1] == Evict(_ref(B, 1, 0))
+    assert view[1:3] == events[1:3]
+    assert Schedule(view, dims) == schedule
+    with pytest.raises(ValueError):
+        schedule.codes[0, 0] = 1  # read-only
+    # len is the code array's: it decodes nothing
+    monkeypatch.setattr("iomma.model._decode", None)
+    assert len(view) == 7
+
+
+def test_codes_must_name_known_events():
+    dims = ProblemDims(1, 1, 1)
+    with pytest.raises(ValueError, match="opcode"):
+        Schedule.from_codes([[4, 0, 0, 0]], dims)
+    with pytest.raises(ValueError, match="matrix"):
+        Schedule.from_codes([[0, 3, 0, 0]], dims)
+    with pytest.raises(ValueError, match="shape"):
+        Schedule.from_codes([0, 0, 0, 0], dims)
+    assert len(Schedule.from_codes([[3, 5, 5, 5]], dims).events) == 1  # fma fields are free
 
 
 def test_parse_trace_accepts_readme_example():

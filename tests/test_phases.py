@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iomma.phases
 from iomma import (
     Algorithm,
     EmptyInputError,
@@ -170,6 +171,45 @@ def test_invalid_traces_rejected():
     assert exc.value.index == 1
     assert str(exc.value) == "invalid trace: event 1: A row 5 outside [0, 1)"
     assert isinstance(exc.value.__cause__, OutOfBoundsError)
+
+
+def _counting_execute(monkeypatch):
+    """Record every execute() call partition_phases makes."""
+    calls = []
+    real = iomma.phases.execute
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(iomma.phases, "execute", counted)
+    return calls
+
+
+def test_executed_schedule_is_not_validated_again(monkeypatch):
+    dims = ProblemDims(5, 4, 3)
+    executed = build_schedule(Algorithm.C, dims, 9)
+    execute(executed, MemoryConfig(9), *seeded_matrices(dims, 7))
+    fresh = build_schedule(Algorithm.C, dims, 9)
+    calls = _counting_execute(monkeypatch)
+    for M in (9, 18):
+        assert partition_phases(executed, PhaseConfig(M)) == partition_phases(fresh, PhaseConfig(M))
+    # the executed schedule never, the fresh one on its first call only
+    assert len(calls) == 1 and calls[0] is fresh
+
+
+def test_invalid_trace_rejected_on_every_call(monkeypatch):
+    dims = ProblemDims(1, 1, 1)
+    c_ref = OperandRef(Matrix.C, 0, 0)
+    trace = Schedule((Load(c_ref), Load(OperandRef(Matrix.A, 5, 0))), dims)
+    with pytest.raises(OutOfBoundsError):
+        execute(trace, MemoryConfig(4), *seeded_matrices(dims, 1))
+    calls = _counting_execute(monkeypatch)
+    for M in (4, 4, 8):
+        with pytest.raises(UnvalidatedTraceError) as exc:
+            partition_phases(trace, PhaseConfig(M))
+        assert exc.value.index == 1
+    assert len(calls) == 3
 
 
 @st.composite
