@@ -113,9 +113,9 @@ class PredictedIO:
 # the matrix code or _KIND_FMA, and turn the rows into trace codes at the end.
 # Offsets and loop steps are then plain additions to the i, j or p column.
 _KIND_FMA = 3
-# row columns that feed code columns 1..3: the matrix's (kind, row, col),
-# or an fma's (i, j, p)
-_FIELDS = np.array([[1, 2, 4], [1, 4, 3], [1, 2, 3], [2, 3, 4]])
+# per kind, the row columns that feed code columns 1..3: the matrix's
+# (kind, row, col), or an fma's (i, j, p)
+_FIELDS = ((1, 2, 4), (1, 4, 3), (1, 2, 3), (2, 3, 4))
 # the i/j/p axes (0, 1, 2) that index each matrix's rows and cols
 _AXES = {Matrix.A: (0, 2), Matrix.B: (2, 1), Matrix.C: (0, 1)}
 
@@ -147,10 +147,15 @@ def _repeat(rows: np.ndarray, axis: int, count: int) -> np.ndarray:
     return out
 
 
-def _to_codes(rows: np.ndarray) -> np.ndarray:
+def _fields(rows: np.ndarray) -> np.ndarray:
+    """Each row's _FIELDS entry."""
+    return np.array(_FIELDS)[rows[:, 1]]
+
+
+def _to_codes(rows: np.ndarray, fields: np.ndarray) -> np.ndarray:
     codes = np.empty((len(rows), 4), dtype=np.int64)
     codes[:, 0] = rows[:, 0]
-    codes[:, 1:] = np.take_along_axis(rows, _FIELDS[rows[:, 1]], axis=1)
+    codes[:, 1:] = np.take_along_axis(rows, fields, axis=1)
     return codes
 
 
@@ -168,7 +173,7 @@ def naive_schedule(dims: ProblemDims) -> Schedule:
         _rows(OP_EVICT, b, origin),
     ])
     rows = _repeat(_repeat(_repeat(step, 2, dims.k), 1, dims.n), 0, dims.m)
-    return Schedule.from_codes(_to_codes(rows), dims)
+    return Schedule._wrap(_to_codes(rows, _fields(rows)), dims)
 
 
 def _block_codes(resident: Matrix, shape: tuple[int, int], steps: int):
@@ -204,13 +209,14 @@ def _block_codes(resident: Matrix, shape: tuple[int, int], steps: int):
         _repeat(np.concatenate(step), stream_axis, steps),
         _rows(leave, MATRIX_CODE[resident], block),
     ])
-    codes = _to_codes(rows)
+    # a code column moves with an axis exactly when it reads that axis's i/j/p
+    fields = _fields(rows)
     shifts = []
     for axis in (row_axis, col_axis):
-        moved = rows.copy()
-        moved[:, 2 + axis] += 1
-        shifts.append(_to_codes(moved) - codes)
-    return codes, *shifts
+        shift = np.zeros((len(rows), 4), dtype=np.int64)
+        shift[:, 1:] = fields == 2 + axis
+        shifts.append(shift)
+    return _to_codes(rows, fields), *shifts
 
 
 def blocked_schedule(resident: Matrix, dims: ProblemDims, S: int) -> Schedule:
@@ -241,7 +247,7 @@ def blocked_schedule(resident: Matrix, dims: ProblemDims, S: int) -> Schedule:
         out[start:end] = codes
         out[start:end] += r0 * row_shift + c0 * col_shift
         start = end
-    return Schedule.from_codes(out, dims)
+    return Schedule._wrap(out, dims)
 
 
 def alg_c_schedule(dims: ProblemDims, S: int) -> Schedule:

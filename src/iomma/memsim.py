@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    _CHUNK,
     MATRICES,
     MATRIX_CODE,
     OP_EVICT,
@@ -99,7 +100,6 @@ def _flat(mat, rows: int, cols: int, name: str) -> list[float]:
     return arr.ravel().tolist()
 
 
-_CHUNK = 1 << 12  # events whose ids are listed at once; bounds the lists' size
 _C = MATRIX_CODE[Matrix.C]
 
 
@@ -159,7 +159,7 @@ def execute(
         reads_a=reads_a, reads_b=reads_b, reads_c=reads_c,
     )
     output_c = np.array(fast[c_off:], dtype=float).reshape(m, n)
-    schedule._legal = True
+    schedule._mark_legal()
     return ExecutionResult(stats=stats, trace=schedule, output_c=output_c)
 
 
@@ -304,15 +304,14 @@ _OPCODE_BY_LETTER = {"L": OP_LOAD, "S": OP_STORE, "E": OP_EVICT}
 # dict lookup is much cheaper than Matrix(letter); Matrix() still raises on a miss
 _MATRIX_BY_LETTER = {matrix.value: matrix for matrix in Matrix}
 # one line format per (opcode, matrix) pair of a load, store or evict, then the fma's
-_LINE_FORMATS = np.array(
-    [f"{letter} {matrix.value} %d %d\n" for letter in _OPCODE_BY_LETTER for matrix in MATRICES]
-    + ["F %d %d %d\n"],
-    dtype=object,
-)
-_INT64 = np.iinfo(np.int64)
-# exactly dump_trace's output, with coordinates short enough for int64: such
-# a text reads as numbers once each letter becomes its code
-_CANONICAL = re.compile(r"(?>(?>[LSE] [ABC]|F -?[0-9]{1,18}) -?[0-9]{1,18} -?[0-9]{1,18}\n)*+")
+_LINE_FORMATS = tuple(
+    f"{letter} {matrix.value} %d %d\n" for letter in _OPCODE_BY_LETTER for matrix in MATRICES
+) + ("F %d %d %d\n",)
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+# one line exactly as dump_trace writes it, with coordinates short enough for
+# int64; a text of such lines reads as numbers once each letter becomes its code
+_CANONICAL = re.compile(r"(?:(?:[LSE] [ABC]|F -?[0-9]{1,18}) -?[0-9]{1,18} -?[0-9]{1,18}\n)*")
+_CANONICAL_SPAN = 1 << 16  # characters matched per call; re keeps state per repetition
 _LETTER_CODES = str.maketrans("LSEFABC", "0123012")
 
 
@@ -323,17 +322,30 @@ def dump_trace(schedule: Schedule) -> str:
     trailing newline; all-ASCII, LF line endings.
     """
     codes = schedule.codes
+    formats = np.array(_LINE_FORMATS, dtype=object)
     chunks = []
     for start in range(0, len(codes), _CHUNK):
         chunk = codes[start:start + _CHUNK]
         fma = chunk[:, 0] == OP_FMA
-        kind = np.where(fma, len(_LINE_FORMATS) - 1, chunk[:, 0] * 3 + chunk[:, 1])
+        kind = np.where(fma, len(formats) - 1, chunk[:, 0] * 3 + chunk[:, 1])
         # an fma prints all three fields, any other event its row and col
         printed = np.ones((len(chunk), 3), dtype=bool)
         printed[:, 0] = fma
         fields = tuple(chunk[:, 1:][printed].tolist())
-        chunks.append("".join(_LINE_FORMATS[kind].tolist()) % fields)
+        chunks.append("".join(formats[kind].tolist()) % fields)
     return "".join(chunks)
+
+
+def _is_canonical(text: str) -> bool:
+    """Whether the text is exactly a dump_trace output, matched a span of
+    whole lines at a time so the regex engine's memory stays small."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CANONICAL_SPAN) + 1 or len(text)
+        if not _CANONICAL.fullmatch(text, start, end):
+            return False
+        start = end
+    return True
 
 
 def _event_lines(text: str):
@@ -346,7 +358,7 @@ def _event_lines(text: str):
 
 def _coordinate(token: str) -> int:
     value = int(token)
-    if not _INT64.min <= value <= _INT64.max:
+    if not _INT64_MIN <= value <= _INT64_MAX:
         raise ValueError(f"coordinate {value} does not fit in 64 bits")
     return value
 
@@ -372,16 +384,16 @@ def parse_trace(text: str, dims: ProblemDims) -> Schedule:
     A ``#`` starts a comment that runs to the end of the line; blank and
     comment-only lines are skipped.
     """
-    if _CANONICAL.fullmatch(text):
+    if _is_canonical(text):
         codes = np.fromstring(text.translate(_LETTER_CODES), dtype=np.int64, sep=" ")
-        return Schedule.from_codes(codes.reshape(-1, 4), dims)
+        return Schedule._wrap(codes.reshape(-1, 4), dims)
     rows = []
     for lineno, parts in _event_lines(text):
         try:
             rows.append(_code_row(parts))
         except ValueError as exc:
             raise ValueError(f"trace line {lineno}: {exc}") from None
-    return Schedule.from_codes(np.array(rows, dtype=np.int64).reshape(-1, 4), dims)
+    return Schedule._wrap(np.array(rows, dtype=np.int64).reshape(-1, 4), dims)
 
 
 def trace_line(text: str, index: int) -> int:

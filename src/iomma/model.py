@@ -100,7 +100,7 @@ _EVENT_TYPES = (Load, Store, Evict)
 _OPCODE = {cls: op for op, cls in enumerate(_EVENT_TYPES)}
 MATRICES = tuple(Matrix)
 MATRIX_CODE = {matrix: code for code, matrix in enumerate(MATRICES)}
-_CHUNK = 1 << 12  # rows decoded per step when iterating
+_CHUNK = 1 << 12  # code rows handled per step; bounds the per-step Python lists
 
 
 def _decode(op: int, f1: int, f2: int, f3: int) -> TraceEvent:
@@ -171,8 +171,8 @@ class Schedule:
     event: the opcode (OP_LOAD, OP_STORE, OP_EVICT or OP_FMA), then the
     matrix code, row and col; an fma uses the three fields for i, j and p.
     ``Schedule(events, dims)`` encodes a sequence of Load/Store/Evict/Fma
-    events once; ``Schedule.from_codes`` takes over a code array. ``events``
-    is a view that decodes on access.
+    events once; ``Schedule.from_codes`` copies a code array. ``events``
+    is a view that decodes on access. A schedule is immutable.
     """
 
     __slots__ = ("codes", "dims", "_legal")
@@ -182,9 +182,9 @@ class Schedule:
 
     @classmethod
     def from_codes(cls, codes, dims: ProblemDims) -> "Schedule":
-        """Wrap an (N, 4) code array, taken over without a copy when it is
-        int64, and made read-only. Rejects unknown opcodes and matrices."""
-        codes = np.asarray(codes, dtype=np.int64)
+        """Wrap a read-only int64 copy of an (N, 4) code array. Rejects
+        unknown opcodes and matrices."""
+        codes = np.array(codes, dtype=np.int64)
         if codes.ndim != 2 or codes.shape[1] != 4:
             raise ValueError(f"codes must have shape (N, 4), got {codes.shape}")
         ops = codes[:, 0]
@@ -193,17 +193,31 @@ class Schedule:
         matrices = codes[ops != OP_FMA, 1]
         if ((matrices < 0) | (matrices >= len(MATRICES))).any():
             raise ValueError("unknown matrix code in codes")
+        return cls._wrap(codes, dims)
+
+    @classmethod
+    def _wrap(cls, codes: np.ndarray, dims: ProblemDims) -> "Schedule":
+        """Take over valid codes that nothing else holds, without a copy."""
         schedule = cls.__new__(cls)
         schedule._adopt(codes, dims)
         return schedule
 
     def _adopt(self, codes: np.ndarray, dims: ProblemDims) -> None:
         codes.flags.writeable = False
-        self.codes = codes
-        self.dims = dims
-        # set by execute() once the codes pass every rule; sound because the
-        # codes cannot change
-        self._legal = False
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "dims", dims)
+        # True once execute() has accepted the codes; sound because neither
+        # the codes nor the dims can change
+        object.__setattr__(self, "_legal", False)
+
+    def _mark_legal(self) -> None:
+        object.__setattr__(self, "_legal", True)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Schedule is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Schedule is immutable; cannot delete {name!r}")
 
     @property
     def events(self) -> EventView:
@@ -224,23 +238,24 @@ class Schedule:
 class IOStats:
     """Exact counters produced by executing a schedule.
 
-    ``reads_a``, ``reads_b`` and ``reads_c`` split ``reads`` by operand;
-    execute() fills all three.
+    ``reads_a``, ``reads_b`` and ``reads_c`` split ``reads`` by operand.
     """
 
     reads: int
     writes: int
     fmas: int
     peak_residency: int
-    reads_a: int = 0
-    reads_b: int = 0
-    reads_c: int = 0
+    reads_a: int
+    reads_b: int
+    reads_c: int
 
     def __post_init__(self):
         for name in ("reads", "writes", "fmas", "peak_residency",
                      "reads_a", "reads_b", "reads_c"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.reads_a + self.reads_b + self.reads_c != self.reads:
+            raise ValueError("reads_a + reads_b + reads_c must equal reads")
 
     @property
     def io_total(self) -> int:

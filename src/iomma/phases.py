@@ -83,7 +83,7 @@ def partition_phases(trace: Schedule, config: PhaseConfig) -> list[PhaseReport]:
     M = config.M
     dims = trace.dims
     m, n, k = dims.m, dims.n, dims.k
-    if not trace._legal:  # set by a successful execute(); the codes are read-only
+    if not trace._legal:  # set by a successful execute(); a Schedule cannot change
         try:
             execute(
                 trace,

@@ -1,11 +1,15 @@
 """Simulator semantics: residency, dirty accounting, the error taxonomy,
 and the trace wire format."""
 
+import importlib
+import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iomma
 from iomma import (
     CapacityExceededError,
     DirtyEvictionError,
@@ -25,6 +29,7 @@ from iomma import (
     Store,
     StoreNonCError,
     StoreNonResidentError,
+    alg_c_schedule,
     dump_trace,
     execute,
     naive_schedule,
@@ -269,6 +274,36 @@ def test_trace_round_trip():
     assert parse_trace(spaced, dims) == schedule
 
 
+def test_long_trace_round_trip_across_match_spans():
+    dims = ProblemDims(20, 20, 20)
+    schedule = alg_c_schedule(dims, 16)
+    text = dump_trace(schedule)
+    assert len(text) > 2 * iomma.memsim._CANONICAL_SPAN
+    assert iomma.memsim._is_canonical(text)
+    assert parse_trace(text, dims) == schedule
+    # one comment in the last span sends the whole text down the line reader
+    commented = text[:-1] + " # last\n"
+    assert not iomma.memsim._is_canonical(commented)
+    assert parse_trace(commented, dims) == schedule
+
+
+def test_regexes_compile_before_python_3_11():
+    # atomic groups and possessive quantifiers arrived in 3.11's re
+    modules = [
+        importlib.import_module(f"iomma.{info.name}") for info in pkgutil.iter_modules(iomma.__path__)
+    ]
+    patterns = [
+        value.pattern
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, re.Pattern)
+    ]
+    assert patterns
+    for pattern in patterns:
+        assert "(?>" not in pattern
+        assert not re.search(r"[*+?}]\+", pattern), pattern
+
+
 def test_parse_trace_rejects_coordinates_beyond_64_bits():
     with pytest.raises(ValueError, match="trace line 2: coordinate 99999999999999999999"):
         parse_trace("L A 0 0\nL A 99999999999999999999 0\n", ProblemDims(1, 1, 1))
@@ -303,6 +338,23 @@ def test_codes_must_name_known_events():
     with pytest.raises(ValueError, match="shape"):
         Schedule.from_codes([0, 0, 0, 0], dims)
     assert len(Schedule.from_codes([[3, 5, 5, 5]], dims).events) == 1  # fma fields are free
+
+
+def test_schedule_cannot_change_after_construction():
+    dims = ProblemDims(1, 1, 1)
+    big = np.array([[0, 0, 0, 0], [0, 1, 0, 0], [0, 2, 0, 0]], dtype=np.int64)
+    schedule = Schedule.from_codes(big[:2], dims)
+    big[0, 2] = 5  # the caller's array stays writeable and apart
+    assert big.flags.writeable
+    assert schedule.codes.tolist() == [[0, 0, 0, 0], [0, 1, 0, 0]]
+    with pytest.raises(ValueError):
+        schedule.codes[0, 2] = 5
+    for name, value in (("codes", big), ("dims", ProblemDims(2, 2, 2)), ("_legal", True)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(schedule, name, value)
+    with pytest.raises(AttributeError, match="immutable"):
+        del schedule.dims
+    assert schedule.dims == dims and not schedule._legal
 
 
 def test_parse_trace_accepts_readme_example():

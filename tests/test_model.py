@@ -97,7 +97,13 @@ def test_validate_accepts_in_range():
 
 
 def test_iostats_totals():
-    stats = IOStats(reads=10, writes=4, fmas=7, peak_residency=3)
+    stats = IOStats(
+        reads=10, writes=4, fmas=7, peak_residency=3, reads_a=5, reads_b=3, reads_c=2
+    )
     assert stats.io_total == 14
     with pytest.raises(ValueError):
-        IOStats(reads=-1, writes=0, fmas=0, peak_residency=0)
+        IOStats(
+            reads=-1, writes=0, fmas=0, peak_residency=0, reads_a=-1, reads_b=0, reads_c=0
+        )
+    with pytest.raises(ValueError, match="equal reads"):
+        IOStats(reads=10, writes=4, fmas=7, peak_residency=3, reads_a=5, reads_b=3, reads_c=1)
