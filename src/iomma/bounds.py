@@ -9,21 +9,15 @@ other.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algorithms import naive_schedule
-from .model import (
-    Evict,
-    Fma,
-    Load,
-    Matrix,
-    OperandRef,
-    ProblemDims,
-    Schedule,
-    Store,
-    fma_count,
-)
+from .memsim import _layout
+from .model import OP_EVICT, OP_FMA, OP_LOAD, OP_STORE, ProblemDims, Schedule, fma_count
 
 _THREE_ROOT_THREE = 3.0 * math.sqrt(3.0)
 
@@ -158,6 +152,16 @@ def lower_bound_final(dims: ProblemDims, S: int) -> float:
     return 2.0 * fma_count(dims) / math.sqrt(S) - 2.0 * S
 
 
+def compulsory_io(dims: ProblemDims) -> int:
+    """Transfers every complete schedule pays: mk + kn + 2mn.
+
+    Each element of A, B and C must be loaded once and each C element stored
+    once. Unlike the bounds above it holds at every size and capacity.
+    """
+    m, n, k = dims.m, dims.n, dims.k
+    return m * k + k * n + 2 * m * n
+
+
 def lower_bound_AB(dims: ProblemDims, S: int, c_mn: float = 3.0) -> float:
     """Bound for plain C := A*B, where C need not be read before first use.
 
@@ -228,7 +232,13 @@ def tiny_optimal_schedule(
     which any completion must still pay. Ties expand loads before fmas before
     stores before evicts. If the node budget runs out the best schedule found
     so far is returned with optimal=False.
+
+    A state is three bitmasks over ``execute``'s element ids (A, then B,
+    then C, each row-major): the resident elements, the dirty C elements,
+    and the remaining fmas, whose bit t is triple (i, j, p) in lexicographic
+    order. Every move list runs in ascending bit order.
     """
+    _check_positive(S=S, budget=budget)
     m, n, k = dims.m, dims.n, dims.k
     if m * n * k > 8 or S > 6:
         raise CapsExceededError(
@@ -238,22 +248,27 @@ def tiny_optimal_schedule(
     if S < 3:
         raise ValueError("S must be at least 3: an fma needs three resident scalars")
 
-    triples = [(i, j, p) for i in range(m) for j in range(n) for p in range(k)]
-    remaining = set(triples)
-    uses_a: dict[tuple[int, int], int] = {}
-    uses_b: dict[tuple[int, int], int] = {}
-    uses_c: dict[tuple[int, int], int] = {}
-    for i, j, p in triples:
-        uses_a[(i, p)] = uses_a.get((i, p), 0) + 1
-        uses_b[(p, j)] = uses_b.get((p, j), 0) + 1
-        uses_c[(i, j)] = uses_c.get((i, j), 0) + 1
-    needed_a = set(uses_a)
-    needed_b = set(uses_b)
-    needed_c = set(uses_c)
-
-    res_a: set[tuple[int, int]] = set()
-    res_b: set[tuple[int, int]] = set()
-    res_c: dict[tuple[int, int], bool] = {}  # (i, j) -> dirty
+    layout = _layout(dims)
+    (_, _, b_off), (_, _, c_off) = layout[1:]
+    c_mask = ((1 << (m * n)) - 1) << c_off
+    # a move is recorded as its opcode and bit; these give the other fields
+    # of its code row: (matrix code, row, col) per element, (i, j, p) per fma
+    elements = {
+        1 << (offset + row * cols + col): (code, row, col)
+        for code, (rows, cols, offset) in enumerate(layout)
+        for row in range(rows)
+        for col in range(cols)
+    }
+    triples = {1 << t: ijp for t, ijp in enumerate(itertools.product(range(m), range(n), range(k)))}
+    operands = {
+        bit: (1 << (i * k + p)) | (1 << (b_off + p * n + j)) | (1 << (c_off + i * n + j))
+        for bit, (i, j, p) in triples.items()
+    }
+    # needed[rem]: the elements some fma in rem still reads
+    needed = [0] * (1 << len(triples))
+    for rem in range(1, len(needed)):
+        low = rem & -rem
+        needed[rem] = needed[rem ^ low] | operands[low]
 
     # the naive schedule is always a valid incumbent at S >= 3; it is built
     # only if nothing beats it
@@ -264,32 +279,20 @@ def tiny_optimal_schedule(
     nodes = 0
     exhausted = False
 
-    def remaining_floor() -> int:
-        load_a = len(needed_a) - len(needed_a & res_a)
-        load_b = len(needed_b) - len(needed_b & res_b)
-        load_c = sum(1 for ij in needed_c if ij not in res_c)
-        stores = len(needed_c) + sum(
-            1 for ij, dirty in res_c.items() if dirty and ij not in needed_c
-        )
-        return load_a + load_b + load_c + stores
-
-    def dfs(cost: int) -> None:
+    def dfs(res: int, dirty: int, rem: int, cost: int) -> None:
         nonlocal nodes, exhausted, best_cost, best_events
         if exhausted:
             return
-        if not remaining and not any(res_c.values()):
+        if not rem and not dirty:
             if cost < best_cost:
                 best_cost = cost
                 best_events = list(events)
             return
-        if cost + remaining_floor() >= best_cost:
+        need = needed[rem]
+        floor = (need & ~res).bit_count() + (need & c_mask).bit_count()
+        if cost + floor + (dirty & ~need).bit_count() >= best_cost:
             return
-        key = (
-            frozenset(res_a),
-            frozenset(res_b),
-            tuple(sorted(res_c.items())),
-            frozenset(remaining),
-        )
+        key = (res, dirty, rem)
         seen = memo.get(key)
         if seen is not None and seen <= cost:
             return
@@ -299,133 +302,72 @@ def tiny_optimal_schedule(
             exhausted = True
             return
 
-        occupancy = len(res_a) + len(res_b) + len(res_c)
-
         # forced move: a dirty slot with no fmas left must be stored sooner or
         # later; storing now frees a slot and commutes with everything else.
-        for ij in sorted(res_c):
-            if res_c[ij] and ij not in needed_c:
-                events.append(Store(OperandRef(Matrix.C, ij[0], ij[1])))
-                del res_c[ij]
-                dfs(cost + 1)
-                res_c[ij] = True
-                events.pop()
-                return
+        done = dirty & ~need
+        if done:
+            low = done & -done
+            events.append((OP_STORE, low))
+            dfs(res ^ low, dirty ^ low, rem, cost + 1)
+            events.pop()
+            return
         # forced move: a clean resident no pending fma uses is dead weight.
-        for rc in sorted(res_a):
-            if rc not in needed_a:
-                events.append(Evict(OperandRef(Matrix.A, rc[0], rc[1])))
-                res_a.discard(rc)
-                dfs(cost)
-                res_a.add(rc)
-                events.pop()
-                return
-        for rc in sorted(res_b):
-            if rc not in needed_b:
-                events.append(Evict(OperandRef(Matrix.B, rc[0], rc[1])))
-                res_b.discard(rc)
-                dfs(cost)
-                res_b.add(rc)
-                events.pop()
-                return
-        for ij in sorted(res_c):
-            if not res_c[ij] and ij not in needed_c:
-                events.append(Evict(OperandRef(Matrix.C, ij[0], ij[1])))
-                dirty = res_c.pop(ij)
-                dfs(cost)
-                res_c[ij] = dirty
-                events.pop()
-                return
+        dead = res & ~need
+        if dead:
+            low = dead & -dead
+            events.append((OP_EVICT, low))
+            dfs(res ^ low, dirty, rem, cost)
+            events.pop()
+            return
 
         # loads of operands some pending fma still needs
+        occupancy = res.bit_count()
         if occupancy < S:
-            for rc in sorted(needed_a - res_a):
-                res_a.add(rc)
-                events.append(Load(OperandRef(Matrix.A, rc[0], rc[1])))
-                dfs(cost + 1)
+            bits = need & ~res
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                events.append((OP_LOAD, low))
+                dfs(res | low, dirty, rem, cost + 1)
                 events.pop()
-                res_a.discard(rc)
-            for rc in sorted(needed_b - res_b):
-                res_b.add(rc)
-                events.append(Load(OperandRef(Matrix.B, rc[0], rc[1])))
-                dfs(cost + 1)
-                events.pop()
-                res_b.discard(rc)
-            for ij in sorted(needed_c):
-                if ij not in res_c:
-                    res_c[ij] = False
-                    events.append(Load(OperandRef(Matrix.C, ij[0], ij[1])))
-                    dfs(cost + 1)
-                    events.pop()
-                    del res_c[ij]
 
         # fmas whose three inputs are resident
-        for triple in sorted(remaining):
-            i, j, p = triple
-            if (i, p) in res_a and (p, j) in res_b and (i, j) in res_c:
-                was_dirty = res_c[(i, j)]
-                res_c[(i, j)] = True
-                remaining.discard(triple)
-                uses_a[(i, p)] -= 1
-                if uses_a[(i, p)] == 0:
-                    needed_a.discard((i, p))
-                uses_b[(p, j)] -= 1
-                if uses_b[(p, j)] == 0:
-                    needed_b.discard((p, j))
-                uses_c[(i, j)] -= 1
-                if uses_c[(i, j)] == 0:
-                    needed_c.discard((i, j))
-                events.append(Fma(i, j, p))
-                dfs(cost)
+        bits = rem
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            ops = operands[low]
+            if ops & res == ops:
+                events.append((OP_FMA, low))
+                dfs(res, dirty | (ops & c_mask), rem ^ low, cost)
                 events.pop()
-                if uses_c[(i, j)] == 0:
-                    needed_c.add((i, j))
-                uses_c[(i, j)] += 1
-                if uses_b[(p, j)] == 0:
-                    needed_b.add((p, j))
-                uses_b[(p, j)] += 1
-                if uses_a[(i, p)] == 0:
-                    needed_a.add((i, p))
-                uses_a[(i, p)] += 1
-                remaining.add(triple)
-                res_c[(i, j)] = was_dirty
 
         # stores of dirty slots with work left (partial writeback)
-        for ij in sorted(res_c):
-            if res_c[ij]:
-                events.append(Store(OperandRef(Matrix.C, ij[0], ij[1])))
-                del res_c[ij]
-                dfs(cost + 1)
-                res_c[ij] = True
-                events.pop()
+        bits = dirty
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            events.append((OP_STORE, low))
+            dfs(res ^ low, dirty ^ low, rem, cost + 1)
+            events.pop()
 
         # evictions of still-needed clean residents: only worthwhile at full
         # occupancy, to make room
         if occupancy >= S:
-            for rc in sorted(res_a):
-                events.append(Evict(OperandRef(Matrix.A, rc[0], rc[1])))
-                res_a.discard(rc)
-                dfs(cost)
-                res_a.add(rc)
+            bits = res & ~dirty
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                events.append((OP_EVICT, low))
+                dfs(res ^ low, dirty, rem, cost)
                 events.pop()
-            for rc in sorted(res_b):
-                events.append(Evict(OperandRef(Matrix.B, rc[0], rc[1])))
-                res_b.discard(rc)
-                dfs(cost)
-                res_b.add(rc)
-                events.pop()
-            for ij in sorted(res_c):
-                if not res_c[ij]:
-                    events.append(Evict(OperandRef(Matrix.C, ij[0], ij[1])))
-                    del res_c[ij]
-                    dfs(cost)
-                    res_c[ij] = False
-                    events.pop()
 
-    dfs(0)
+    dfs(0, 0, len(needed) - 1, 0)
+    if best_events is None:
+        schedule = naive_schedule(dims)
+    else:
+        rows = [(op, *(triples if op == OP_FMA else elements)[bit]) for op, bit in best_events]
+        schedule = Schedule._wrap(np.array(rows, dtype=np.int64), dims)
     return TinyOptimum(
-        min_io=best_cost,
-        schedule=naive_schedule(dims) if best_events is None else Schedule(best_events, dims),
-        optimal=not exhausted,
-        nodes=nodes,
+        min_io=best_cost, schedule=schedule, optimal=not exhausted, nodes=nodes
     )

@@ -3,15 +3,26 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iomma import (
     Algorithm,
     BoundReport,
     CapsExceededError,
+    Evict,
+    Fma,
     GridTooFineError,
+    Load,
+    Matrix,
     MemoryConfig,
+    OperandRef,
     ProblemDims,
+    Schedule,
+    Store,
+    compulsory_io,
     execute,
     fmax,
     grid_search_xyz,
@@ -19,6 +30,7 @@ from iomma import (
     lower_bound_final,
     lower_bound_general,
     lower_bound_MS,
+    naive_schedule,
     optimal_M,
     optimal_xyz,
     phase_size_payoff,
@@ -26,6 +38,7 @@ from iomma import (
     seeded_matrices,
     tiny_optimal_schedule,
 )
+from iomma import verify
 
 D666 = ProblemDims(6, 6, 6)
 
@@ -182,6 +195,17 @@ def test_tiny_search_caps():
         tiny_optimal_schedule(ProblemDims(1, 1, 1), 2)
 
 
+@pytest.mark.parametrize(
+    "S,budget",
+    [(4.5, 100), (3.0, 100), (True, 100), (7.5, 100), (4, 0), (4, -5), (4, 2.5), (4, None)],
+)
+def test_tiny_search_rejects_invalid_capacity_and_budget(S, budget):
+    # S=4.5 used to answer for S=5 with a witness MemoryConfig(4.5) rejects,
+    # and a budget below 1 used to return the naive schedule unproven
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        tiny_optimal_schedule(ProblemDims(2, 2, 1), S, budget)
+
+
 def test_tiny_search_budget_degrades_gracefully():
     found = tiny_optimal_schedule(ProblemDims(2, 2, 2), 4, budget=50)
     assert not found.optimal
@@ -190,3 +214,263 @@ def test_tiny_search_budget_degrades_gracefully():
     a, b, c = seeded_matrices(dims, 2)
     stats = execute(found.schedule, MemoryConfig(4), a, b, c).stats
     assert stats.io_total == found.min_io
+
+
+def _set_search(dims, S, budget):
+    """The exact search as it was written on sets and dicts of (row, col)
+    tuples; the oracle for the bitmask search. Returns (min_io, optimal,
+    nodes, witness schedule)."""
+    m, n, k = dims.m, dims.n, dims.k
+    triples = [(i, j, p) for i in range(m) for j in range(n) for p in range(k)]
+    remaining = set(triples)
+    uses_a: dict[tuple[int, int], int] = {}
+    uses_b: dict[tuple[int, int], int] = {}
+    uses_c: dict[tuple[int, int], int] = {}
+    for i, j, p in triples:
+        uses_a[(i, p)] = uses_a.get((i, p), 0) + 1
+        uses_b[(p, j)] = uses_b.get((p, j), 0) + 1
+        uses_c[(i, j)] = uses_c.get((i, j), 0) + 1
+    needed_a = set(uses_a)
+    needed_b = set(uses_b)
+    needed_c = set(uses_c)
+
+    res_a: set[tuple[int, int]] = set()
+    res_b: set[tuple[int, int]] = set()
+    res_c: dict[tuple[int, int], bool] = {}  # (i, j) -> dirty
+
+    # the naive schedule is always a valid incumbent at S >= 3; it is built
+    # only if nothing beats it
+    best_cost = 4 * m * n * k
+    best_events = None
+    events: list = []
+    memo: dict = {}
+    nodes = 0
+    exhausted = False
+
+    def remaining_floor() -> int:
+        load_a = len(needed_a) - len(needed_a & res_a)
+        load_b = len(needed_b) - len(needed_b & res_b)
+        load_c = sum(1 for ij in needed_c if ij not in res_c)
+        stores = len(needed_c) + sum(
+            1 for ij, dirty in res_c.items() if dirty and ij not in needed_c
+        )
+        return load_a + load_b + load_c + stores
+
+    def dfs(cost: int) -> None:
+        nonlocal nodes, exhausted, best_cost, best_events
+        if exhausted:
+            return
+        if not remaining and not any(res_c.values()):
+            if cost < best_cost:
+                best_cost = cost
+                best_events = list(events)
+            return
+        if cost + remaining_floor() >= best_cost:
+            return
+        key = (
+            frozenset(res_a),
+            frozenset(res_b),
+            tuple(sorted(res_c.items())),
+            frozenset(remaining),
+        )
+        seen = memo.get(key)
+        if seen is not None and seen <= cost:
+            return
+        memo[key] = cost
+        nodes += 1
+        if nodes >= budget:
+            exhausted = True
+            return
+
+        occupancy = len(res_a) + len(res_b) + len(res_c)
+
+        # forced move: a dirty slot with no fmas left must be stored sooner or
+        # later; storing now frees a slot and commutes with everything else.
+        for ij in sorted(res_c):
+            if res_c[ij] and ij not in needed_c:
+                events.append(Store(OperandRef(Matrix.C, ij[0], ij[1])))
+                del res_c[ij]
+                dfs(cost + 1)
+                res_c[ij] = True
+                events.pop()
+                return
+        # forced move: a clean resident no pending fma uses is dead weight.
+        for rc in sorted(res_a):
+            if rc not in needed_a:
+                events.append(Evict(OperandRef(Matrix.A, rc[0], rc[1])))
+                res_a.discard(rc)
+                dfs(cost)
+                res_a.add(rc)
+                events.pop()
+                return
+        for rc in sorted(res_b):
+            if rc not in needed_b:
+                events.append(Evict(OperandRef(Matrix.B, rc[0], rc[1])))
+                res_b.discard(rc)
+                dfs(cost)
+                res_b.add(rc)
+                events.pop()
+                return
+        for ij in sorted(res_c):
+            if not res_c[ij] and ij not in needed_c:
+                events.append(Evict(OperandRef(Matrix.C, ij[0], ij[1])))
+                dirty = res_c.pop(ij)
+                dfs(cost)
+                res_c[ij] = dirty
+                events.pop()
+                return
+
+        # loads of operands some pending fma still needs
+        if occupancy < S:
+            for rc in sorted(needed_a - res_a):
+                res_a.add(rc)
+                events.append(Load(OperandRef(Matrix.A, rc[0], rc[1])))
+                dfs(cost + 1)
+                events.pop()
+                res_a.discard(rc)
+            for rc in sorted(needed_b - res_b):
+                res_b.add(rc)
+                events.append(Load(OperandRef(Matrix.B, rc[0], rc[1])))
+                dfs(cost + 1)
+                events.pop()
+                res_b.discard(rc)
+            for ij in sorted(needed_c):
+                if ij not in res_c:
+                    res_c[ij] = False
+                    events.append(Load(OperandRef(Matrix.C, ij[0], ij[1])))
+                    dfs(cost + 1)
+                    events.pop()
+                    del res_c[ij]
+
+        # fmas whose three inputs are resident
+        for triple in sorted(remaining):
+            i, j, p = triple
+            if (i, p) in res_a and (p, j) in res_b and (i, j) in res_c:
+                was_dirty = res_c[(i, j)]
+                res_c[(i, j)] = True
+                remaining.discard(triple)
+                uses_a[(i, p)] -= 1
+                if uses_a[(i, p)] == 0:
+                    needed_a.discard((i, p))
+                uses_b[(p, j)] -= 1
+                if uses_b[(p, j)] == 0:
+                    needed_b.discard((p, j))
+                uses_c[(i, j)] -= 1
+                if uses_c[(i, j)] == 0:
+                    needed_c.discard((i, j))
+                events.append(Fma(i, j, p))
+                dfs(cost)
+                events.pop()
+                if uses_c[(i, j)] == 0:
+                    needed_c.add((i, j))
+                uses_c[(i, j)] += 1
+                if uses_b[(p, j)] == 0:
+                    needed_b.add((p, j))
+                uses_b[(p, j)] += 1
+                if uses_a[(i, p)] == 0:
+                    needed_a.add((i, p))
+                uses_a[(i, p)] += 1
+                remaining.add(triple)
+                res_c[(i, j)] = was_dirty
+
+        # stores of dirty slots with work left (partial writeback)
+        for ij in sorted(res_c):
+            if res_c[ij]:
+                events.append(Store(OperandRef(Matrix.C, ij[0], ij[1])))
+                del res_c[ij]
+                dfs(cost + 1)
+                res_c[ij] = True
+                events.pop()
+
+        # evictions of still-needed clean residents: only worthwhile at full
+        # occupancy, to make room
+        if occupancy >= S:
+            for rc in sorted(res_a):
+                events.append(Evict(OperandRef(Matrix.A, rc[0], rc[1])))
+                res_a.discard(rc)
+                dfs(cost)
+                res_a.add(rc)
+                events.pop()
+            for rc in sorted(res_b):
+                events.append(Evict(OperandRef(Matrix.B, rc[0], rc[1])))
+                res_b.discard(rc)
+                dfs(cost)
+                res_b.add(rc)
+                events.pop()
+            for ij in sorted(res_c):
+                if not res_c[ij]:
+                    events.append(Evict(OperandRef(Matrix.C, ij[0], ij[1])))
+                    del res_c[ij]
+                    dfs(cost)
+                    res_c[ij] = False
+                    events.pop()
+
+    dfs(0)
+    witness = naive_schedule(dims) if best_events is None else Schedule(best_events, dims)
+    return best_cost, not exhausted, nodes, witness
+
+
+def _assert_matches_set_search(dims, S, budget=3_000_000):
+    found = tiny_optimal_schedule(dims, S, budget)
+    min_io, optimal, nodes, witness = _set_search(dims, S, budget)
+    assert (found.min_io, found.optimal, found.nodes) == (min_io, optimal, nodes)
+    assert np.array_equal(found.schedule.codes, witness.codes)
+    stats = execute(found.schedule, MemoryConfig(S), *seeded_matrices(dims, 3)).stats
+    assert stats.io_total == found.min_io
+
+
+# the instances of perfbench's exact-search workload, (m, n, k, S)
+EXACT_SEARCH_CASES = [
+    (2, 2, 2, 5), (2, 2, 2, 6), (1, 2, 4, 4), (2, 1, 4, 4), (4, 2, 1, 5), (1, 8, 1, 4),
+]
+SMALL_DIMS = [
+    ProblemDims(m, n, k)
+    for m in range(1, 5) for n in range(1, 5) for k in range(1, 5) if m * n * k <= 4
+]
+
+
+# one of the two capped instances, with (2,4,1) at S=5, whose node count
+# changes if clean C elements are never evicted at full occupancy
+C_EVICT_CASE = (2, 3, 1, 4)
+
+
+@pytest.mark.parametrize("m,n,k,S", EXACT_SEARCH_CASES + [C_EVICT_CASE])
+def test_bitmask_search_matches_set_search_on_named_cases(m, n, k, S):
+    _assert_matches_set_search(ProblemDims(m, n, k), S)
+
+
+def test_bitmask_search_matches_set_search_up_to_mnk_4():
+    for dims in SMALL_DIMS:
+        for S in range(3, 7):
+            _assert_matches_set_search(dims, S)
+
+
+@pytest.mark.parametrize("budget", [1, 50, 500])
+def test_bitmask_search_truncates_like_set_search(budget):
+    # (2,2,2) at S=4 needs about 20k nodes, so each budget cuts it short
+    _assert_matches_set_search(ProblemDims(2, 2, 2), 4, budget)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dims=st.sampled_from(SMALL_DIMS + [ProblemDims(2, 2, 2), ProblemDims(1, 2, 3)]),
+    S=st.integers(min_value=3, max_value=6),
+    budget=st.integers(min_value=1, max_value=300),
+)
+def test_bitmask_search_matches_set_search_under_any_budget(dims, S, budget):
+    _assert_matches_set_search(dims, S, budget)
+
+
+def test_compulsory_io_counts_one_transfer_per_element():
+    assert compulsory_io(ProblemDims(2, 2, 1)) == 12  # 2 + 2 + 2*4
+    assert compulsory_io(ProblemDims(1, 8, 1)) == 25
+    assert compulsory_io(ProblemDims(2, 3, 4)) == 8 + 12 + 12
+
+
+def test_tiny_optima_check_enforces_compulsory_floor(monkeypatch):
+    ok, detail = verify.check_tiny_optima(quick=True)
+    assert ok and "compulsory floor (4, 12)" in detail
+    monkeypatch.setattr(verify, "compulsory_io", lambda dims: compulsory_io(dims) + 1)
+    ok, detail = verify.check_tiny_optima(quick=True)
+    assert not ok
+    assert detail == "(1,1,1) S=3: optimum 4 is below the compulsory floor 5"

@@ -37,6 +37,7 @@ from iomma import (
     reference_gemm,
     seeded_matrices,
 )
+from iomma.memsim import trace_line
 
 A = Matrix.A
 B = Matrix.B
@@ -285,6 +286,30 @@ def test_long_trace_round_trip_across_match_spans():
     commented = text[:-1] + " # last\n"
     assert not iomma.memsim._is_canonical(commented)
     assert parse_trace(commented, dims) == schedule
+
+
+def test_whole_line_comments_keep_the_fast_path(monkeypatch):
+    dims = ProblemDims(6, 6, 6)
+    schedule = alg_c_schedule(dims, 16)
+    text = dump_trace(schedule)
+    lines = text.splitlines(keepends=True)
+    headed = "# iomma 6 6 6 16\n" + "".join(lines[:5]) + "\n  \t\n\t# mid\n" + "".join(lines[5:]) + "# end\n"
+    monkeypatch.setattr(iomma.memsim, "_parse_lines", None)  # the line reader
+    assert parse_trace(headed, dims) == parse_trace(text, dims) == schedule
+
+
+def test_skipped_lines_keep_their_numbers_in_errors():
+    dims = ProblemDims(1, 1, 1)
+    with pytest.raises(ValueError, match="^trace line 4: unknown event letter 'X'"):
+        parse_trace("# iomma 1 1 1 3\n\nL A 0 0\nX Q 0 0\n", dims)
+    text = "# head\nL A 0 0\n# gap\nL B 0 0\nL C 0 0\nF 0 0 0\n"
+    assert [trace_line(text, index) for index in range(4)] == [2, 4, 5, 6]
+
+
+def test_comment_ends_at_every_line_break():
+    # str.splitlines() ends a line at \r too, so the event after it counts
+    parsed = parse_trace("# note\rL A 0 0\nF 0 0 0\n", ProblemDims(1, 1, 1))
+    assert parsed.events == (Load(_ref(A, 0, 0)), Fma(0, 0, 0))
 
 
 def test_regexes_compile_before_python_3_11():
