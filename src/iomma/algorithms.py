@@ -24,6 +24,7 @@ from .model import (
     Matrix,
     ProblemDims,
     Schedule,
+    _check_positive,
 )
 
 
@@ -55,33 +56,6 @@ def block_size(S: int) -> int:
 def _segments(length: int, b: int) -> list[tuple[int, int]]:
     """(start, size) runs of width b covering [0, length), short tail last."""
     return [(start, min(b, length - start)) for start in range(0, length, b)]
-
-
-@dataclass(frozen=True)
-class BlockGrid:
-    """How a problem tiles into b-blocks along each dimension."""
-
-    b: int
-    full_blocks_m: int
-    full_blocks_n: int
-    full_blocks_k: int
-    rem_m: int
-    rem_n: int
-    rem_k: int
-
-    @classmethod
-    def for_dims(cls, dims: ProblemDims, b: int) -> "BlockGrid":
-        if b < 1:
-            raise ValueError("block edge must be positive")
-        return cls(
-            b=b,
-            full_blocks_m=dims.m // b,
-            full_blocks_n=dims.n // b,
-            full_blocks_k=dims.k // b,
-            rem_m=dims.m % b,
-            rem_n=dims.n % b,
-            rem_k=dims.k % b,
-        )
 
 
 @dataclass(frozen=True)
@@ -118,6 +92,18 @@ _KIND_FMA = 3
 _FIELDS = ((1, 2, 4), (1, 4, 3), (1, 2, 3), (2, 3, 4))
 # the i/j/p axes (0, 1, 2) that index each matrix's rows and cols
 _AXES = {Matrix.A: (0, 2), Matrix.B: (2, 1), Matrix.C: (0, 1)}
+# per resident matrix, each streamed operand's index in Matrix order, the
+# resident axis it lacks, and that axis's place in the block shape
+_STREAMED = {
+    resident: tuple(
+        (index, axis, place)
+        for index, matrix in enumerate(Matrix) if matrix is not resident
+        for place, axis in enumerate(_AXES[resident]) if axis not in _AXES[matrix]
+    )
+    for resident in Matrix
+}
+# the matrix each blocked algorithm keeps a block of resident
+_RESIDENT = {Algorithm.A: Matrix.A, Algorithm.B: Matrix.B, Algorithm.C: Matrix.C}
 
 
 def _loop(*loops: tuple[int, int]) -> np.ndarray:
@@ -219,35 +205,64 @@ def _block_codes(resident: Matrix, shape: tuple[int, int], steps: int):
     return _to_codes(rows, fields), *shifts
 
 
-def blocked_schedule(resident: Matrix, dims: ProblemDims, S: int) -> Schedule:
-    """Keep a b-by-b block of one operand resident and stream the rest past it.
+def blocked_schedule(resident: Matrix, dims: ProblemDims, shape: tuple[int, int]) -> Schedule:
+    """Keep a (rows, cols) block of one operand resident and stream the rest
+    past it; edge blocks are cut short.
 
     Blocks visit the resident matrix's block grid row-major; the third axis
     streams in full, ascending, through each block. Blocks of one shape
     differ only by an offset, so each shape's codes are built once.
     """
-    b = block_size(S)
+    _check_positive(rows=shape[0], cols=shape[1])
     extent = (dims.m, dims.n, dims.k)
     row_axis, col_axis = _AXES[resident]
     steps = extent[3 - row_axis - col_axis]
     blocks = [
         (r0, c0, (rows, cols))
-        for r0, rows in _segments(extent[row_axis], b)
-        for c0, cols in _segments(extent[col_axis], b)
+        for r0, rows in _segments(extent[row_axis], shape[0])
+        for c0, cols in _segments(extent[col_axis], shape[1])
     ]
-    shapes = {}
-    for _, _, shape in blocks:
-        if shape not in shapes:
-            shapes[shape] = _block_codes(resident, shape, steps)
-    out = np.empty((sum(len(shapes[shape][0]) for _, _, shape in blocks), 4), dtype=np.int64)
+    built = {}
+    for _, _, size in blocks:
+        if size not in built:
+            built[size] = _block_codes(resident, size, steps)
+    out = np.empty((sum(len(built[size][0]) for _, _, size in blocks), 4), dtype=np.int64)
     start = 0
-    for r0, c0, shape in blocks:
-        codes, row_shift, col_shift = shapes[shape]
+    for r0, c0, size in blocks:
+        codes, row_shift, col_shift = built[size]
         end = start + len(codes)
         out[start:end] = codes
         out[start:end] += r0 * row_shift + c0 * col_shift
         start = end
     return Schedule._wrap(out, dims)
+
+
+def blocked_reads(
+    resident: Matrix, dims: ProblemDims, shape: tuple[int, int], real: bool = False
+) -> tuple:
+    """Reads of ``blocked_schedule(resident, dims, shape)``: the total, then
+    the A, B and C terms.
+
+    The resident operand is read once, so its term is its size. Each streamed
+    operand is read once per block along the resident axis t it lacks:
+    mnk/e_t * ceil(e_t/b_t) times for extent e_t and block edge b_t, or
+    mnk/b_t in the real form, which ignores edge blocks. The total adds the
+    streamed terms first. The schedule's writes are C's term.
+    """
+    extent = (dims.m, dims.n, dims.k)
+    mnk = extent[0] * extent[1] * extent[2]
+    row_axis, col_axis = _AXES[resident]
+    size = extent[row_axis] * extent[col_axis]
+    terms = [size, size, size]
+    total = 0
+    for index, axis, place in _STREAMED[resident]:
+        if real:
+            term = mnk / shape[place]
+        else:
+            term = mnk // extent[axis] * -(-extent[axis] // shape[place])
+        terms[index] = term
+        total += term
+    return total + size, *terms
 
 
 def alg_c_schedule(dims: ProblemDims, S: int) -> Schedule:
@@ -258,7 +273,7 @@ def alg_c_schedule(dims: ProblemDims, S: int) -> Schedule:
     once and written once: reads = 2mnk/b + mn, writes = mn on divisible
     dims; peak residency b^2 + 2b.
     """
-    return blocked_schedule(Matrix.C, dims, S)
+    return build_schedule(Algorithm.C, dims, S)
 
 
 def alg_b_schedule(dims: ProblemDims, S: int) -> Schedule:
@@ -269,7 +284,7 @@ def alg_b_schedule(dims: ProblemDims, S: int) -> Schedule:
     Each row of C is re-read and re-written once per p block: reads =
     2mnk/b + nk, writes = mnk/b on divisible dims.
     """
-    return blocked_schedule(Matrix.B, dims, S)
+    return build_schedule(Algorithm.B, dims, S)
 
 
 def alg_a_schedule(dims: ProblemDims, S: int) -> Schedule:
@@ -280,34 +295,31 @@ def alg_a_schedule(dims: ProblemDims, S: int) -> Schedule:
     re-read and re-written once per p block: reads = 2mnk/b + mk, writes =
     mnk/b on divisible dims.
     """
-    return blocked_schedule(Matrix.A, dims, S)
+    return build_schedule(Algorithm.A, dims, S)
 
 
 def build_schedule(algorithm: Algorithm, dims: ProblemDims, S: int) -> Schedule:
-    """Dispatch to the named generator. Naive ignores S."""
-    algorithm = Algorithm(algorithm)
-    if algorithm is Algorithm.NAIVE:
+    """Build the named schedule; the blocked ones use a b-by-b block with
+    b = block_size(S). Naive ignores S."""
+    resident = _RESIDENT.get(Algorithm(algorithm))
+    if resident is None:
         return naive_schedule(dims)
-    if algorithm is Algorithm.A:
-        return alg_a_schedule(dims, S)
-    if algorithm is Algorithm.B:
-        return alg_b_schedule(dims, S)
-    return alg_c_schedule(dims, S)
+    b = block_size(S)
+    return blocked_schedule(resident, dims, (b, b))
 
 
 def predicted_io(algorithm: Algorithm, dims: ProblemDims, S: int) -> PredictedIO:
     """Exact structural read/write counts for one algorithm at one capacity.
 
-    O(1): the counts are integer closed forms over the per-dimension segment
-    counts of the block grid the generators walk, so they agree with
-    simulation on every input, partial edge blocks included.
+    O(1): a blocked algorithm's counts are ``blocked_reads`` of its b-by-b
+    block, so they agree with simulation on every input, partial edge blocks
+    included; the closed forms are the real form of the same terms.
     """
-    algorithm = Algorithm(algorithm)
-    m, n, k = dims.m, dims.n, dims.k
-    mnk = m * n * k
-    if algorithm is Algorithm.NAIVE:
+    resident = _RESIDENT.get(Algorithm(algorithm))
+    if resident is None:
         if S < 3:
             raise TooSmallError(f"S={S} is too small for the naive schedule (need S >= 3)")
+        mnk = dims.m * dims.n * dims.k
         return PredictedIO(
             reads=3 * mnk,
             writes=mnk,
@@ -315,22 +327,6 @@ def predicted_io(algorithm: Algorithm, dims: ProblemDims, S: int) -> PredictedIO
             closed_form_writes=float(mnk),
         )
     b = block_size(S)
-    grid = BlockGrid.for_dims(dims, b)
-    # Each generator tiles two dimensions into b-segments and pays a per-block
-    # cost linear in the segment sizes (alg-c: bm*bn + k*(bm + bn)). Summed
-    # over one dimension's segments, the segment size adds up to the dimension
-    # itself and a constant adds up to the segment count ceil(x/b), which is
-    # the full blocks plus one for a nonempty tail.
-    sm = grid.full_blocks_m + (grid.rem_m > 0)
-    sn = grid.full_blocks_n + (grid.rem_n > 0)
-    sk = grid.full_blocks_k + (grid.rem_k > 0)
-    if algorithm is Algorithm.C:
-        reads, writes = m * n + k * (m * sn + n * sm), m * n
-        closed_reads, closed_writes = 2.0 * mnk / b + m * n, float(m * n)
-    elif algorithm is Algorithm.B:
-        reads, writes = k * n + m * (k * sn + n * sk), m * n * sk
-        closed_reads, closed_writes = 2.0 * mnk / b + n * k, mnk / b
-    else:
-        reads, writes = m * k + n * (m * sk + k * sm), m * n * sk
-        closed_reads, closed_writes = 2.0 * mnk / b + m * k, mnk / b
-    return PredictedIO(reads, writes, closed_reads, closed_writes)
+    reads, _, _, writes = blocked_reads(resident, dims, (b, b))
+    closed_reads, _, _, closed_writes = blocked_reads(resident, dims, (b, b), real=True)
+    return PredictedIO(reads, writes, closed_reads, float(closed_writes))

@@ -17,7 +17,16 @@ import numpy as np
 
 from .algorithms import naive_schedule
 from .memsim import _layout
-from .model import OP_EVICT, OP_FMA, OP_LOAD, OP_STORE, ProblemDims, Schedule, fma_count
+from .model import (
+    OP_EVICT,
+    OP_FMA,
+    OP_LOAD,
+    OP_STORE,
+    ProblemDims,
+    Schedule,
+    _check_positive,
+    fma_count,
+)
 
 _THREE_ROOT_THREE = 3.0 * math.sqrt(3.0)
 
@@ -196,12 +205,6 @@ def optimal_M(S: int, grid: list[float]) -> float:
         if g > best_g:
             best, best_g = candidate, g
     return best
-
-
-def _check_positive(**named: int) -> None:
-    for name, value in named.items():
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

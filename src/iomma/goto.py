@@ -1,10 +1,18 @@
 """Read-volume model for a blocked GEMM in the style of Goto's algorithm.
 
 Two cache levels are modeled independently: reads into L3 from main memory
-as a function of the (k_c, n_c) panel of B kept L3-resident, and reads into
-L2 as a function of the (m_c, k_c) block of A kept L2-resident. Register
-tile sizes n_r and m_r are carried along for reporting but drive no formula.
-Block counts divide as reals; nothing is rounded.
+with a (k_c, n_c) panel of B kept L3-resident, and reads into L2 with an
+(m_c, k_c) block of A kept L2-resident. Each level is the real form of
+``algorithms.blocked_reads`` for that resident block: block counts divide as
+reals and nothing is rounded. On dims the blocks divide, the counts equal
+the reads that ``execute`` counts for ``blocked_schedule`` with the same
+block. That schedule holds its block plus one streamed piece of each
+other operand at its peak: k_c*n_c + k_c + n_c elements at L3 (636 at
+k_c = 12, n_c = 48) while GotoParams admits any k_c*n_c <= S3 (576 there),
+and m_c*k_c + m_c + k_c at L2 (168 at m_c = k_c = 12, against S2 = 144).
+The capacities bound the resident blocks only, not the streamed pieces.
+Register tile sizes n_r and m_r are carried along for reporting but drive no
+formula.
 """
 
 from __future__ import annotations
@@ -12,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ProblemDims, fma_count
+from .algorithms import blocked_reads
+from .model import Matrix, ProblemDims, _check_positive, fma_count
 
 DEFAULT_SUBOPTIMAL_THRESHOLD = 1.25
 
@@ -31,10 +40,7 @@ class GotoParams:
     S3: int
 
     def __post_init__(self):
-        for name in ("n_c", "k_c", "m_c", "n_r", "m_r", "S2", "S3"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        _check_positive(**vars(self))
         if self.m_c * self.k_c > self.S2:
             raise ValueError(
                 f"m_c*k_c = {self.m_c * self.k_c} does not fit in S2 = {self.S2}"
@@ -64,8 +70,7 @@ def l3_reads(dims: ProblemDims, params: GotoParams) -> float:
     One pass over A per B panel (mnk/n_c), one pass over C per panel stack
     (mnk/k_c), and B itself once (nk).
     """
-    mnk = fma_count(dims)
-    return mnk / params.n_c + mnk / params.k_c + dims.n * dims.k
+    return blocked_reads(Matrix.B, dims, (params.k_c, params.n_c), real=True)[0]
 
 
 def l2_reads(dims: ProblemDims, params: GotoParams) -> float:
@@ -74,8 +79,7 @@ def l2_reads(dims: ProblemDims, params: GotoParams) -> float:
     Mirror of the L3 count with the A block resident: B streams per A block
     (mnk/m_c), C streams per block stack (mnk/k_c), and A loads once (mk).
     """
-    mnk = fma_count(dims)
-    return mnk / params.m_c + mnk / params.k_c + dims.m * dims.k
+    return blocked_reads(Matrix.A, dims, (params.m_c, params.k_c), real=True)[0]
 
 
 def goto_report(

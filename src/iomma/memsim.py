@@ -32,6 +32,7 @@ from .model import (
     OutOfBoundsError,
     ProblemDims,
     Schedule,
+    _check_positive,
 )
 
 
@@ -80,8 +81,7 @@ class MemoryConfig:
     S: int
 
     def __post_init__(self):
-        if not isinstance(self.S, int) or isinstance(self.S, bool) or self.S < 1:
-            raise ValueError(f"S must be a positive integer, got {self.S!r}")
+        _check_positive(S=self.S)
 
 
 @dataclass(frozen=True)
@@ -392,7 +392,10 @@ def parse_trace(text: str, dims: ProblemDims) -> Schedule:
     """
     # the fast path reads dump_trace's exact form, also once blank and
     # comment-only lines are dropped; anything else, errors included, goes
-    # line by line over the original text, so messages name its lines
+    # line by line over the original text, so messages name its lines. A
+    # final line without its "\n" reads as if it had one.
+    if text and not text.endswith("\n"):
+        text += "\n"
     events_only = text
     if not _is_canonical(text):
         events_only = re.sub(_NON_EVENT_LINE, "", "\n" + text)[1:]

@@ -15,6 +15,14 @@ from enum import Enum
 import numpy as np
 
 
+def _check_positive(**named: int) -> None:
+    """Reject any named value that is not an int of at least 1; bools count
+    as not an int."""
+    for name, value in named.items():
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 class Matrix(str, Enum):
     """Which of the three operand matrices an element belongs to."""
 
@@ -46,10 +54,7 @@ class ProblemDims:
     k: int
 
     def __post_init__(self):
-        for name in ("m", "n", "k"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        _check_positive(m=self.m, n=self.n, k=self.k)
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .memsim import MemoryConfig, SimulationError, execute
-from .model import OP_FMA, OP_LOAD, OP_STORE, OutOfBoundsError, Schedule
+from .model import OP_FMA, OP_LOAD, OP_STORE, OutOfBoundsError, Schedule, _check_positive
 
 
 class UnvalidatedTraceError(Exception):
@@ -42,8 +42,7 @@ class PhaseConfig:
     M: int
 
     def __post_init__(self):
-        if not isinstance(self.M, int) or isinstance(self.M, bool) or self.M < 1:
-            raise ValueError(f"M must be a positive integer, got {self.M!r}")
+        _check_positive(M=self.M)
 
 
 @dataclass(frozen=True)

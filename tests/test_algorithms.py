@@ -23,10 +23,11 @@ from iomma import (
     reference_gemm,
     seeded_matrices,
 )
-from iomma.algorithms import _segments
+from iomma.algorithms import _segments, blocked_reads, blocked_schedule
 
 ALL_ALGS = list(Algorithm)
 BLOCKED = [Algorithm.A, Algorithm.B, Algorithm.C]
+RESIDENT = {Algorithm.A: Matrix.A, Algorithm.B: Matrix.B, Algorithm.C: Matrix.C}
 
 
 @pytest.mark.parametrize("S,b", [(4, 1), (8, 1), (9, 2), (10, 2), (16, 3), (25, 4), (100, 9)])
@@ -38,19 +39,6 @@ def test_block_size_too_small():
     for S in (1, 2, 3):
         with pytest.raises(TooSmallError):
             block_size(S)
-
-
-def test_block_grid_partitions_exactly():
-    from iomma import BlockGrid
-
-    grid = BlockGrid.for_dims(ProblemDims(7, 6, 2), 3)
-    assert (grid.full_blocks_m, grid.rem_m) == (2, 1)
-    assert (grid.full_blocks_n, grid.rem_n) == (2, 0)
-    assert (grid.full_blocks_k, grid.rem_k) == (0, 2)
-    for length, full, rem in ((7, grid.full_blocks_m, grid.rem_m),
-                              (6, grid.full_blocks_n, grid.rem_n),
-                              (2, grid.full_blocks_k, grid.rem_k)):
-        assert full * grid.b + rem == length
 
 
 def test_block_fits_with_streaming_room():
@@ -136,6 +124,13 @@ def test_prediction_matches_simulation(dims, S, alg):
     predicted = predicted_io(alg, dims, S)
     assert result.stats.reads == predicted.reads
     assert result.stats.writes == predicted.writes
+    if alg in RESIDENT:
+        # each operand's reads, not only their sum: on square dims two
+        # swapped terms would leave the sum unchanged
+        edge = block_size(S)
+        stats = result.stats
+        split = (stats.reads_a, stats.reads_b, stats.reads_c)
+        assert split == blocked_reads(RESIDENT[alg], dims, (edge, edge))[1:]
     assert result.stats.fmas == dims.m * dims.n * dims.k
     assert result.stats.peak_residency <= S
     assert predicted.writes <= predicted.reads
@@ -319,3 +314,24 @@ def test_reads_split_by_operand(alg, dims, split):
     stats = _counts(alg, ProblemDims(*dims), 16)
     assert (stats.reads_a, stats.reads_b, stats.reads_c) == split
     assert sum(split) == stats.reads
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(min_value=1, max_value=9)] * 3),
+    shape=st.tuples(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5)),
+    resident=st.sampled_from(list(Matrix)),
+)
+def test_rectangular_blocks_match_blocked_reads(dims, shape, resident):
+    # a rows x cols block plus one streamed piece of each other operand
+    dims = ProblemDims(*dims)
+    rows, cols = shape
+    S = rows * cols + rows + cols
+    schedule = blocked_schedule(resident, dims, shape)
+    a, b, c = seeded_matrices(dims, 5)
+    result = execute(schedule, MemoryConfig(S), a, b, c)
+    stats = result.stats
+    reads = blocked_reads(resident, dims, shape)
+    assert (stats.reads, stats.reads_a, stats.reads_b, stats.reads_c) == reads
+    assert stats.writes == reads[3]  # C's term
+    assert result.output_c.tobytes() == reference_gemm(a, b, c).tobytes()

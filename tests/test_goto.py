@@ -1,16 +1,23 @@
 """Two-cache read model: exact counts, references, and the suboptimal flag."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iomma import (
     BoundReport,
     DEFAULT_SUBOPTIMAL_THRESHOLD,
     GotoParams,
+    Matrix,
+    MemoryConfig,
     ProblemDims,
+    execute,
     goto_report,
     l2_reads,
     l3_reads,
+    seeded_matrices,
 )
+from iomma.algorithms import blocked_reads, blocked_schedule
 
 D96 = ProblemDims(96, 96, 96)
 
@@ -131,3 +138,66 @@ def test_ratio_improves_with_scale():
     ]
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[1] == pytest.approx(1.0625, abs=1e-12)
+
+
+def _simulated_reads(resident, dims, shape):
+    """IOStats of blocked_schedule with a rows x cols resident block, run in
+    the capacity it needs at most: the block plus one streamed piece of each
+    other operand."""
+    rows, cols = shape
+    peak = rows * cols + rows + cols
+    a, b, c = seeded_matrices(dims, 2)
+    stats = execute(blocked_schedule(resident, dims, shape), MemoryConfig(peak), a, b, c).stats
+    assert stats.peak_residency <= peak
+    return stats
+
+
+def test_l3_and_l2_reads_simulate_exactly_at_criterion_10():
+    params = _params()
+    l3 = _simulated_reads(Matrix.B, D96, (params.k_c, params.n_c))
+    assert l3.reads == l3_reads(D96, params) == 101376
+    l2 = _simulated_reads(Matrix.A, D96, (params.m_c, params.k_c))
+    assert l2.reads == l2_reads(D96, params) == 156672
+
+
+def test_schedules_peak_above_the_capacities_that_params_admit():
+    # GotoParams checks only the resident panel, k_c*n_c = 576 <= S3; the
+    # schedule also holds a k_c piece of A and an n_c piece of C
+    params = _params()
+    assert params.k_c * params.n_c == params.S3 == 576
+    stats = _simulated_reads(Matrix.B, ProblemDims(2, 48, 12), (params.k_c, params.n_c))
+    assert stats.peak_residency == params.k_c * params.n_c + params.k_c + params.n_c == 636
+    # likewise at L2: m_c*k_c = 144 = S2, plus a k_c piece of B and an m_c piece of C
+    stats = _simulated_reads(Matrix.A, ProblemDims(12, 2, 12), (params.m_c, params.k_c))
+    assert stats.peak_residency == params.m_c * params.k_c + params.m_c + params.k_c == 168
+
+
+@pytest.mark.parametrize("dims,params", [
+    ((20, 19, 13), dict(n_c=5, k_c=4, m_c=3)),
+    ((7, 11, 9), dict(n_c=4, k_c=6, m_c=5)),
+    ((13, 5, 17), dict(n_c=9, k_c=2, m_c=7)),
+])
+def test_blocked_reads_simulate_exactly_on_ragged_dims(dims, params):
+    dims = ProblemDims(*dims)
+    params = _params(**params, S2=64, S3=64)
+    for resident, shape in ((Matrix.B, (params.k_c, params.n_c)),
+                            (Matrix.A, (params.m_c, params.k_c))):
+        stats = _simulated_reads(resident, dims, shape)
+        split = (stats.reads, stats.reads_a, stats.reads_b, stats.reads_c)
+        assert split == blocked_reads(resident, dims, shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(min_value=1, max_value=10**6)] * 3),
+    blocks=st.tuples(*[st.integers(min_value=1, max_value=5000)] * 3),
+)
+def test_reads_match_the_model_expressions(dims, blocks):
+    # the model's expressions as first written, the oracle for blocked_reads'
+    # real form; equal as floats, not only approximately
+    n_c, k_c, m_c = blocks
+    params = _params(n_c=n_c, k_c=k_c, m_c=m_c, S2=m_c * k_c, S3=k_c * n_c)
+    dims = ProblemDims(*dims)
+    mnk = dims.m * dims.n * dims.k
+    assert l3_reads(dims, params) == mnk / n_c + mnk / k_c + dims.n * dims.k
+    assert l2_reads(dims, params) == mnk / m_c + mnk / k_c + dims.m * dims.k

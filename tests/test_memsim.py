@@ -298,10 +298,22 @@ def test_whole_line_comments_keep_the_fast_path(monkeypatch):
     assert parse_trace(headed, dims) == parse_trace(text, dims) == schedule
 
 
+@pytest.mark.parametrize("tail", ["", "# end", "  # end", "\n# end"])
+def test_missing_final_newline_keeps_the_fast_path(monkeypatch, tail):
+    dims = ProblemDims(3, 3, 3)
+    schedule = alg_c_schedule(dims, 16)
+    text = dump_trace(schedule)
+    unterminated = text[:-1] if not tail else text + tail
+    monkeypatch.setattr(iomma.memsim, "_parse_lines", None)  # the line reader
+    assert parse_trace(unterminated, dims) == schedule
+
+
 def test_skipped_lines_keep_their_numbers_in_errors():
     dims = ProblemDims(1, 1, 1)
     with pytest.raises(ValueError, match="^trace line 4: unknown event letter 'X'"):
         parse_trace("# iomma 1 1 1 3\n\nL A 0 0\nX Q 0 0\n", dims)
+    with pytest.raises(ValueError, match="^trace line 2: unknown event letter 'X'"):
+        parse_trace("L A 0 0\nX Q 0 0", dims)  # no final newline
     text = "# head\nL A 0 0\n# gap\nL B 0 0\nL C 0 0\nF 0 0 0\n"
     assert [trace_line(text, index) for index in range(4)] == [2, 4, 5, 6]
 

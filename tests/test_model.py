@@ -2,24 +2,31 @@
 
 Bounds are checked by execute(), the one home of the model's rules."""
 
+import re
+
 import pytest
 
+import iomma
 from iomma import (
     Evict,
     Fma,
+    GotoParams,
     IOStats,
     Load,
     Matrix,
     MemoryConfig,
     OperandRef,
     OutOfBoundsError,
+    PhaseConfig,
     ProblemDims,
     Schedule,
     Store,
     execute,
     fma_count,
+    fmax,
     seeded_matrices,
 )
+from iomma.algorithms import blocked_schedule
 
 
 def _execute(events, dims):
@@ -32,6 +39,36 @@ def test_dims_reject_nonpositive():
         ProblemDims(0, 1, 1)
     with pytest.raises(ValueError):
         ProblemDims(2, -1, 2)
+
+
+_GOTO = dict(n_c=4, k_c=4, m_c=4, n_r=1, m_r=1, S2=16, S3=16)
+# each entry point that takes positive integers, called with one of them set
+_POSITIVE_ENTRY_POINTS = {
+    "ProblemDims": ("k", lambda value: ProblemDims(2, 2, value)),
+    "MemoryConfig": ("S", lambda value: MemoryConfig(value)),
+    "PhaseConfig": ("M", lambda value: PhaseConfig(value)),
+    "GotoParams": ("m_r", lambda value: GotoParams(**{**_GOTO, "m_r": value})),
+    "bounds": ("M", lambda value: fmax(4, value)),
+    "blocked_schedule": (
+        "cols", lambda value: blocked_schedule(Matrix.C, ProblemDims(2, 2, 2), (2, value))
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [0, -1, True, 2.0])
+@pytest.mark.parametrize("entry", sorted(_POSITIVE_ENTRY_POINTS))
+def test_positive_integer_check_everywhere(entry, value):
+    name, call = _POSITIVE_ENTRY_POINTS[entry]
+    message = f"{name} must be a positive integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+    call(3)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(iomma.__all__)) == len(iomma.__all__)
+    for name in iomma.__all__:
+        assert hasattr(iomma, name), name
 
 
 def test_fma_count():
