@@ -21,6 +21,7 @@ from .model import (
     OP_FMA,
     OP_LOAD,
     OP_STORE,
+    IOStats,
     Matrix,
     ProblemDims,
     Schedule,
@@ -64,14 +65,18 @@ class PredictedIO:
 
     reads and writes are exact integers in m, n, k and the number of
     b-segments along each dimension, so they match simulation exactly,
-    partial edge blocks included. The closed forms are the real-valued
-    approximations that ignore remainders.
+    partial edge blocks included; ``reads_a``, ``reads_b`` and ``reads_c``
+    split ``reads`` by operand, as ``IOStats`` does. The closed forms are the
+    real-valued approximations that ignore remainders.
     """
 
     reads: int
     writes: int
     closed_form_reads: float
     closed_form_writes: float
+    reads_a: int
+    reads_b: int
+    reads_c: int
 
     @property
     def io_total(self) -> int:
@@ -81,6 +86,14 @@ class PredictedIO:
     def effective_io(self) -> int:
         """max(reads, writes): the cost when writes overlap reads perfectly."""
         return max(self.reads, self.writes)
+
+    def matches(self, stats: IOStats) -> bool:
+        """Whether a simulation counted these reads, operand by operand, and writes."""
+        return (
+            stats.reads == self.reads and stats.writes == self.writes
+            and stats.reads_a == self.reads_a and stats.reads_b == self.reads_b
+            and stats.reads_c == self.reads_c
+        )
 
 
 # Generators build each event as an (op, kind, i, j, p) row, where kind is
@@ -315,7 +328,11 @@ def predicted_io(algorithm: Algorithm, dims: ProblemDims, S: int) -> PredictedIO
     block, so they agree with simulation on every input, partial edge blocks
     included; the closed forms are the real form of the same terms.
     """
-    resident = _RESIDENT.get(Algorithm(algorithm))
+    # Algorithm() costs about as much as building the result, so a member
+    # skips it; a name or a bad value goes through it
+    if type(algorithm) is not Algorithm:
+        algorithm = Algorithm(algorithm)
+    resident = _RESIDENT.get(algorithm)
     if resident is None:
         if S < 3:
             raise TooSmallError(f"S={S} is too small for the naive schedule (need S >= 3)")
@@ -325,8 +342,12 @@ def predicted_io(algorithm: Algorithm, dims: ProblemDims, S: int) -> PredictedIO
             writes=mnk,
             closed_form_reads=3.0 * mnk,
             closed_form_writes=float(mnk),
+            reads_a=mnk,
+            reads_b=mnk,
+            reads_c=mnk,
         )
     b = block_size(S)
-    reads, _, _, writes = blocked_reads(resident, dims, (b, b))
+    # the schedule writes C's term back
+    reads, reads_a, reads_b, writes = blocked_reads(resident, dims, (b, b))
     closed_reads, _, _, closed_writes = blocked_reads(resident, dims, (b, b), real=True)
-    return PredictedIO(reads, writes, closed_reads, float(closed_writes))
+    return PredictedIO(reads, writes, closed_reads, float(closed_writes), reads_a, reads_b, writes)

@@ -342,16 +342,23 @@ def dump_trace(schedule: Schedule) -> str:
     return "".join(chunks)
 
 
-def _is_canonical(text: str) -> bool:
-    """Whether the text is exactly a dump_trace output, matched a span of
-    whole lines at a time so the regex engine's memory stays small."""
+def _canonical_end(text: str) -> int:
+    """Where the run of whole dump_trace lines at the start of the text ends,
+    matched a span of whole lines at a time so the regex engine's memory
+    stays small."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + _CANONICAL_SPAN) + 1 or len(text)
-        if not _CANONICAL.fullmatch(text, start, end):
-            return False
+        stop = _CANONICAL.match(text, start, end).end()
+        if stop < end:
+            return stop
         start = end
-    return True
+    return start
+
+
+def _is_canonical(text: str) -> bool:
+    """Whether the text is exactly a dump_trace output."""
+    return _canonical_end(text) == len(text)
 
 
 def _event_lines(text: str):
@@ -397,10 +404,14 @@ def parse_trace(text: str, dims: ProblemDims) -> Schedule:
     if text and not text.endswith("\n"):
         text += "\n"
     events_only = text
-    if not _is_canonical(text):
-        events_only = re.sub(_NON_EVENT_LINE, "", "\n" + text)[1:]
-        if not _is_canonical(events_only):
+    split = _canonical_end(text)
+    if split < len(text):
+        # the lines before split are in that form already, so only the rest
+        # is stripped and matched again
+        rest = re.sub(_NON_EVENT_LINE, "", "\n" + text[split:])[1:]
+        if not _is_canonical(rest):
             return _parse_lines(text, dims)
+        events_only = text[:split] + rest
     codes = np.fromstring(events_only.translate(_LETTER_CODES), dtype=np.int64, sep=" ")
     return Schedule._wrap(codes.reshape(-1, 4), dims)
 

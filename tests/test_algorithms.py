@@ -124,6 +124,10 @@ def test_prediction_matches_simulation(dims, S, alg):
     predicted = predicted_io(alg, dims, S)
     assert result.stats.reads == predicted.reads
     assert result.stats.writes == predicted.writes
+    stats = result.stats
+    assert (stats.reads_a, stats.reads_b, stats.reads_c) == (
+        predicted.reads_a, predicted.reads_b, predicted.reads_c
+    )
     if alg in RESIDENT:
         # each operand's reads, not only their sum: on square dims two
         # swapped terms would leave the sum unchanged

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, wire formats, determinism, and the verify
 suite's failure reporting."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -373,6 +374,34 @@ def test_verify_quick_passes(capsys):
     assert lines[0].startswith("pass  schedule/prediction agreement")
 
 
+def _swap_a_and_b(predict):
+    """predicted_io with the A and B read terms swapped; on square dims the
+    total is unchanged."""
+
+    def swapped(algorithm, dims, S):
+        honest = predict(algorithm, dims, S)
+        return dataclasses.replace(honest, reads_a=honest.reads_b, reads_b=honest.reads_a)
+
+    return swapped
+
+
+def test_simulate_compares_each_operand_term(capsys, monkeypatch):
+    argv = ["simulate", "-m", "6", "-n", "6", "-k", "6", "-S", "16", "--alg", "alg-b"]
+    monkeypatch.setattr(cli, "predicted_io", _swap_a_and_b(cli.predicted_io))
+    code, out, _ = _run(capsys, *argv)
+    payload = json.loads(out)
+    assert payload["reads"] == payload["predicted_reads"]
+    assert payload["reads_a"] != payload["reads_b"]
+    assert (code, payload["counts_match"], payload["match"]) == (2, False, False)
+
+
+def test_agreement_check_compares_each_operand_term(monkeypatch):
+    monkeypatch.setattr(iomma.verify, "predicted_io", _swap_a_and_b(iomma.verify.predicted_io))
+    ok, detail = iomma.verify.check_agreement(quick=True)
+    assert not ok
+    assert "simulated (" in detail and ") != predicted (" in detail
+
+
 def test_verify_names_first_failure(capsys, monkeypatch):
     real = iomma.verify.predicted_io
 
@@ -383,6 +412,9 @@ def test_verify_names_first_failure(capsys, monkeypatch):
             writes=honest.writes,
             closed_form_reads=honest.closed_form_reads,
             closed_form_writes=honest.closed_form_writes,
+            reads_a=honest.reads_a + 1,
+            reads_b=honest.reads_b,
+            reads_c=honest.reads_c,
         )
 
     monkeypatch.setattr(iomma.verify, "predicted_io", skewed)

@@ -288,6 +288,38 @@ def test_long_trace_round_trip_across_match_spans():
     assert parse_trace(commented, dims) == schedule
 
 
+class _SpanCounter:
+    """Stands in for the canonical-line regex and counts the characters of
+    every span handed to it."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.chars = 0
+
+    def match(self, text, start, end):
+        self.chars += end - start
+        return self.pattern.match(text, start, end)
+
+    def fullmatch(self, text, start, end):
+        self.chars += end - start
+        return self.pattern.fullmatch(text, start, end)
+
+
+@pytest.mark.parametrize("tail", ["", "# end\n", "\n  # iomma 20 20 20 16\n"])
+def test_canonical_lines_are_matched_once(monkeypatch, tail):
+    dims = ProblemDims(20, 20, 20)
+    schedule = alg_c_schedule(dims, 16)
+    text = dump_trace(schedule) + tail
+    assert len(text) > 2 * iomma.memsim._CANONICAL_SPAN
+    counter = _SpanCounter(iomma.memsim._CANONICAL)
+    monkeypatch.setattr(iomma.memsim, "_CANONICAL", counter)
+    monkeypatch.setattr(iomma.memsim, "_parse_lines", None)  # the line reader
+    assert parse_trace(text, dims) == schedule
+    # trailing comment lines cost a match of the lines after the events, not
+    # a second match of the whole text
+    assert counter.chars == len(text)
+
+
 def test_whole_line_comments_keep_the_fast_path(monkeypatch):
     dims = ProblemDims(6, 6, 6)
     schedule = alg_c_schedule(dims, 16)

@@ -8,6 +8,8 @@ Running this file prints the document:
 
 from pathlib import Path
 
+import pytest
+
 from iomma import (
     Algorithm,
     ProblemDims,
@@ -106,8 +108,10 @@ def test_table_covers_every_capped_instance():
         assert float(row[7]) < min_io
 
 
-def test_table_rows_rederive_at_S_6():
-    rows = [row for row in _table_rows() if row[3] == "6"]
+@pytest.mark.parametrize("S", range(3, 7))
+def test_table_rows_rederive(S):
+    # min_io and nodes pin the exact search on every capped instance
+    rows = [row for row in _table_rows() if row[3] == str(S)]
     assert len(rows) == 38
     for row in rows:
         assert row == optimum_row(*map(int, row[:4]))
