@@ -211,7 +211,7 @@ def optimal_M(S: int, grid: list[float]) -> float:
 # Exact minimal I/O for tiny instances, by branch and bound.
 # ---------------------------------------------------------------------------
 
-_DEFAULT_NODE_BUDGET = 3_000_000
+DEFAULT_NODE_BUDGET = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,7 @@ class TinyOptimum:
 
 
 def tiny_optimal_schedule(
-    dims: ProblemDims, S: int, budget: int = _DEFAULT_NODE_BUDGET
+    dims: ProblemDims, S: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> TinyOptimum:
     """Provably minimal loads + stores for a tiny instance.
 

@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict
 
 from .algorithms import Algorithm, build_schedule, predicted_io
-from .bounds import BoundReport, lower_bound_final, tiny_optimal_schedule
+from .bounds import DEFAULT_NODE_BUDGET, BoundReport, lower_bound_final, tiny_optimal_schedule
 from .goto import DEFAULT_SUBOPTIMAL_THRESHOLD, GotoParams, goto_report
 from .inputs import seeded_matrices
 from .memsim import (
@@ -40,7 +40,6 @@ from .phases import (
 )
 
 _DEFAULT_SEED = 42
-_DEFAULT_BUDGET = 3_000_000
 
 SWEEP_CSV_HEADER = "alg,m,n,k,S,reads,writes,io_total,lb_final,ratio"
 
@@ -148,11 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("brute-force", help="exact minimal I/O for a tiny instance")
     _add_dims(p)
     p.add_argument("-S", type=_positive_int, required=True)
-    p.add_argument("--budget", type=_positive_int, default=_DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     _add_output(p, formats=("json",))  # the witness trace has no one-row CSV form
 
     p = sub.add_parser("verify", help="run the cross-module invariant suite")
-    p.add_argument("--quick", action="store_true", help="smaller grids, under a minute")
+    p.add_argument("--quick", action="store_true", help="smaller grids, about two seconds")
 
     return parser
 
@@ -283,7 +282,7 @@ def cmd_phases(ns: argparse.Namespace) -> int:
         reports = partition_phases(schedule, PhaseConfig(M))
     except UnvalidatedTraceError as exc:
         # name the file line too; a missing writeback has no event to point at
-        if text is None or exc.index >= len(schedule.events):
+        if text is None or exc.index >= len(schedule.codes):
             raise
         line = trace_line(text, exc.index)
         raise UnvalidatedTraceError(f"trace line {line}: {exc}", exc.index) from exc

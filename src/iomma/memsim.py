@@ -23,7 +23,6 @@ from .model import (
     _CHUNK,
     MATRICES,
     MATRIX_CODE,
-    OP_EVICT,
     OP_FMA,
     OP_LOAD,
     OP_STORE,
@@ -300,25 +299,32 @@ def reference_gemm(a, b, c_in) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-_OPCODE_BY_LETTER = {"L": OP_LOAD, "S": OP_STORE, "E": OP_EVICT}
-# dict lookup is much cheaper than Matrix(letter); Matrix() still raises on a miss
-_MATRIX_BY_LETTER = {matrix.value: matrix for matrix in Matrix}
 # one line format per (opcode, matrix) pair of a load, store or evict, then the fma's
 _LINE_FORMATS = tuple(
-    f"{letter} {matrix.value} %d %d\n" for letter in _OPCODE_BY_LETTER for matrix in MATRICES
+    f"{letter} {matrix.value} %d %d\n" for letter in "LSE" for matrix in MATRICES
 ) + ("F %d %d %d\n",)
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-# one line exactly as dump_trace writes it, with coordinates short enough for
-# int64; a text of such lines reads as numbers once each letter becomes its code
-_CANONICAL = re.compile(r"(?:(?:[LSE] [ABC]|F -?[0-9]{1,18}) -?[0-9]{1,18} -?[0-9]{1,18}\n)*")
-_CANONICAL_SPAN = 1 << 16  # characters matched per call; re keeps state per repetition
-# a blank or comment-only line that ends in "\n", with the "\n" before it: in
-# "\n" + text, removing every match removes exactly those lines. The comment
-# stops at every character str.splitlines() breaks at, so it swallows no
-# event line; searching from each "\n" is twice as fast as re.M's "^". A
-# string, so re compiles it on first use and importing pays nothing.
-_NON_EVENT_LINE = r"\n[ \t]*(?:#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)?(?=\n)"
-_LETTER_CODES = str.maketrans("LSEFABC", "0123012")
+# every character str.splitlines() ends a line at; "\r\n" is one break
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAK = f"(?:\r\n|[{_BREAKS}])"
+_LINE_BREAK = re.compile(_BREAK)
+_COMMENT = f"#[^{_BREAKS}]*"
+_INT = "-?[0-9]{1,18}"  # a coordinate, short enough for int64
+# one line exactly as dump_trace writes it
+_DUMPED = f"(?:[LSE] [ABC]|F {_INT}) {_INT} {_INT}\n"
+# any line: an optional event with spaces or tabs around its fields, an
+# optional comment and any line break
+_ANY = (
+    f"[ \t]*(?:(?:[LSE][ \t]+[ABC]|F[ \t]+{_INT})[ \t]+{_INT}[ \t]+{_INT}[ \t]*)?"
+    f"(?:{_COMMENT})?{_BREAK}"
+)
+# the trace grammar. Runs of dumped lines repeat in a loop of their own,
+# which is as fast as matching dumped lines alone. Once comments are gone, a
+# text of such lines reads as numbers when each letter becomes its code.
+_LINES = re.compile(f"(?:{_DUMPED})*(?:{_ANY}(?:{_DUMPED})*)*")
+_SPAN = 1 << 14  # characters matched per call; re keeps state per repetition
+# each letter becomes its code, and each break a space: numpy's whitespace
+# lacks \x1c-\x1e, \x85, \u2028 and \u2029
+_LETTER_CODES = str.maketrans("LSEFABC" + _BREAKS, "0123012" + " " * len(_BREAKS))
 
 
 def dump_trace(schedule: Schedule) -> str:
@@ -342,23 +348,64 @@ def dump_trace(schedule: Schedule) -> str:
     return "".join(chunks)
 
 
-def _canonical_end(text: str) -> int:
-    """Where the run of whole dump_trace lines at the start of the text ends,
+def parse_trace(text: str, dims: ProblemDims) -> Schedule:
+    """Inverse of dump_trace. Raises ValueError, naming the first line that
+    is not in the trace grammar.
+
+    A ``#`` starts a comment that runs to the end of the line; blank and
+    comment-only lines are skipped. Fields are separated by spaces or tabs,
+    lines by any break str.splitlines() knows, and a final line without its
+    break reads as if it had one.
+    """
+    if text[-1:] not in _BREAKS:
+        text += "\n"
+    stop = _grammatical_end(text)
+    if stop < len(text):
+        raise ValueError(_rejection(text, stop))
+    if "#" in text:
+        text = re.sub(_COMMENT, "", text)
+    if not any(letter in text for letter in "LSEF"):
+        # numpy reads a text of whitespace alone as [0]
+        return Schedule._wrap(np.empty((0, 4), dtype=np.int64), dims)
+    codes = np.fromstring(text.translate(_LETTER_CODES), dtype=np.int64, sep=" ")
+    return Schedule._wrap(codes.reshape(-1, 4), dims)
+
+
+def _grammatical_end(text: str) -> int:
+    """Where the run of grammatical lines at the start of the text ends,
     matched a span of whole lines at a time so the regex engine's memory
     stays small."""
     start = 0
     while start < len(text):
-        end = text.find("\n", start + _CANONICAL_SPAN) + 1 or len(text)
-        stop = _CANONICAL.match(text, start, end).end()
+        cut = _LINE_BREAK.search(text, start + _SPAN)
+        end = cut.end() if cut else len(text)
+        stop = _LINES.match(text, start, end).end()
         if stop < end:
             return stop
         start = end
     return start
 
 
-def _is_canonical(text: str) -> bool:
-    """Whether the text is exactly a dump_trace output."""
-    return _canonical_end(text) == len(text)
+def _rejection(text: str, stop: int) -> str:
+    """Why the line that starts at ``stop`` is not in the trace grammar,
+    prefixed with its 1-based line number."""
+    lineno = 1 + sum(1 for _ in _LINE_BREAK.finditer(text, 0, stop))
+    line = text[stop:_LINE_BREAK.search(text, stop).start()]
+    fields = [field for field in line.partition("#")[0].replace("\t", " ").split(" ") if field]
+    kind = fields[0]
+    if kind not in ("L", "S", "E", "F"):
+        reason = f"unknown event letter {kind!r}"
+    elif len(fields) != 4:
+        reason = "expected 'F i j p'" if kind == "F" else f"expected '{kind} X row col'"
+    elif kind != "F" and fields[1] not in ("A", "B", "C"):
+        reason = f"unknown matrix letter {fields[1]!r}"
+    else:
+        # a line with the right letters and field count fails the grammar
+        # only on a coordinate
+        coordinates = fields[1:] if kind == "F" else fields[2:]
+        bad = [token for token in coordinates if not re.fullmatch(_INT, token)]
+        reason = f"coordinate {bad[0]} is not an integer of 1 to 18 decimal digits"
+    return f"trace line {lineno}: {reason}"
 
 
 def _event_lines(text: str):
@@ -367,63 +414,6 @@ def _event_lines(text: str):
         parts = raw.partition("#")[0].split()
         if parts:
             yield lineno, parts
-
-
-def _coordinate(token: str) -> int:
-    value = int(token)
-    if not _INT64_MIN <= value <= _INT64_MAX:
-        raise ValueError(f"coordinate {value} does not fit in 64 bits")
-    return value
-
-
-def _code_row(parts: list[str]) -> tuple[int, int, int, int]:
-    kind = parts[0]
-    if kind == "F":
-        if len(parts) != 4:
-            raise ValueError("expected 'F i j p'")
-        return OP_FMA, _coordinate(parts[1]), _coordinate(parts[2]), _coordinate(parts[3])
-    op = _OPCODE_BY_LETTER.get(kind)
-    if op is None:
-        raise ValueError(f"unknown event letter {kind!r}")
-    if len(parts) != 4:
-        raise ValueError(f"expected '{kind} X row col'")
-    matrix = _MATRIX_BY_LETTER.get(parts[1]) or Matrix(parts[1])
-    return op, MATRIX_CODE[matrix], _coordinate(parts[2]), _coordinate(parts[3])
-
-
-def parse_trace(text: str, dims: ProblemDims) -> Schedule:
-    """Inverse of dump_trace. Raises ValueError on malformed lines.
-
-    A ``#`` starts a comment that runs to the end of the line; blank and
-    comment-only lines are skipped.
-    """
-    # the fast path reads dump_trace's exact form, also once blank and
-    # comment-only lines are dropped; anything else, errors included, goes
-    # line by line over the original text, so messages name its lines. A
-    # final line without its "\n" reads as if it had one.
-    if text and not text.endswith("\n"):
-        text += "\n"
-    events_only = text
-    split = _canonical_end(text)
-    if split < len(text):
-        # the lines before split are in that form already, so only the rest
-        # is stripped and matched again
-        rest = re.sub(_NON_EVENT_LINE, "", "\n" + text[split:])[1:]
-        if not _is_canonical(rest):
-            return _parse_lines(text, dims)
-        events_only = text[:split] + rest
-    codes = np.fromstring(events_only.translate(_LETTER_CODES), dtype=np.int64, sep=" ")
-    return Schedule._wrap(codes.reshape(-1, 4), dims)
-
-
-def _parse_lines(text: str, dims: ProblemDims) -> Schedule:
-    rows = []
-    for lineno, parts in _event_lines(text):
-        try:
-            rows.append(_code_row(parts))
-        except ValueError as exc:
-            raise ValueError(f"trace line {lineno}: {exc}") from None
-    return Schedule._wrap(np.array(rows, dtype=np.int64).reshape(-1, 4), dims)
 
 
 def trace_line(text: str, index: int) -> int:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iomma
 from iomma import (
@@ -38,6 +40,7 @@ from iomma import (
     seeded_matrices,
 )
 from iomma.memsim import trace_line
+from iomma.model import MATRIX_CODE, OP_EVICT, OP_FMA, OP_LOAD, OP_STORE
 
 A = Matrix.A
 B = Matrix.B
@@ -279,45 +282,59 @@ def test_long_trace_round_trip_across_match_spans():
     dims = ProblemDims(20, 20, 20)
     schedule = alg_c_schedule(dims, 16)
     text = dump_trace(schedule)
-    assert len(text) > 2 * iomma.memsim._CANONICAL_SPAN
-    assert iomma.memsim._is_canonical(text)
+    assert len(text) > 2 * iomma.memsim._SPAN
     assert parse_trace(text, dims) == schedule
-    # one comment in the last span sends the whole text down the line reader
+    # a comment in the last span, after an event
     commented = text[:-1] + " # last\n"
-    assert not iomma.memsim._is_canonical(commented)
     assert parse_trace(commented, dims) == schedule
 
 
 class _SpanCounter:
-    """Stands in for the canonical-line regex and counts the characters of
-    every span handed to it."""
+    """Stands in for the trace grammar's regex and counts the characters of
+    every span handed to it, and the longest span."""
 
     def __init__(self, pattern):
         self.pattern = pattern
-        self.chars = 0
+        self.chars = self.longest = 0
 
     def match(self, text, start, end):
         self.chars += end - start
+        self.longest = max(self.longest, end - start)
         return self.pattern.match(text, start, end)
 
-    def fullmatch(self, text, start, end):
-        self.chars += end - start
-        return self.pattern.fullmatch(text, start, end)
+
+def _forbid_line_reader(monkeypatch):
+    """Accepted traces never reach the per-line code, which only explains
+    rejections or names the line of an event."""
+    monkeypatch.setattr(iomma.memsim, "_rejection", None)
+    monkeypatch.setattr(iomma.memsim, "_event_lines", None)
+
+
+def _assert_matched_once(monkeypatch, text, dims, schedule):
+    assert len(text) > 2 * iomma.memsim._SPAN
+    counter = _SpanCounter(iomma.memsim._LINES)
+    monkeypatch.setattr(iomma.memsim, "_LINES", counter)
+    _forbid_line_reader(monkeypatch)
+    assert parse_trace(text, dims) == schedule
+    assert counter.chars == len(text)
+    # spans end at the first line break of any kind past _SPAN characters,
+    # so the regex engine's memory stays bounded
+    assert counter.longest < 2 * iomma.memsim._SPAN
 
 
 @pytest.mark.parametrize("tail", ["", "# end\n", "\n  # iomma 20 20 20 16\n"])
 def test_canonical_lines_are_matched_once(monkeypatch, tail):
     dims = ProblemDims(20, 20, 20)
     schedule = alg_c_schedule(dims, 16)
-    text = dump_trace(schedule) + tail
-    assert len(text) > 2 * iomma.memsim._CANONICAL_SPAN
-    counter = _SpanCounter(iomma.memsim._CANONICAL)
-    monkeypatch.setattr(iomma.memsim, "_CANONICAL", counter)
-    monkeypatch.setattr(iomma.memsim, "_parse_lines", None)  # the line reader
-    assert parse_trace(text, dims) == schedule
-    # trailing comment lines cost a match of the lines after the events, not
-    # a second match of the whole text
-    assert counter.chars == len(text)
+    _assert_matched_once(monkeypatch, dump_trace(schedule) + tail, dims, schedule)
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n", " # note\n", "\t#\r\n"])
+def test_other_line_ends_are_matched_once(monkeypatch, newline):
+    dims = ProblemDims(20, 20, 20)
+    schedule = alg_c_schedule(dims, 16)
+    text = dump_trace(schedule).replace("\n", newline)
+    _assert_matched_once(monkeypatch, text, dims, schedule)
 
 
 def test_whole_line_comments_keep_the_fast_path(monkeypatch):
@@ -326,7 +343,7 @@ def test_whole_line_comments_keep_the_fast_path(monkeypatch):
     text = dump_trace(schedule)
     lines = text.splitlines(keepends=True)
     headed = "# iomma 6 6 6 16\n" + "".join(lines[:5]) + "\n  \t\n\t# mid\n" + "".join(lines[5:]) + "# end\n"
-    monkeypatch.setattr(iomma.memsim, "_parse_lines", None)  # the line reader
+    _forbid_line_reader(monkeypatch)
     assert parse_trace(headed, dims) == parse_trace(text, dims) == schedule
 
 
@@ -336,8 +353,14 @@ def test_missing_final_newline_keeps_the_fast_path(monkeypatch, tail):
     schedule = alg_c_schedule(dims, 16)
     text = dump_trace(schedule)
     unterminated = text[:-1] if not tail else text + tail
-    monkeypatch.setattr(iomma.memsim, "_parse_lines", None)  # the line reader
+    _forbid_line_reader(monkeypatch)
     assert parse_trace(unterminated, dims) == schedule
+
+
+@pytest.mark.parametrize("text", ["", "\n", "# only\n", " \t\r\n"])
+def test_trace_without_events_is_empty(text):
+    parsed = parse_trace(text, ProblemDims(1, 1, 1))
+    assert parsed.codes.shape == (0, 4) and parsed.codes.dtype == np.int64
 
 
 def test_skipped_lines_keep_their_numbers_in_errors():
@@ -346,14 +369,19 @@ def test_skipped_lines_keep_their_numbers_in_errors():
         parse_trace("# iomma 1 1 1 3\n\nL A 0 0\nX Q 0 0\n", dims)
     with pytest.raises(ValueError, match="^trace line 2: unknown event letter 'X'"):
         parse_trace("L A 0 0\nX Q 0 0", dims)  # no final newline
+    with pytest.raises(ValueError, match="^trace line 3: expected 'F i j p'"):
+        parse_trace("L A 0 0\r\n\rF 0 0\r\n", dims)  # CRLF is one break, CR another
     text = "# head\nL A 0 0\n# gap\nL B 0 0\nL C 0 0\nF 0 0 0\n"
     assert [trace_line(text, index) for index in range(4)] == [2, 4, 5, 6]
 
 
 def test_comment_ends_at_every_line_break():
-    # str.splitlines() ends a line at \r too, so the event after it counts
-    parsed = parse_trace("# note\rL A 0 0\nF 0 0 0\n", ProblemDims(1, 1, 1))
-    assert parsed.events == (Load(_ref(A, 0, 0)), Fma(0, 0, 0))
+    # str.splitlines() ends a line at each of these, so the event after it counts
+    for brk in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029":
+        text = f"# note{brk}L A 0 0{brk}F 0 0 0 # c{brk}"
+        parsed = parse_trace(text, ProblemDims(1, 1, 1))
+        assert parsed.events == (Load(_ref(A, 0, 0)), Fma(0, 0, 0)), repr(brk)
+        assert trace_line(text, 1) == 3
 
 
 def test_regexes_compile_before_python_3_11():
@@ -449,3 +477,125 @@ def test_parse_trace_rejects_garbage():
         parse_trace("L A 0\n", dims)
     with pytest.raises(ValueError):
         parse_trace("F 0 0\n", dims)
+
+
+def _line_reader_codes(text):
+    """The line reader that parse_trace once fell back to for any text outside
+    dump_trace's form: str.splitlines(), a '#' comment, str.split() and
+    int(). The oracle for the trace grammar."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.partition("#")[0].split()
+        if not parts:
+            continue
+        try:
+            rows.append(_line_reader_row(parts))
+        except ValueError as exc:
+            raise ValueError(f"trace line {lineno}: {exc}") from None
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+def _line_reader_row(parts):
+    def coordinate(token):
+        value = int(token)
+        if not -(1 << 63) <= value < 1 << 63:
+            raise ValueError(f"coordinate {value} does not fit in 64 bits")
+        return value
+
+    kind = parts[0]
+    if kind == "F":
+        if len(parts) != 4:
+            raise ValueError("expected 'F i j p'")
+        return OP_FMA, coordinate(parts[1]), coordinate(parts[2]), coordinate(parts[3])
+    op = {"L": OP_LOAD, "S": OP_STORE, "E": OP_EVICT}.get(kind)
+    if op is None:
+        raise ValueError(f"unknown event letter {kind!r}")
+    if len(parts) != 4:
+        raise ValueError(f"expected '{kind} X row col'")
+    return op, MATRIX_CODE[Matrix(parts[1])], coordinate(parts[2]), coordinate(parts[3])
+
+
+@st.composite
+def _coordinate_token(draw):
+    """An int64 coordinate of at most 18 digits, sometimes zero-padded."""
+    value = draw(st.integers(-(10**18) + 1, 10**18 - 1))
+    digits = str(abs(value))
+    digits = "0" * draw(st.integers(0, 18 - len(digits))) + digits
+    return "-" * (value < 0) + digits
+
+
+@st.composite
+def _trace_text(draw, mutate=False):
+    """Random events rendered with blank lines, comment-only lines, inline
+    comments, runs of spaces and tabs, and LF, CRLF or CR breaks, the last
+    one optional. With ``mutate``, one event line is malformed."""
+    gap = st.text(" \t", max_size=3)
+    # comments may hold event letters, digits, '#' and characters that
+    # str.split() but not the grammar takes for whitespace
+    comment = st.text("LSEFABC-0123456789# \t\x1f\xa0\xe9\u3000", max_size=6).map("#".__add__)
+    kinds = draw(st.lists(st.sampled_from(["event", "event", "blank", "comment"]), max_size=12))
+    if mutate:
+        kinds.append("event")
+        bad = draw(st.sampled_from([i for i, kind in enumerate(kinds) if kind == "event"]))
+    lines = []
+    for index, kind in enumerate(kinds):
+        if kind != "event":
+            lines.append(draw(gap) + (draw(comment) if kind == "comment" else ""))
+            continue
+        letter = draw(st.sampled_from("LSEF"))
+        head = [letter] if letter == "F" else [letter, draw(st.sampled_from("ABC"))]
+        fields = head + [draw(_coordinate_token()) for _ in range(4 - len(head))]
+        if mutate and index == bad:
+            how = draw(st.sampled_from(["letter", "fewer", "more", "wide"]))
+            if how == "letter":
+                fields[0] = draw(st.sampled_from(["X", "l", "FF", "A"]))
+            elif how == "fewer":
+                fields.pop()
+            elif how == "more":
+                fields.append("0")
+            else:
+                fields[-1] = draw(st.sampled_from(["", "-"])) + "9" * 20
+        spaced = "".join(field + draw(gap.map(lambda g: g or " ")) for field in fields)
+        lines.append(draw(gap) + spaced + draw(st.one_of(st.just(""), comment)))
+    breaks = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if breaks and draw(st.booleans()):
+        breaks[-1] = ""
+    return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
+def _rejected_line(parse, text):
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    found = re.match(r"trace line (\d+): ", str(info.value))
+    assert found, str(info.value)
+    return int(found.group(1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_trace_text())
+def test_grammar_matches_line_reader(text):
+    dims = ProblemDims(1, 1, 1)
+    assert np.array_equal(parse_trace(text, dims).codes, _line_reader_codes(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_trace_text(mutate=True))
+def test_grammar_rejects_where_line_reader_does(text):
+    dims = ProblemDims(1, 1, 1)
+    new = _rejected_line(lambda t: parse_trace(t, dims), text)
+    assert new == _rejected_line(_line_reader_codes, text)
+
+
+@pytest.mark.parametrize("field", ["+1", "1_0", "\u0661", "1234567890123456789"])
+def test_grammar_rejects_what_only_int_and_split_let_through(field):
+    # the line reader read each of these ("1_0" as 10); the grammar names the line
+    for text in (f"L A 0 0\nF 0 {field} 0\n", f"L A 0 0\nF\xa00 0 {field}\n"):
+        assert len(_line_reader_codes(text)) == 2
+        with pytest.raises(ValueError, match="^trace line 2: "):
+            parse_trace(text, ProblemDims(1, 1, 1))
+
+
+@pytest.mark.parametrize("line", ["\xa0\xa0", "L A 0 0\x1f", "\u2007", "#\r\n L\u3000A 0 0"])
+def test_every_rejection_names_its_line(line):
+    with pytest.raises(ValueError, match=r"^trace line \d+: "):
+        parse_trace("L A 0 0\n" + line + "\n", ProblemDims(1, 1, 1))

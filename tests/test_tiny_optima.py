@@ -78,7 +78,7 @@ def render() -> str:
         f"The optimum equals the floor on {at_floor} of {len(rows)} rows, and the",
         f"best algorithm attains it on {attained}.",
         "",
-        "Tier-1 re-derives every S = 6 row (`tests/test_tiny_optima.py`), which",
+        f"Tier-1 re-derives all {len(rows)} rows (`tests/test_tiny_optima.py`), which",
         "also prints this file:",
         "`PYTHONPATH=src python tests/test_tiny_optima.py > docs/tiny_optima.md`.",
         "",
