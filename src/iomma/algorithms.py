@@ -2,8 +2,8 @@
 structural I/O predictions.
 
 All four generators emit every fma for a given c(i,j) with p ascending, so
-the simulator reproduces the reference triple loop bitwise. The three blocked
-algorithms share the block edge b = max(1, floor(sqrt(S)) - 1), chosen so a
+the simulator reproduces the reference triple loop bitwise. The three
+blocked algorithms share the block edge b = floor(sqrt(S)) - 1, chosen so a
 b-by-b block plus two length-b vectors fit in S - 1 slots.
 """
 
@@ -21,6 +21,7 @@ from .model import (
     OP_FMA,
     OP_LOAD,
     OP_STORE,
+    OPERAND_AXES,
     IOStats,
     Matrix,
     ProblemDims,
@@ -30,12 +31,20 @@ from .model import (
 
 
 class TooSmallError(ValueError):
-    """The capacity cannot hold the schedule's working set: blocked schedules
-    need S >= 4 (no b-by-b block fits below that), naive needs S >= 3."""
+    """The capacity cannot hold an algorithm's working set; each preset's
+    shape rule in ``_PRESETS`` raises it below the least S it runs at."""
 
 
 class Algorithm(str, Enum):
-    """CLI-facing algorithm names."""
+    """CLI-facing algorithm names.
+
+    ``naive`` makes one load-compute-store round trip per fma: peak residency
+    3. The blocked ones keep a b-by-b block of one operand resident, with
+    b = block_size(S), and peak at b^2 + 2b. ``alg-c`` applies k rank-1
+    updates to a block of C, each from a column piece of A and a row piece
+    of B. ``alg-b``'s B blocks visit the (p, j) grid with p outermost,
+    ``alg-a``'s A blocks the (i, p) grid with p innermost, both ascending.
+    """
 
     NAIVE = "naive"
     A = "alg-a"
@@ -44,14 +53,45 @@ class Algorithm(str, Enum):
 
 
 def block_size(S: int) -> int:
-    """Largest block edge b with (b+1)^2 <= S, floored at 1.
+    """Largest block edge b with (b+1)^2 <= S; S >= 4 gives b >= 1.
 
     b*b resident block plus a length-b row and a length-b column then occupy
     b^2 + 2b <= S - 1 slots, leaving one slot of headroom.
     """
     if S < 4:
         raise TooSmallError(f"S={S} is too small for a blocked schedule (need S >= 4)")
-    return max(1, math.isqrt(S) - 1)
+    return math.isqrt(S) - 1
+
+
+def _no_block(S: int) -> None:
+    """Naive's rule: no block, and room for the three elements of one fma."""
+    if S < 3:
+        raise TooSmallError(f"S={S} is too small for the naive schedule (need S >= 3)")
+
+
+def _square_block(S: int) -> tuple[int, int]:
+    return (block_size(S),) * 2
+
+
+# Each algorithm's preset: the operand it keeps a block of resident (None
+# for naive) and the rule that gives the block's shape at capacity S. A rule
+# raises TooSmallError below the least S its schedule fits in.
+_PRESETS = {
+    Algorithm.NAIVE: (None, _no_block),
+    Algorithm.A: (Matrix.A, _square_block),
+    Algorithm.B: (Matrix.B, _square_block),
+    Algorithm.C: (Matrix.C, _square_block),
+}
+
+
+def _preset(algorithm: Algorithm, S: int) -> tuple[Matrix | None, tuple[int, int] | None]:
+    """The resident operand and block shape of an algorithm at capacity S."""
+    # Algorithm() costs about as much as predicted_io's result, so a member
+    # skips it; a name or a bad value goes through it
+    if type(algorithm) is not Algorithm:
+        algorithm = Algorithm(algorithm)
+    resident, shape = _PRESETS[algorithm]
+    return resident, shape(S)
 
 
 def _segments(length: int, b: int) -> list[tuple[int, int]]:
@@ -102,9 +142,8 @@ class PredictedIO:
 _KIND_FMA = 3
 # per kind, the row columns that feed code columns 1..3: the matrix's
 # (kind, row, col), or an fma's (i, j, p)
-_FIELDS = ((1, 2, 4), (1, 4, 3), (1, 2, 3), (2, 3, 4))
-# the i/j/p axes (0, 1, 2) that index each matrix's rows and cols
-_AXES = {Matrix.A: (0, 2), Matrix.B: (2, 1), Matrix.C: (0, 1)}
+_FIELDS = np.array([(1, 2 + row, 2 + col) for row, col in OPERAND_AXES] + [(2, 3, 4)])
+_AXES = dict(zip(Matrix, OPERAND_AXES))
 # per resident matrix, each streamed operand's index in Matrix order, the
 # resident axis it lacks, and that axis's place in the block shape
 _STREAMED = {
@@ -115,8 +154,6 @@ _STREAMED = {
     )
     for resident in Matrix
 }
-# the matrix each blocked algorithm keeps a block of resident
-_RESIDENT = {Algorithm.A: Matrix.A, Algorithm.B: Matrix.B, Algorithm.C: Matrix.C}
 
 
 def _loop(*loops: tuple[int, int]) -> np.ndarray:
@@ -146,11 +183,6 @@ def _repeat(rows: np.ndarray, axis: int, count: int) -> np.ndarray:
     return out
 
 
-def _fields(rows: np.ndarray) -> np.ndarray:
-    """Each row's _FIELDS entry."""
-    return np.array(_FIELDS)[rows[:, 1]]
-
-
 def _to_codes(rows: np.ndarray, fields: np.ndarray) -> np.ndarray:
     codes = np.empty((len(rows), 4), dtype=np.int64)
     codes[:, 0] = rows[:, 0]
@@ -172,7 +204,7 @@ def naive_schedule(dims: ProblemDims) -> Schedule:
         _rows(OP_EVICT, b, origin),
     ])
     rows = _repeat(_repeat(_repeat(step, 2, dims.k), 1, dims.n), 0, dims.m)
-    return Schedule._wrap(_to_codes(rows, _fields(rows)), dims)
+    return Schedule._wrap(_to_codes(rows, _FIELDS[rows[:, 1]]), dims)
 
 
 def _block_codes(resident: Matrix, shape: tuple[int, int], steps: int):
@@ -209,7 +241,7 @@ def _block_codes(resident: Matrix, shape: tuple[int, int], steps: int):
         _rows(leave, MATRIX_CODE[resident], block),
     ])
     # a code column moves with an axis exactly when it reads that axis's i/j/p
-    fields = _fields(rows)
+    fields = _FIELDS[rows[:, 1]]
     shifts = []
     for axis in (row_axis, col_axis):
         shift = np.zeros((len(rows), 4), dtype=np.int64)
@@ -278,76 +310,27 @@ def blocked_reads(
     return total + size, *terms
 
 
-def alg_c_schedule(dims: ProblemDims, S: int) -> Schedule:
-    """Keep a b-by-b block of C resident; apply k rank-1 updates to it.
-
-    C blocks visit in row-major order. Each rank-1 step loads a column piece
-    of A and a row piece of B, uses them once, and evicts them. C is read
-    once and written once: reads = 2mnk/b + mn, writes = mn on divisible
-    dims; peak residency b^2 + 2b.
-    """
-    return build_schedule(Algorithm.C, dims, S)
-
-
-def alg_b_schedule(dims: ProblemDims, S: int) -> Schedule:
-    """Keep a b-by-b block of B resident; stream rows of A and C past it.
-
-    B blocks visit the (p, j) grid with the p blocks outermost and ascending,
-    so each c(i,j) accumulates its partial sums in p order across blocks.
-    Each row of C is re-read and re-written once per p block: reads =
-    2mnk/b + nk, writes = mnk/b on divisible dims.
-    """
-    return build_schedule(Algorithm.B, dims, S)
-
-
-def alg_a_schedule(dims: ProblemDims, S: int) -> Schedule:
-    """Keep a b-by-b block of A resident; stream columns of B and C past it.
-
-    The mirror image of the B-resident algorithm: A blocks visit the (i, p)
-    grid with the p blocks innermost and ascending. Each column of C is
-    re-read and re-written once per p block: reads = 2mnk/b + mk, writes =
-    mnk/b on divisible dims.
-    """
-    return build_schedule(Algorithm.A, dims, S)
-
-
 def build_schedule(algorithm: Algorithm, dims: ProblemDims, S: int) -> Schedule:
-    """Build the named schedule; the blocked ones use a b-by-b block with
-    b = block_size(S). Naive ignores S."""
-    resident = _RESIDENT.get(Algorithm(algorithm))
+    """Build the named schedule at capacity S, as its preset gives it."""
+    resident, shape = _preset(algorithm, S)
     if resident is None:
         return naive_schedule(dims)
-    b = block_size(S)
-    return blocked_schedule(resident, dims, (b, b))
+    return blocked_schedule(resident, dims, shape)
 
 
 def predicted_io(algorithm: Algorithm, dims: ProblemDims, S: int) -> PredictedIO:
     """Exact structural read/write counts for one algorithm at one capacity.
 
-    O(1): a blocked algorithm's counts are ``blocked_reads`` of its b-by-b
+    O(1): a blocked algorithm's counts are ``blocked_reads`` of its preset's
     block, so they agree with simulation on every input, partial edge blocks
     included; the closed forms are the real form of the same terms.
     """
-    # Algorithm() costs about as much as building the result, so a member
-    # skips it; a name or a bad value goes through it
-    if type(algorithm) is not Algorithm:
-        algorithm = Algorithm(algorithm)
-    resident = _RESIDENT.get(algorithm)
+    resident, shape = _preset(algorithm, S)
     if resident is None:
-        if S < 3:
-            raise TooSmallError(f"S={S} is too small for the naive schedule (need S >= 3)")
+        # every fma reads its three operands and writes its C back
         mnk = dims.m * dims.n * dims.k
-        return PredictedIO(
-            reads=3 * mnk,
-            writes=mnk,
-            closed_form_reads=3.0 * mnk,
-            closed_form_writes=float(mnk),
-            reads_a=mnk,
-            reads_b=mnk,
-            reads_c=mnk,
-        )
-    b = block_size(S)
+        return PredictedIO(3 * mnk, mnk, 3.0 * mnk, float(mnk), mnk, mnk, mnk)
     # the schedule writes C's term back
-    reads, reads_a, reads_b, writes = blocked_reads(resident, dims, (b, b))
-    closed_reads, _, _, closed_writes = blocked_reads(resident, dims, (b, b), real=True)
+    reads, reads_a, reads_b, writes = blocked_reads(resident, dims, shape)
+    closed_reads, _, _, closed_writes = blocked_reads(resident, dims, shape, real=True)
     return PredictedIO(reads, writes, closed_reads, float(closed_writes), reads_a, reads_b, writes)

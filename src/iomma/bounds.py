@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import naive_schedule
-from .memsim import _layout
+from .algorithms import Algorithm, naive_schedule, predicted_io
 from .model import (
     OP_EVICT,
     OP_FMA,
@@ -26,6 +25,8 @@ from .model import (
     Schedule,
     _check_positive,
     fma_count,
+    fma_operand_ids,
+    layout,
 )
 
 _THREE_ROOT_THREE = 3.0 * math.sqrt(3.0)
@@ -263,24 +264,24 @@ def tiny_optimal_schedule(
             f"instance ({m},{n},{k}) with S={S} exceeds the exact-search caps "
             "(mnk <= 8, S <= 6)"
         )
-    if S < 3:
-        raise ValueError("S must be at least 3: an fma needs three resident scalars")
+    # the naive schedule is always a valid incumbent where it runs; it is
+    # built only if nothing beats it
+    best_cost = predicted_io(Algorithm.NAIVE, dims, S).io_total
 
-    layout = _layout(dims)
-    (_, _, b_off), (_, _, c_off) = layout[1:]
-    c_mask = ((1 << (m * n)) - 1) << c_off
+    shapes = layout(dims)
     # a move is recorded as its opcode and bit; these give the other fields
     # of its code row: (matrix code, row, col) per element, (i, j, p) per fma
     elements = {
-        1 << (offset + row * cols + col): (code, row, col)
-        for code, (rows, cols, offset) in enumerate(layout)
-        for row in range(rows)
-        for col in range(cols)
+        1 << element: (code, *divmod(element - first, cols))
+        for code, (rows, cols, first) in enumerate(shapes)
+        for element in range(first, first + rows * cols)
     }
+    width = len(elements)
+    c_mask = (1 << width) - (1 << shapes[-1][2])  # C's ids come last
     triples = {1 << t: ijp for t, ijp in enumerate(itertools.product(range(m), range(n), range(k)))}
     operands = {
-        bit: (1 << (i * k + p)) | (1 << (b_off + p * n + j)) | (1 << (c_off + i * n + j))
-        for bit, (i, j, p) in triples.items()
+        bit: sum(1 << element for element in fma_operand_ids(dims, *ijp))
+        for bit, ijp in triples.items()
     }
     # needed[rem]: the elements some fma in rem still reads
     needed = [0] * (1 << len(triples))
@@ -288,13 +289,9 @@ def tiny_optimal_schedule(
         low = rem & -rem
         needed[rem] = needed[rem ^ low] | operands[low]
 
-    # the naive schedule is always a valid incumbent at S >= 3; it is built
-    # only if nothing beats it
-    best_cost = 4 * m * n * k
     best_events = None
     events: list = []
     # memo key of a state: res | dirty << width | rem << 2 * width
-    width = len(elements)
     memo: dict[int, int] = {}
     nodes = 0
     exhausted = False

@@ -37,6 +37,7 @@ from .phases import (
     partition_phases,
     phase_efficiency,
     phases_to_csv,
+    validate_trace,
 )
 
 _DEFAULT_SEED = 42
@@ -45,21 +46,19 @@ SWEEP_CSV_HEADER = "alg,m,n,k,S,reads,writes,io_total,lb_final,ratio"
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
+    """ASCII decimal digits alone, as a trace coordinate: no sign,
+    underscore, whitespace or other script's digits."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+    return int(text)
 
 
 def _int_list(text: str) -> list[int]:
-    if not text.strip():
-        return []
-    return [int(part) for part in text.split(",") if part.strip()]
+    """Comma-separated positive ints; empty items are skipped, so "" is none."""
+    return [_positive_int(part) for part in text.split(",") if part]
 
 
 def _alg_list(text: str) -> list[Algorithm]:
-    if not text.strip():
-        return []
     return [Algorithm(part.strip()) for part in text.split(",") if part.strip()]
 
 
@@ -279,6 +278,8 @@ def cmd_phases(ns: argparse.Namespace) -> int:
         schedule = build_schedule(ns.alg, dims, ns.S)
     M = _phase_budget(ns)
     try:
+        if text is not None:  # a read trace must fit in -S; it replays once
+            validate_trace(schedule, MemoryConfig(ns.S))
         reports = partition_phases(schedule, PhaseConfig(M))
     except UnvalidatedTraceError as exc:
         # name the file line too; a missing writeback has no event to point at

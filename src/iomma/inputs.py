@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ProblemDims
+from .model import ProblemDims, layout
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -56,7 +56,4 @@ def seeded_matrices(
             dtype=float,
         )
 
-    a = fill(dims.m, dims.k)
-    b = fill(dims.k, dims.n)
-    c = fill(dims.m, dims.n)
-    return a, b, c
+    return tuple(fill(rows, cols) for rows, cols, _ in layout(dims))

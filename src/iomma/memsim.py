@@ -32,6 +32,8 @@ from .model import (
     ProblemDims,
     Schedule,
     _check_positive,
+    fma_operand_ids,
+    layout,
 )
 
 
@@ -102,13 +104,6 @@ def _flat(mat, rows: int, cols: int, name: str) -> list[float]:
 _C = MATRIX_CODE[Matrix.C]
 
 
-def _layout(dims: ProblemDims) -> tuple[tuple[int, int, int], ...]:
-    """(rows, cols, first element id) of A, B and C, whose elements take
-    consecutive ids, each matrix row-major."""
-    m, n, k = dims.m, dims.n, dims.k
-    return (m, k, 0), (k, n, m * k), (m, n, m * k + k * n)
-
-
 def execute(
     schedule: Schedule, config: MemoryConfig, a, b, c_in
 ) -> ExecutionResult:
@@ -124,14 +119,16 @@ def execute(
     writeback), and its message starts with ``event <index>: ``.
     """
     dims = schedule.dims
-    m, n, k = dims.m, dims.n, dims.k
     cap = config.S
-    _, _, c_off = _layout(dims)[_C]
+    shapes = layout(dims)
+    c_rows, c_cols, c_off = shapes[_C]
     # state per element id is 0 (absent), 1 (clean) or 2 (dirty), and the
-    # ids follow _layout: A, then B, then C. One value per element serves as
+    # ids follow layout(): A, then B, then C. One value per element serves as
     # both copies: a fast copy differs from slow memory only while dirty,
     # and a dirty slot cannot leave fast memory except by a store.
-    fast = _flat(a, m, k, "a") + _flat(b, k, n, "b") + _flat(c_in, m, n, "c_in")
+    fast = []
+    for (rows, cols, _), mat, name in zip(shapes, (a, b, c_in), ("a", "b", "c_in")):
+        fast += _flat(mat, rows, cols, name)
     state = bytearray(len(fast))
     occupancy = peak = 0
 
@@ -146,8 +143,8 @@ def execute(
 
     dirty = state.find(2, c_off)
     if dirty >= 0:
-        i, j = divmod(dirty - c_off, n)
-        message = f"dirty C({i},{j}) still resident at end of schedule"
+        row, col = divmod(dirty - c_off, c_cols)
+        message = f"dirty C({row},{col}) still resident at end of schedule"
         raise _locate(IncompleteWritebackError(message), len(codes))
 
     ops = codes[:, 0]
@@ -157,7 +154,7 @@ def execute(
         reads=loads, writes=stores, fmas=fmas, peak_residency=peak,
         reads_a=reads_a, reads_b=reads_b, reads_c=reads_c,
     )
-    output_c = np.array(fast[c_off:], dtype=float).reshape(m, n)
+    output_c = np.array(fast[c_off:], dtype=float).reshape(c_rows, c_cols)
     schedule._mark_legal()
     return ExecutionResult(stats=stats, trace=schedule, output_c=output_c)
 
@@ -167,13 +164,13 @@ def _operand_ids(chunk: np.ndarray, dims: ProblemDims):
     or read-only-store violation, as lists.
 
     A load, store or evict names its element in the first id list; an fma
-    names a(i,p), b(p,j) and c(i,j) in the three lists.
+    names its A, B and C elements in the three lists.
     """
     m, n, k = dims.m, dims.n, dims.k
     op, f1, f2, f3 = chunk.T
     fma = op == OP_FMA
     mat = np.where(fma, 0, f1)
-    rows, cols, offset = (np.array(column) for column in zip(*_layout(dims)))
+    rows, cols, offset = (np.array(column) for column in zip(*layout(dims)))
     rows, cols = rows[mat], cols[mat]
     bad = np.where(
         fma,
@@ -182,9 +179,8 @@ def _operand_ids(chunk: np.ndarray, dims: ProblemDims):
     )
     end = int(bad.argmax()) if bad.any() else len(chunk)
     op, f1, f2, f3, mat, cols = (column[:end] for column in (op, f1, f2, f3, mat, cols))
-    xs = np.where(op == OP_FMA, f1 * k + f3, offset[mat] + f2 * cols + f3)
-    ys = offset[1] + f3 * n + f2
-    zs = offset[2] + f1 * n + f2
+    a_ids, ys, zs = fma_operand_ids(dims, f1, f2, f3)
+    xs = np.where(op == OP_FMA, a_ids, offset[mat] + f2 * cols + f3)
     return op.tolist(), xs.tolist(), ys.tolist(), zs.tolist()
 
 
@@ -227,23 +223,23 @@ def _replay(ops, xs, ys, zs, fast, state, occupancy, peak, cap):
 def _event_error(row: list[int], dims: ProblemDims, state, occupancy: int, cap: int):
     """The rule one event breaks in the current state, checked in order:
     read-only store, coordinates, then residency and capacity."""
-    m, n, k = dims.m, dims.n, dims.k
     op, f1, f2, f3 = row
     if op == OP_FMA:
         i, j, p = f1, f2, f3
-        for name, value, size in (("i", i, m), ("j", j, n), ("p", p, k)):
+        for name, value, size in (("i", i, dims.m), ("j", j, dims.n), ("p", p, dims.k)):
             if not 0 <= value < size:
                 return OutOfBoundsError(name, f"fma {name}={value} outside [0, {size})")
-        missing = (
-            f"A({i},{p})" if not state[i * k + p]
-            else f"B({p},{j})" if not state[m * k + p * n + j]
-            else f"C({i},{j})"
-        )
-        return NonResidentOperandError(f"fma({i},{j},{p}) needs {missing} resident")
+        # the fma failed, so an operand is absent: name the first
+        ids = fma_operand_ids(dims, i, j, p)
+        for mat, (_, cols, first), element in zip(MATRICES, layout(dims), ids):
+            if not state[element]:
+                row, col = divmod(element - first, cols)
+                message = f"fma({i},{j},{p}) needs {mat.value}({row},{col}) resident"
+                return NonResidentOperandError(message)
     mat = MATRICES[f1]
     if op == OP_STORE and mat is not Matrix.C:
         return StoreNonCError(f"cannot store read-only {mat.value}")
-    rows, cols, off = _layout(dims)[f1]
+    rows, cols, off = layout(dims)[f1]
     if not 0 <= f2 < rows:
         return OutOfBoundsError("row", f"{mat.value} row {f2} outside [0, {rows})")
     if not 0 <= f3 < cols:

@@ -1,13 +1,14 @@
 """Core value types for two-level I/O accounting of C := A*B + C.
 
 Everything downstream (the simulator, the schedule generators, the phase
-analyzer) speaks in these types: a problem shape, references to individual
-matrix elements, the four kinds of trace events, and the schedule that holds
-a trace as one array of integer codes.
+analyzer) speaks in these types: a problem shape and its operand map, references
+to individual matrix elements, the four kinds of trace events, and the schedule
+that holds a trace as one array of integer codes.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -55,6 +56,32 @@ class ProblemDims:
 
     def __post_init__(self):
         _check_positive(m=self.m, n=self.n, k=self.k)
+
+
+# The operand map, the one statement of which element an fma touches: the
+# fma axes i, j, p (0, 1, 2) that index the rows and cols of A, B and C, in
+# Matrix order. An fma (i, j, p) reads a(i,p) and b(p,j) and updates c(i,j).
+OPERAND_AXES = ((0, 2), (2, 1), (0, 1))
+
+
+def layout(dims: ProblemDims) -> tuple[tuple[int, int, int], ...]:
+    """(rows, cols, first element id) of A, B and C, whose elements take
+    consecutive ids, each matrix row-major."""
+    extent = (dims.m, dims.n, dims.k)
+    shapes = [(extent[row_axis], extent[col_axis]) for row_axis, col_axis in OPERAND_AXES]
+    firsts = itertools.accumulate((rows * cols for rows, cols in shapes), initial=0)
+    return tuple((rows, cols, first) for (rows, cols), first in zip(shapes, firsts))
+
+
+def fma_operand_ids(dims: ProblemDims, i, j, p) -> tuple:
+    """``layout`` ids of the A, B and C an fma (i, j, p) touches, for ints or
+    numpy arrays; A's first id, 0, is not added, saving arrays a pass."""
+    ijp = (i, j, p)
+    return tuple(
+        ijp[row_axis] * cols + ijp[col_axis] + first if first
+        else ijp[row_axis] * cols + ijp[col_axis]
+        for (_, cols, first), (row_axis, col_axis) in zip(layout(dims), OPERAND_AXES)
+    )
 
 
 @dataclass(frozen=True, slots=True)

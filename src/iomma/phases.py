@@ -17,7 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .memsim import MemoryConfig, SimulationError, execute
-from .model import OP_FMA, OP_LOAD, OP_STORE, OutOfBoundsError, Schedule, _check_positive
+from .model import (
+    OP_FMA,
+    OP_LOAD,
+    OP_STORE,
+    OutOfBoundsError,
+    Schedule,
+    _check_positive,
+    fma_operand_ids,
+    layout,
+)
 
 
 class UnvalidatedTraceError(Exception):
@@ -69,30 +78,27 @@ class PhaseReport:
         return math.sqrt(self.x * self.y * self.z)
 
 
+def validate_trace(trace: Schedule, config: MemoryConfig) -> None:
+    """Run a trace through execute() on zero matrices at the given capacity.
+    Any rule violation raises UnvalidatedTraceError with execute()'s index."""
+    zeros = (np.zeros((rows, cols)) for rows, cols, _ in layout(trace.dims))
+    try:
+        execute(trace, config, *zeros)
+    except (SimulationError, OutOfBoundsError) as exc:
+        raise UnvalidatedTraceError(f"invalid trace: {exc}", exc.index) from exc
+
+
 def partition_phases(trace: Schedule, config: PhaseConfig) -> list[PhaseReport]:
     """Split a valid trace at every M-th transfer and report each phase.
 
-    A trace execute() has not yet accepted is first checked by execute() on
-    zero matrices with room for every element, so the fast-memory size need
-    not be known. Any rule violation (non-resident fma input, double load,
-    dirty eviction, missing writeback, bad coordinates) raises
-    UnvalidatedTraceError with the failing event's index. An empty trace
-    yields no phases.
+    A trace execute() has not yet accepted first goes through validate_trace()
+    with room for every element, so the fast-memory size need not be known; a
+    broken rule raises UnvalidatedTraceError. An empty trace yields no phases.
     """
     M = config.M
-    dims = trace.dims
-    m, n, k = dims.m, dims.n, dims.k
     if not trace._legal:  # set by a successful execute(); a Schedule cannot change
-        try:
-            execute(
-                trace,
-                MemoryConfig(m * k + k * n + m * n),
-                np.zeros((m, k)),
-                np.zeros((k, n)),
-                np.zeros((m, n)),
-            )
-        except (SimulationError, OutOfBoundsError) as exc:
-            raise UnvalidatedTraceError(f"invalid trace: {exc}", exc.index) from exc
+        room = sum(rows * cols for rows, cols, _ in layout(trace.dims))
+        validate_trace(trace, MemoryConfig(room))
 
     codes = trace.codes
     if not len(codes):
@@ -106,11 +112,9 @@ def partition_phases(trace: Schedule, config: PhaseConfig) -> list[PhaseReport]:
     phase = np.maximum(np.cumsum(load | store) - 1, 0) // M
     count = int(phase[-1]) + 1
     loads, stores, fmas = (np.bincount(phase[mask], minlength=count) for mask in (load, store, fma))
-    # footprints hold ids a(i,p) -> i*k+p, b(p,j) -> p*n+j, c(i,j) -> i*n+j
-    i, j, p = codes[fma, 1], codes[fma, 2], codes[fma, 3]
-    xs, ys, zs = (
-        _distinct_per_phase(phase[fma], ids, count) for ids in (i * k + p, p * n + j, i * n + j)
-    )
+    # footprints hold the element ids of each fma's A, B and C
+    ids = fma_operand_ids(trace.dims, codes[fma, 1], codes[fma, 2], codes[fma, 3])
+    xs, ys, zs = (_distinct_per_phase(phase[fma], each, count) for each in ids)
     # occupancy when a phase opens: loads - stores - evicts before its first event
     change = load.astype(np.int64) - (~load & ~fma)
     occupancy = np.cumsum(change) - change

@@ -22,6 +22,7 @@ from iomma import (
     predicted_io,
     reference_gemm,
     seeded_matrices,
+    tiny_optimal_schedule,
 )
 from iomma.algorithms import _segments, blocked_reads, blocked_schedule
 
@@ -94,6 +95,20 @@ def test_too_small_propagates():
             build_schedule(alg, dims, 3)
         with pytest.raises(TooSmallError):
             predicted_io(alg, dims, 3)
+
+
+def test_naive_too_small_raises_from_the_one_rule():
+    # naive's schedule used to be built at S=2 and rejected only by execute,
+    # and the exact search raised a plain ValueError of its own
+    dims = ProblemDims(2, 2, 2)
+    message = "S=2 is too small for the naive schedule (need S >= 3)"
+    for call in (build_schedule, predicted_io):
+        with pytest.raises(TooSmallError) as exc:
+            call(Algorithm.NAIVE, dims, 2)
+        assert str(exc.value) == message
+    with pytest.raises(TooSmallError) as exc:
+        tiny_optimal_schedule(dims, 2)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("alg", ALL_ALGS)

@@ -9,8 +9,16 @@ from pathlib import Path
 import pytest
 
 import iomma.cli as cli
+import iomma.phases
 import iomma.verify
-from iomma import Algorithm, PredictedIO, ProblemDims, build_schedule, phases_to_csv
+from iomma import (
+    Algorithm,
+    PredictedIO,
+    ProblemDims,
+    build_schedule,
+    dump_trace,
+    phases_to_csv,
+)
 from iomma.cli import main
 from iomma.phases import PhaseConfig, partition_phases
 
@@ -322,6 +330,16 @@ def test_brute_force_json(capsys):
         ["goto", *_GOTO_96, "--threshold", "nan"],
         ["goto", *_GOTO_96, "--threshold", "inf"],
         ["brute-force", "-m", "1", "-n", "1", "-k", "1", "-S", "3", "--format", "csv"],
+        # integers are ASCII decimal digits alone, as in a trace
+        ["simulate", "-m", "1_0", "-n", "2", "-k", "2", "-S", "16", "--alg", "alg-c"],
+        ["simulate", "-m", "2", "-n", "2", "-k", "2", "-S", "+16", "--alg", "alg-c"],
+        ["simulate", "-m", "2", "-n", "2", "-k", "2", "-S", " 16", "--alg", "alg-c"],
+        ["simulate", "-m", "\u0662", "-n", "2", "-k", "2", "-S", "16", "--alg", "alg-c"],
+        ["predict", "-m", "2", "-n", "2", "-k", "2", "-S", "\uff11\uff16", "--alg", "naive"],
+        ["sweep", "--sizes", "1_0", "--capacities", "16"],
+        ["sweep", "--sizes", "8", "--capacities", "16,+9"],
+        ["sweep", "--sizes", "8, 16", "--capacities", "16"],
+        ["sweep", "--m-list", "4", "--n-list", "\u0664", "--k-list", "4", "--capacities", "16"],
     ],
 )
 def test_invalid_usage_exits_1(capsys, argv):
@@ -362,6 +380,26 @@ def test_bad_trace_names_file_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: invalid trace: event 4: dirty C(0,0) still resident at end of schedule\n"
     )
+
+
+def test_phases_rejects_a_trace_that_overflows_S(tmp_path, capsys, monkeypatch):
+    # alg-c 6^3 at S=16 peaks at 15 resident elements; at -S 4 its fifth
+    # load, event 4 on line 5, overflows. The trace replays once only.
+    trace = tmp_path / "t.txt"
+    trace.write_text(dump_trace(build_schedule(Algorithm.C, ProblemDims(6, 6, 6), 16)))
+    calls = []
+    real = iomma.phases.execute
+    monkeypatch.setattr(iomma.phases, "execute", lambda *args: calls.append(1) or real(*args))
+    for S, code in (("4", 1), ("15", 0)):
+        calls.clear()
+        assert main(["phases", "-m", "6", "-n", "6", "-k", "6", "-S", S,
+                     "--trace-in", str(trace), "--format", "json"]) == code
+        assert len(calls) == 1
+    out, err = capsys.readouterr()
+    assert err == (
+        "error: trace line 5: invalid trace: event 4: load of C(1,1) exceeds capacity 4\n"
+    )
+    assert json.loads(out)["capacity_ok"] is True
 
 
 def test_verify_quick_passes(capsys):

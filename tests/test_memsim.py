@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import iomma
 from iomma import (
+    Algorithm,
     CapacityExceededError,
     DirtyEvictionError,
     DoubleLoadError,
@@ -31,7 +32,7 @@ from iomma import (
     Store,
     StoreNonCError,
     StoreNonResidentError,
-    alg_c_schedule,
+    build_schedule,
     dump_trace,
     execute,
     naive_schedule,
@@ -280,7 +281,7 @@ def test_trace_round_trip():
 
 def test_long_trace_round_trip_across_match_spans():
     dims = ProblemDims(20, 20, 20)
-    schedule = alg_c_schedule(dims, 16)
+    schedule = build_schedule(Algorithm.C, dims, 16)
     text = dump_trace(schedule)
     assert len(text) > 2 * iomma.memsim._SPAN
     assert parse_trace(text, dims) == schedule
@@ -325,21 +326,21 @@ def _assert_matched_once(monkeypatch, text, dims, schedule):
 @pytest.mark.parametrize("tail", ["", "# end\n", "\n  # iomma 20 20 20 16\n"])
 def test_canonical_lines_are_matched_once(monkeypatch, tail):
     dims = ProblemDims(20, 20, 20)
-    schedule = alg_c_schedule(dims, 16)
+    schedule = build_schedule(Algorithm.C, dims, 16)
     _assert_matched_once(monkeypatch, dump_trace(schedule) + tail, dims, schedule)
 
 
 @pytest.mark.parametrize("newline", ["\r", "\r\n", " # note\n", "\t#\r\n"])
 def test_other_line_ends_are_matched_once(monkeypatch, newline):
     dims = ProblemDims(20, 20, 20)
-    schedule = alg_c_schedule(dims, 16)
+    schedule = build_schedule(Algorithm.C, dims, 16)
     text = dump_trace(schedule).replace("\n", newline)
     _assert_matched_once(monkeypatch, text, dims, schedule)
 
 
 def test_whole_line_comments_keep_the_fast_path(monkeypatch):
     dims = ProblemDims(6, 6, 6)
-    schedule = alg_c_schedule(dims, 16)
+    schedule = build_schedule(Algorithm.C, dims, 16)
     text = dump_trace(schedule)
     lines = text.splitlines(keepends=True)
     headed = "# iomma 6 6 6 16\n" + "".join(lines[:5]) + "\n  \t\n\t# mid\n" + "".join(lines[5:]) + "# end\n"
@@ -350,7 +351,7 @@ def test_whole_line_comments_keep_the_fast_path(monkeypatch):
 @pytest.mark.parametrize("tail", ["", "# end", "  # end", "\n# end"])
 def test_missing_final_newline_keeps_the_fast_path(monkeypatch, tail):
     dims = ProblemDims(3, 3, 3)
-    schedule = alg_c_schedule(dims, 16)
+    schedule = build_schedule(Algorithm.C, dims, 16)
     text = dump_trace(schedule)
     unterminated = text[:-1] if not tail else text + tail
     _forbid_line_reader(monkeypatch)
