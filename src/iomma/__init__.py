@@ -6,6 +6,8 @@ structural predictions, Loomis-Whitney phase inequalities, asymptotic lower
 bounds, and a two-cache read model for Goto-style kernels.
 """
 
+from types import ModuleType as _ModuleType
+
 from .algorithms import (
     Algorithm,
     PredictedIO,
@@ -50,6 +52,7 @@ from .memsim import (
     IncompleteWritebackError,
     MemoryConfig,
     NonResidentOperandError,
+    OutOfBoundsError,
     ShapeMismatchError,
     SimulationError,
     StoreNonCError,
@@ -67,7 +70,6 @@ from .model import (
     Load,
     Matrix,
     OperandRef,
-    OutOfBoundsError,
     ProblemDims,
     Schedule,
     Store,
@@ -89,74 +91,8 @@ from .phases import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Algorithm",
-    "BoundReport",
-    "CapacityExceededError",
-    "CapsExceededError",
-    "DEFAULT_SUBOPTIMAL_THRESHOLD",
-    "DirtyEvictionError",
-    "DoubleLoadError",
-    "EmptyInputError",
-    "EventView",
-    "Evict",
-    "ExecutionResult",
-    "Fma",
-    "GotoParams",
-    "GotoReport",
-    "GridTooFineError",
-    "IncompleteWritebackError",
-    "IOStats",
-    "Load",
-    "Matrix",
-    "MemoryConfig",
-    "NonResidentOperandError",
-    "OperandRef",
-    "OutOfBoundsError",
-    "PHASE_CSV_HEADER",
-    "PhaseConfig",
-    "PhaseReport",
-    "PredictedIO",
-    "ProblemDims",
-    "Schedule",
-    "ShapeMismatchError",
-    "SimulationError",
-    "SplitMix64",
-    "Store",
-    "StoreNonCError",
-    "StoreNonResidentError",
-    "TinyOptimum",
-    "TooSmallError",
-    "TraceEvent",
-    "UnvalidatedTraceError",
-    "XYZOptimum",
-    "block_size",
-    "build_schedule",
-    "check_capacity",
-    "check_loomis_whitney",
-    "compulsory_io",
-    "dump_trace",
-    "execute",
-    "fma_count",
-    "fmax",
-    "goto_report",
-    "grid_search_xyz",
-    "l2_reads",
-    "l3_reads",
-    "lower_bound_AB",
-    "lower_bound_final",
-    "lower_bound_general",
-    "lower_bound_MS",
-    "naive_schedule",
-    "optimal_M",
-    "optimal_xyz",
-    "parse_trace",
-    "partition_phases",
-    "phase_efficiency",
-    "phase_size_payoff",
-    "phases_to_csv",
-    "predicted_io",
-    "reference_gemm",
-    "seeded_matrices",
-    "tiny_optimal_schedule",
-]
+# every name imported above, without the submodules that importing binds
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import asdict
 
@@ -30,12 +31,14 @@ from .memsim import (
 )
 from .model import ProblemDims
 from .phases import (
+    PHASE_COLUMNS,
     PhaseConfig,
     UnvalidatedTraceError,
     check_capacity,
     check_loomis_whitney,
     partition_phases,
     phase_efficiency,
+    phase_row,
     phases_to_csv,
     validate_trace,
 )
@@ -44,13 +47,37 @@ _DEFAULT_SEED = 42
 
 SWEEP_CSV_HEADER = "alg,m,n,k,S,reads,writes,io_total,lb_final,ratio"
 
+_ALG_NAMES = ",".join(alg.value for alg in Algorithm)
+
 
 def _positive_int(text: str) -> int:
     """ASCII decimal digits alone, as a trace coordinate: no sign,
     underscore, whitespace or other script's digits."""
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+    if not re.fullmatch("[0-9]+", text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return int(text)
+
+
+def _int(text: str) -> int:
+    """As _positive_int, but any value, with an optional leading '-'."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text}")
+    return int(text)
+
+
+def _decimal(text: str) -> float:
+    """ASCII digits with an optional fraction and exponent, as 1, 1.05 or
+    2e-1: no sign, underscore, whitespace, nan or inf."""
+    if not re.fullmatch(r"[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?", text):
+        raise argparse.ArgumentTypeError(f"expected a decimal number, got {text}")
+    return float(text)
+
+
+def _algorithm(text: str) -> Algorithm:
+    try:
+        return Algorithm(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected one of {_ALG_NAMES}, got {text}") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -59,23 +86,31 @@ def _int_list(text: str) -> list[int]:
 
 
 def _alg_list(text: str) -> list[Algorithm]:
-    return [Algorithm(part.strip()) for part in text.split(",") if part.strip()]
+    return [_algorithm(part.strip()) for part in text.split(",") if part.strip()]
 
 
-def _add_dims(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-m", type=_positive_int, required=True, help="rows of A and C")
-    parser.add_argument("-n", type=_positive_int, required=True, help="cols of B and C")
-    parser.add_argument("-k", type=_positive_int, required=True, help="cols of A, rows of B")
+# the flags several commands take, each declared here once
+_SHARED = {
+    "-m": {"type": _positive_int, "required": True, "help": "rows of A and C"},
+    "-n": {"type": _positive_int, "required": True, "help": "cols of B and C"},
+    "-k": {"type": _positive_int, "required": True, "help": "cols of A, rows of B"},
+    "-S": {"type": _positive_int, "required": True, "help": "fast-memory capacity in scalars"},
+    "-M": {"type": _positive_int, "help": "phase size (default 2S)"},
+    "--alg": {"type": _algorithm, "required": True, "metavar": f"{{{_ALG_NAMES}}}"},
+}
+_DIMS = ("-m", "-n", "-k")
 
 
-def _add_output(
-    parser: argparse.ArgumentParser,
-    default_format: str = "json",
-    formats: tuple[str, ...] = ("json", "csv"),
-) -> None:
-    parser.add_argument(
-        "--format", choices=formats, default=default_format, dest="out_format"
-    )
+def _add(parser, *names: str, **overrides) -> None:
+    """Declare the named shared flags on a command or an argument group."""
+    for name in names:
+        parser.add_argument(name, **{**_SHARED[name], **overrides})
+
+
+def _add_output(parser: argparse.ArgumentParser, *formats: str) -> None:
+    """-o, and --format over the given report formats, the first the default."""
+    if formats:
+        parser.add_argument("--format", choices=formats, default=formats[0], dest="out_format")
     parser.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
 
 
@@ -91,36 +126,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="execute a generated schedule and count I/O")
-    _add_dims(p)
-    p.add_argument("-S", type=_positive_int, required=True, help="fast-memory capacity in scalars")
-    p.add_argument("--alg", type=Algorithm, required=True, choices=list(Algorithm))
-    p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
+    _add(p, *_DIMS, "-S", "--alg")
+    p.add_argument("--seed", type=_int, default=_DEFAULT_SEED)
     p.add_argument("--trace-out", default=None, help="also dump the trace to this file")
-    _add_output(p)
+    _add_output(p, "json", "csv")
 
     p = sub.add_parser("predict", help="structural I/O counts without simulating")
-    _add_dims(p)
-    p.add_argument("-S", type=_positive_int, required=True)
-    p.add_argument("--alg", type=Algorithm, required=True, choices=list(Algorithm))
-    _add_output(p)
+    _add(p, *_DIMS, "-S", "--alg")
+    _add_output(p, "json", "csv")
 
     p = sub.add_parser("bounds", help="evaluate the transfer lower bounds")
-    _add_dims(p)
-    p.add_argument("-S", type=_positive_int, required=True)
-    p.add_argument("-M", type=_positive_int, default=None, help="phase size (default 2S)")
-    _add_output(p)
+    _add(p, *_DIMS, "-S", "-M")
+    _add_output(p, "json", "csv")
 
     p = sub.add_parser("phases", help="split a trace into M-transfer phases")
-    _add_dims(p)
-    p.add_argument("-S", type=_positive_int, required=True)
-    p.add_argument("-M", type=_positive_int, default=None, help="phase size (default 2S)")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--alg", type=Algorithm, default=None, choices=list(Algorithm))
-    group.add_argument("--trace-in", default=None, help="read a dumped trace instead")
-    _add_output(p, default_format="csv")
+    _add(p, *_DIMS, "-S", "-M")
+    source = p.add_mutually_exclusive_group(required=True)
+    _add(source, "--alg", required=False)
+    source.add_argument("--trace-in", default=None, help="read a dumped trace instead")
+    _add_output(p, "csv", "json")
 
     p = sub.add_parser("goto", help="two-level cache read model for a blocked kernel")
-    _add_dims(p)
+    _add(p, *_DIMS)
     p.add_argument("--n-c", type=_positive_int, required=True)
     p.add_argument("--k-c", type=_positive_int, required=True)
     p.add_argument("--m-c", type=_positive_int, required=True)
@@ -129,25 +156,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s2", type=_positive_int, required=True, help="L2 capacity in scalars")
     p.add_argument("--s3", type=_positive_int, required=True, help="L3 capacity in scalars")
     p.add_argument(
-        "--threshold", type=float, default=DEFAULT_SUBOPTIMAL_THRESHOLD,
+        "--threshold", type=_decimal, default=DEFAULT_SUBOPTIMAL_THRESHOLD,
         help="l3_ratio above this flags the blocking as suboptimal",
     )
-    _add_output(p)
+    _add_output(p, "json", "csv")
 
     p = sub.add_parser("sweep", help="predicted cost vs lower bound over a parameter grid")
-    p.add_argument("--algs", type=_alg_list, default=tuple(Algorithm))
+    p.add_argument("--algs", type=_alg_list, default=tuple(Algorithm),
+                   help=f"comma list of {_ALG_NAMES} (default all)")
     p.add_argument("--sizes", type=_int_list, default=None, help="comma list, m=n=k per entry")
     p.add_argument("--m-list", type=_int_list, default=None)
     p.add_argument("--n-list", type=_int_list, default=None)
     p.add_argument("--k-list", type=_int_list, default=None)
     p.add_argument("--capacities", type=_int_list, required=True, help="comma list of S values")
-    p.add_argument("-o", "--output", default=None)
+    _add_output(p)  # CSV only
 
     p = sub.add_parser("brute-force", help="exact minimal I/O for a tiny instance")
-    _add_dims(p)
-    p.add_argument("-S", type=_positive_int, required=True)
+    _add(p, *_DIMS, "-S")
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
-    _add_output(p, formats=("json",))  # the witness trace has no one-row CSV form
+    _add_output(p, "json")  # the witness trace has no one-row CSV form
 
     p = sub.add_parser("verify", help="run the cross-module invariant suite")
     p.add_argument("--quick", action="store_true", help="smaller grids, about two seconds")
@@ -169,51 +196,36 @@ def _fields(report, names: tuple[str, ...]) -> dict:
     return {name: getattr(report, name) for name in names}
 
 
-def _emit(ns: argparse.Namespace, text: str) -> None:
-    if ns.output:
-        with open(ns.output, "w", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
     return str(value)
 
 
-def _flat_csv(payload: dict) -> str:
+def _one_row_csv(report: dict) -> str:
+    """A header of the report's keys over one row of its values; the items of
+    a nested dict stand in its place."""
     flat: dict = {}
-    for key, value in payload.items():
-        if isinstance(value, dict):
-            for inner_key, inner_value in value.items():
-                flat[inner_key] = inner_value
-        elif isinstance(value, list):
-            continue
-        else:
-            flat[key] = value
-    header = ",".join(flat)
-    row = ",".join(_csv_cell(v) for v in flat.values())
-    return header + "\n" + row + "\n"
+    for key, value in report.items():
+        flat.update(value if isinstance(value, dict) else {key: value})
+    return ",".join(flat) + "\n" + ",".join(map(_csv_cell, flat.values())) + "\n"
 
 
-def _emit_payload(ns: argparse.Namespace, payload: dict) -> None:
-    if ns.out_format == "csv":
-        _emit(ns, _flat_csv(payload))
+def _write(ns: argparse.Namespace, report: dict | str) -> None:
+    """Send a report to -o or stdout: a dict as JSON or, under --format csv,
+    as a one-row CSV; a string as it is."""
+    if isinstance(report, dict) and ns.out_format == "csv":
+        report = _one_row_csv(report)
+    elif isinstance(report, dict):
+        report = json.dumps(report, indent=2) + "\n"
+    if ns.output:
+        with open(ns.output, "w", newline="\n") as handle:
+            handle.write(report)
     else:
-        _emit(ns, _json_text(payload))
+        sys.stdout.write(report)
 
 
-def cmd_simulate(ns: argparse.Namespace) -> int:
+def cmd_simulate(ns: argparse.Namespace) -> dict:
     dims = _dims(ns)
     schedule = build_schedule(ns.alg, dims, ns.S)
     a, b, c = seeded_matrices(dims, ns.seed)
@@ -226,7 +238,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     if ns.trace_out:
         with open(ns.trace_out, "w", newline="\n") as handle:
             handle.write(dump_trace(schedule))
-    payload = {
+    return {
         "command": "simulate",
         "algorithm": ns.alg.value,
         **asdict(dims),
@@ -243,14 +255,12 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         "bitwise_match": bitwise,
         "match": counts_match and bitwise,
     }
-    _emit_payload(ns, payload)
-    return 0 if payload["match"] else 2
 
 
-def cmd_predict(ns: argparse.Namespace) -> int:
+def cmd_predict(ns: argparse.Namespace) -> dict:
     dims = _dims(ns)
     predicted = predicted_io(ns.alg, dims, ns.S)
-    payload = {
+    return {
         "command": "predict",
         "algorithm": ns.alg.value,
         **asdict(dims),
@@ -258,16 +268,13 @@ def cmd_predict(ns: argparse.Namespace) -> int:
         **_fields(predicted, ("reads", "writes", "io_total", "effective_io",
                               "closed_form_reads", "closed_form_writes")),
     }
-    _emit_payload(ns, payload)
-    return 0
 
 
-def cmd_bounds(ns: argparse.Namespace) -> int:
-    _emit_payload(ns, asdict(BoundReport.compute(_dims(ns), ns.S, _phase_budget(ns))))
-    return 0
+def cmd_bounds(ns: argparse.Namespace) -> dict:
+    return asdict(BoundReport.compute(_dims(ns), ns.S, _phase_budget(ns)))
 
 
-def cmd_phases(ns: argparse.Namespace) -> int:
+def cmd_phases(ns: argparse.Namespace) -> dict | str:
     dims = _dims(ns)
     text = None
     if ns.trace_in:
@@ -288,35 +295,26 @@ def cmd_phases(ns: argparse.Namespace) -> int:
         line = trace_line(text, exc.index)
         raise UnvalidatedTraceError(f"trace line {line}: {exc}", exc.index) from exc
     if ns.out_format == "csv":
-        _emit(ns, phases_to_csv(reports))
-        return 0
-    payload = {
+        return phases_to_csv(reports)
+    return {
         **asdict(dims),
         "S": ns.S,
         "M": M,
         "algorithm": ns.alg.value if ns.alg else None,
-        "phases": [
-            {"phase": r.index,
-             **_fields(r, ("loads", "stores", "fmas", "x", "y", "z", "lw_bound",
-                           "resident_at_start"))}
-            for r in reports
-        ],
+        "phases": [dict(zip(PHASE_COLUMNS, phase_row(r))) for r in reports],
         "efficiency": phase_efficiency(reports, ns.S, M) if reports else None,
         "loomis_whitney_ok": all(check_loomis_whitney(r) for r in reports),
         "capacity_ok": all(check_capacity(r, ns.S, M) for r in reports),
     }
-    _emit(ns, _json_text(payload))
-    return 0
 
 
-def cmd_goto(ns: argparse.Namespace) -> int:
+def cmd_goto(ns: argparse.Namespace) -> dict:
     dims = _dims(ns)
     params = GotoParams(
         n_c=ns.n_c, k_c=ns.k_c, m_c=ns.m_c, n_r=ns.n_r, m_r=ns.m_r, S2=ns.s2, S3=ns.s3,
     )
     report = goto_report(dims, params, ns.threshold)
-    _emit_payload(ns, {"dims": asdict(dims), "params": asdict(params), **asdict(report)})
-    return 0
+    return {"dims": asdict(dims), "params": asdict(params), **asdict(report)}
 
 
 def _sweep_points(ns: argparse.Namespace) -> list[tuple[Algorithm, int, int, int, int]]:
@@ -354,16 +352,15 @@ def _sweep_row(point: tuple[Algorithm, int, int, int, int]) -> str:
     )
 
 
-def cmd_sweep(ns: argparse.Namespace) -> int:
+def cmd_sweep(ns: argparse.Namespace) -> str:
     rows = [_sweep_row(p) for p in _sweep_points(ns)]
-    _emit(ns, "\n".join([SWEEP_CSV_HEADER] + rows) + "\n")
-    return 0
+    return "\n".join([SWEEP_CSV_HEADER] + rows) + "\n"
 
 
-def cmd_brute_force(ns: argparse.Namespace) -> int:
+def cmd_brute_force(ns: argparse.Namespace) -> dict:
     dims = _dims(ns)
     result = tiny_optimal_schedule(dims, ns.S, ns.budget)
-    payload = {
+    return {
         "command": "brute-force",
         **asdict(dims),
         "S": ns.S,
@@ -372,8 +369,6 @@ def cmd_brute_force(ns: argparse.Namespace) -> int:
         "lower_bound_final": lower_bound_final(dims, ns.S),
         "trace": dump_trace(result.schedule).splitlines(),
     }
-    _emit(ns, _json_text(payload))
-    return 0
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
@@ -399,7 +394,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     return 2
 
 
-_DISPATCH = {
+_REPORTS = {
     "simulate": cmd_simulate,
     "predict": cmd_predict,
     "bounds": cmd_bounds,
@@ -407,7 +402,6 @@ _DISPATCH = {
     "goto": cmd_goto,
     "sweep": cmd_sweep,
     "brute-force": cmd_brute_force,
-    "verify": cmd_verify,
 }
 
 
@@ -417,10 +411,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        return _DISPATCH[ns.command](ns)
+        if ns.command == "verify":  # prints each check as it finishes
+            return cmd_verify(ns)
+        report = _REPORTS[ns.command](ns)
+        _write(ns, report)
     except (ValueError, OSError, SimulationError, UnvalidatedTraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # simulate's is the one report with a verdict: a mismatch exits 2
+    return 2 if isinstance(report, dict) and report.get("match") is False else 0
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .model import (
     OP_STORE,
     IOStats,
     Matrix,
-    OutOfBoundsError,
     ProblemDims,
     Schedule,
     _check_positive,
@@ -38,9 +37,21 @@ from .model import (
 
 
 class SimulationError(Exception):
-    """Base class for schedule-execution failures; see execute() for ``index``."""
+    """Base class for schedule-execution failures. ``index`` is the position
+    of the offending event in the schedule; see execute()."""
 
     index: int | None = None
+
+
+class OutOfBoundsError(SimulationError, ValueError):
+    """An event coordinate falls outside the problem dimensions.
+
+    ``coordinate`` names the offending index ("i", "j", "p", "row" or "col").
+    """
+
+    def __init__(self, coordinate: str, message: str):
+        super().__init__(message)
+        self.coordinate = coordinate
 
 
 class NonResidentOperandError(SimulationError):

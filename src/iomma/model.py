@@ -32,20 +32,6 @@ class Matrix(str, Enum):
     C = "C"
 
 
-class OutOfBoundsError(ValueError):
-    """An event coordinate falls outside the problem dimensions.
-
-    ``coordinate`` names the offending index ("i", "j", "p", "row" or "col");
-    ``index`` is the position of the offending event in the schedule.
-    """
-
-    index: int | None = None
-
-    def __init__(self, coordinate: str, message: str):
-        super().__init__(message)
-        self.coordinate = coordinate
-
-
 @dataclass(frozen=True, slots=True)
 class ProblemDims:
     """Shape of the multiply-accumulate: A is m-by-k, B is k-by-n, C is m-by-n."""

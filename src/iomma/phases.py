@@ -12,6 +12,7 @@ capacity argument constrain.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ from .model import (
     OP_FMA,
     OP_LOAD,
     OP_STORE,
-    OutOfBoundsError,
     Schedule,
     _check_positive,
     fma_operand_ids,
@@ -84,7 +84,7 @@ def validate_trace(trace: Schedule, config: MemoryConfig) -> None:
     zeros = (np.zeros((rows, cols)) for rows, cols, _ in layout(trace.dims))
     try:
         execute(trace, config, *zeros)
-    except (SimulationError, OutOfBoundsError) as exc:
+    except SimulationError as exc:
         raise UnvalidatedTraceError(f"invalid trace: {exc}", exc.index) from exc
 
 
@@ -164,15 +164,17 @@ def phase_efficiency(reports: list[PhaseReport], S: int, M: int) -> float:
     return total_fmas / total_io
 
 
-PHASE_CSV_HEADER = "phase,loads,stores,fmas,x,y,z,lw_bound,resident_at_start"
+# The wire columns of a phase, in order: the CSV header, and the keys of each
+# phase in `iomma phases --format json`. "phase" holds the report's index,
+# every other column the attribute of its name.
+PHASE_COLUMNS = ("phase", "loads", "stores", "fmas", "x", "y", "z", "lw_bound", "resident_at_start")
+PHASE_CSV_HEADER = ",".join(PHASE_COLUMNS)
+phase_row = operator.attrgetter("index", *PHASE_COLUMNS[1:])
+_CSV_ROW = ",".join(["%s"] * len(PHASE_COLUMNS))
 
 
 def phases_to_csv(reports: list[PhaseReport]) -> str:
     """Render reports as the one-row-per-phase CSV wire format."""
     lines = [PHASE_CSV_HEADER]
-    for r in reports:
-        lines.append(
-            f"{r.index},{r.loads},{r.stores},{r.fmas},{r.x},{r.y},{r.z},"
-            f"{r.lw_bound!r},{r.resident_at_start}"
-        )
+    lines += (_CSV_ROW % phase_row(r) for r in reports)
     return "\n".join(lines) + "\n"

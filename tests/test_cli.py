@@ -138,10 +138,12 @@ def test_simulate_deterministic(capsys):
 def test_simulate_seed_changes_nothing_structural(capsys):
     base = ["simulate", "-m", "4", "-n", "4", "-k", "4", "-S", "9", "--alg", "alg-a"]
     _, out1, _ = _run(capsys, *base, "--seed", "1")
-    _, out2, _ = _run(capsys, *base, "--seed", "99")
-    p1, p2 = json.loads(out1), json.loads(out2)
-    assert p1["reads"] == p2["reads"] and p1["writes"] == p2["writes"]
-    assert p1["match"] and p2["match"]
+    for seed in ("99", "-7"):
+        _, out2, _ = _run(capsys, *base, "--seed", seed)
+        p1, p2 = json.loads(out1), json.loads(out2)
+        assert p2["seed"] == int(seed)
+        assert p1["reads"] == p2["reads"] and p1["writes"] == p2["writes"]
+        assert p1["match"] and p2["match"]
 
 
 def test_simulate_trace_out(tmp_path, capsys):
@@ -231,6 +233,13 @@ def test_goto_json(capsys):
     assert payload["l2_reads"] == 156672.0
     assert payload["l2_ratio"] == pytest.approx(1.0625)
     assert payload["l3_suboptimal"] is True
+
+
+@pytest.mark.parametrize("threshold,suboptimal", [("1.4", False), ("1e0", True), ("2", False)])
+def test_goto_threshold_takes_a_fraction_or_exponent(capsys, threshold, suboptimal):
+    code, out, _ = _run(capsys, "goto", *_GOTO_96, "--threshold", threshold)
+    assert code == 0
+    assert json.loads(out)["l3_suboptimal"] is suboptimal  # l3_ratio is 1.375
 
 
 def test_sweep_csv(capsys):
@@ -340,6 +349,14 @@ def test_brute_force_json(capsys):
         ["sweep", "--sizes", "8", "--capacities", "16,+9"],
         ["sweep", "--sizes", "8, 16", "--capacities", "16"],
         ["sweep", "--m-list", "4", "--n-list", "\u0664", "--k-list", "4", "--capacities", "16"],
+        # a seed may also have a leading '-'; a threshold is digits with an
+        # optional fraction and exponent
+        ["simulate", "-m", "2", "-n", "2", "-k", "2", "-S", "16", "--alg", "alg-c", "--seed", "1_0"],
+        ["simulate", "-m", "2", "-n", "2", "-k", "2", "-S", "16", "--alg", "alg-c", "--seed", "+1"],
+        ["simulate", "-m", "2", "-n", "2", "-k", "2", "-S", "16", "--alg", "alg-c",
+         "--seed", "\u0661"],
+        ["goto", *_GOTO_96, "--threshold", "1_0"],
+        ["goto", *_GOTO_96, "--threshold", " 1.5"],
     ],
 )
 def test_invalid_usage_exits_1(capsys, argv):
@@ -350,6 +367,35 @@ def test_invalid_usage_exits_1(capsys, argv):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+_ALG_CHOICES = "{naive,alg-a,alg-b,alg-c}"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["simulate", "predict", "bounds", "phases", "goto", "sweep", "brute-force", "verify"],
+)
+def test_subcommand_help_exits_0(capsys, command):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: iomma {command} ")
+    assert "Algorithm." not in out
+    if command in ("simulate", "predict", "phases"):
+        assert f"--alg {_ALG_CHOICES}" in out
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["simulate", "-m", "2", "-n", "2", "-k", "2", "-S", "16", "--alg", "alg-z"], "alg-z"),
+        (["sweep", "--algs", "alg-c,bogus", "--sizes", "4", "--capacities", "16"], "bogus"),
+    ],
+)
+def test_unknown_algorithm_error_names_the_accepted_ones(capsys, argv, name):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f": expected one of {_ALG_CHOICES[1:-1]}, got {name}\n")
 
 
 def test_bad_trace_file_exits_1(tmp_path, capsys):

@@ -29,6 +29,7 @@ from iomma import (
     ProblemDims,
     Schedule,
     ShapeMismatchError,
+    SimulationError,
     Store,
     StoreNonCError,
     StoreNonResidentError,
@@ -197,6 +198,16 @@ def test_out_of_bounds_event_rejected():
         _run([Load(_ref(A, 2, 0))], dims, 4, a, b, c)
     _assert_at(exc, 0)
     assert str(exc.value) == "event 0: A row 2 outside [0, 2)"
+
+
+def test_out_of_bounds_is_a_simulation_error():
+    # one family for every broken rule, and still a bad value to ValueError
+    schedule = Schedule.from_codes([[OP_LOAD, MATRIX_CODE[A], 5, 0]], ProblemDims(1, 1, 1))
+    with pytest.raises(SimulationError) as exc:
+        execute(schedule, MemoryConfig(3), *seeded_matrices(schedule.dims, 1))
+    assert isinstance(exc.value, OutOfBoundsError) and isinstance(exc.value, ValueError)
+    _assert_at(exc, 0)
+    assert str(exc.value) == "event 0: A row 5 outside [0, 1)"
 
 
 @pytest.mark.parametrize(
