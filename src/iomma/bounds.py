@@ -225,6 +225,10 @@ class TinyOptimum:
     nodes: int
 
 
+class _BudgetExhausted(Exception):
+    """The exact search ran out of nodes; caught by tiny_optimal_schedule."""
+
+
 def tiny_optimal_schedule(
     dims: ProblemDims, S: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> TinyOptimum:
@@ -244,18 +248,26 @@ def tiny_optimal_schedule(
     int per state, res | dirty << E | rem << 2E with E = mk + kn + mn, to
     the lowest cost it was entered at.
 
-    A state's bound and memo tests run in its parent, just before the parent
-    would enter it, and the parent calls into a child only to expand it;
-    ``nodes`` counts the expanded states. The parent has each child's bound
-    from its own: a load keeps it (cost + 1, one fewer absent operand), an
-    fma keeps it (its A and B stay resident, and its C moves to the dirty
-    term if no fma is left on it), a forced evict keeps it, a partial store
-    adds 2 (cost + 1, and a still-needed C element becomes absent) and an
-    evict of a needed clean element adds 1. Only the forced store can reach
-    a final state, so its child takes the full test, terminal check first,
-    on entry. The six instances of perfbench's exact-search workload (24200
-    nodes) take about 0.06-0.09 s on a 2-vCPU Xeon VM, and all 152 capped
-    instances about 1.7 s.
+    The search is one recursive function. Its first step is the only memo
+    test: a state already entered at no higher cost returns at once; any
+    other records its cost and counts as a node. The parent hands over the
+    child's state, cost, bound and memo key, the key updated from its own by
+    XOR. It has each child's bound from its own: a load keeps it (cost + 1,
+    one fewer absent operand), an fma keeps it (its A and B stay resident,
+    and its C moves to the dirty term if no fma is left on it), a forced
+    store or evict keeps it, a partial store adds 2 (cost + 1, and a
+    still-needed C element becomes absent) and an evict of a needed clean
+    element adds 1. At the root the bound is the compulsory floor. The
+    parent tests each child's bound before entering it, except after a
+    forced move, whose child has the bound the parent has just passed. So
+    every state is entered below best_cost, and as the bound of a final
+    state is its cost, the forced store, the only move that can reach one,
+    records it without a test. The moves that reached a state form a linked
+    (op, bit, parent) path, reversed once into the witness. When the budget
+    runs out, a private exception unwinds the whole search.
+    The six instances of perfbench's exact-search workload (24200 nodes)
+    take about 0.04-0.065 s on a 2-vCPU Xeon VM, and all 152 capped
+    instances about 1.4-1.7 s.
     """
     _check_positive(S=S, budget=budget)
     m, n, k = dims.m, dims.n, dims.k
@@ -289,68 +301,42 @@ def tiny_optimal_schedule(
         low = rem & -rem
         needed[rem] = needed[rem ^ low] | operands[low]
 
-    best_events = None
-    events: list = []
+    best_path = None
     # memo key of a state: res | dirty << width | rem << 2 * width
     memo: dict[int, int] = {}
     nodes = 0
-    exhausted = False
 
-    def visit(res: int, dirty: int, rem: int, cost: int) -> None:
-        # the full test, for the root and the forced store: the only move
-        # that can reach a final state. The budget needs no check here, as
-        # expand has just checked it before its forced store.
-        nonlocal best_cost, best_events
-        if not rem and not dirty:
-            if cost < best_cost:
-                best_cost = cost
-                best_events = list(events)
-            return
-        need = needed[rem]
-        bound = cost + (need & ~res).bit_count() + (need & c_mask).bit_count()
-        if bound + (dirty & ~need).bit_count() >= best_cost:
-            return
-        key = res | dirty << width | rem << 2 * width
-        seen = memo.get(key)
-        if seen is not None and seen <= cost:
+    def search(res: int, dirty: int, rem: int, cost: int, key: int, bound: int, path) -> None:
+        # enter a state whose bound, dirty term included, is below best_cost;
+        # an unseen key reads as cost + 1
+        nonlocal best_cost, best_path, nodes
+        if memo.get(key, cost + 1) <= cost:
             return
         memo[key] = cost
-        expand(res, dirty, rem, cost, key, bound)
-
-    def expand(res: int, dirty: int, rem: int, cost: int, key: int, bound: int) -> None:
-        # a state that passed its bound and memo tests, with its memo key and
-        # its bound bar the dirty term; each child below is tested here and
-        # entered only if it passes
-        nonlocal nodes, exhausted
-        if exhausted:
-            return
         nodes += 1
         if nodes >= budget:
-            exhausted = True
-            return
+            raise _BudgetExhausted
         need = needed[rem]
 
         # forced move: a dirty slot with no fmas left must be stored sooner or
         # later; storing now frees a slot and commutes with everything else.
+        # It keeps the bound, which this state has just passed, so the last
+        # store of a schedule completes one cheaper than best_cost.
         done = dirty & ~need
         if done:
             low = done & -done
-            events.append((OP_STORE, low))
-            visit(res ^ low, dirty ^ low, rem, cost + 1)
-            events.pop()
+            path = (OP_STORE, low, path)
+            if rem or dirty != low:
+                search(res ^ low, dirty ^ low, rem, cost + 1, key ^ low ^ low << width, bound, path)
+            else:
+                best_cost, best_path = cost + 1, path
             return
         # forced move: a clean resident no pending fma uses is dead weight.
         # Evicting it keeps the bound, which this state has just passed.
         dead = res & ~need
         if dead:
             low = dead & -dead
-            child = key ^ low
-            seen = memo.get(child)
-            if seen is None or seen > cost:
-                memo[child] = cost
-                events.append((OP_EVICT, low))
-                expand(res ^ low, dirty, rem, cost, child, bound)
-                events.pop()
+            search(res ^ low, dirty, rem, cost, key ^ low, bound, (OP_EVICT, low, path))
             return
 
         # No child from here on is final, and none has a bound below this
@@ -364,13 +350,7 @@ def tiny_optimal_schedule(
                     return
                 low = bits & -bits
                 bits ^= low
-                child = key | low
-                seen = memo.get(child)
-                if seen is None or seen > cost + 1:
-                    memo[child] = cost + 1
-                    events.append((OP_LOAD, low))
-                    expand(res | low, dirty, rem, cost + 1, child, bound)
-                    events.pop()
+                search(res | low, dirty, rem, cost + 1, key | low, bound, (OP_LOAD, low, path))
 
         # fmas whose three inputs are resident. Each keeps the bound: its A
         # and B are resident and stay so, and its C, dirty now, moves from
@@ -384,13 +364,8 @@ def tiny_optimal_schedule(
                 if bound >= best_cost:
                     return
                 c = ops & c_mask
-                child = (key | c << width) ^ low << 2 * width
-                seen = memo.get(child)
-                if seen is None or seen > cost:
-                    memo[child] = cost
-                    events.append((OP_FMA, low))
-                    expand(res, dirty | c, rem ^ low, cost, child, bound)
-                    events.pop()
+                search(res, dirty | c, rem ^ low, cost, (key | c << width) ^ low << 2 * width,
+                       bound, (OP_FMA, low, path))
 
         # stores of dirty slots with work left (partial writeback) add 2:
         # cost + 1, and the still-needed C element becomes absent
@@ -400,13 +375,8 @@ def tiny_optimal_schedule(
                 break
             low = bits & -bits
             bits ^= low
-            child = key ^ low ^ low << width
-            seen = memo.get(child)
-            if seen is None or seen > cost + 1:
-                memo[child] = cost + 1
-                events.append((OP_STORE, low))
-                expand(res ^ low, dirty ^ low, rem, cost + 1, child, bound + 2)
-                events.pop()
+            search(res ^ low, dirty ^ low, rem, cost + 1, key ^ low ^ low << width,
+                   bound + 2, (OP_STORE, low, path))
 
         # evictions of still-needed clean residents add 1: only worthwhile at
         # full occupancy, to make room
@@ -417,20 +387,22 @@ def tiny_optimal_schedule(
                     return
                 low = bits & -bits
                 bits ^= low
-                child = key ^ low
-                seen = memo.get(child)
-                if seen is None or seen > cost:
-                    memo[child] = cost
-                    events.append((OP_EVICT, low))
-                    expand(res ^ low, dirty, rem, cost, child, bound + 1)
-                    events.pop()
+                search(res ^ low, dirty, rem, cost, key ^ low, bound + 1, (OP_EVICT, low, path))
 
-    visit(0, 0, len(needed) - 1, 0)
-    if best_events is None:
+    optimal = True
+    bound = compulsory_io(dims)
+    if bound < best_cost:
+        rem = len(needed) - 1
+        try:
+            search(0, 0, rem, 0, rem << 2 * width, bound, None)
+        except _BudgetExhausted:
+            optimal = False
+    if best_path is None:
         schedule = naive_schedule(dims)
     else:
-        rows = [(op, *(triples if op == OP_FMA else elements)[bit]) for op, bit in best_events]
-        schedule = Schedule._wrap(np.array(rows, dtype=np.int64), dims)
-    return TinyOptimum(
-        min_io=best_cost, schedule=schedule, optimal=not exhausted, nodes=nodes
-    )
+        rows = []
+        while best_path:
+            op, bit, best_path = best_path
+            rows.append((op, *(triples if op == OP_FMA else elements)[bit]))
+        schedule = Schedule._wrap(np.array(rows[::-1], dtype=np.int64), dims)
+    return TinyOptimum(min_io=best_cost, schedule=schedule, optimal=optimal, nodes=nodes)

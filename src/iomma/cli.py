@@ -86,7 +86,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def _alg_list(text: str) -> list[Algorithm]:
-    return [_algorithm(part.strip()) for part in text.split(",") if part.strip()]
+    """Comma-separated algorithm names, skipping empty items as _int_list does."""
+    return [_algorithm(part) for part in text.split(",") if part]
 
 
 # the flags several commands take, each declared here once

@@ -424,5 +424,9 @@ def _event_lines(text: str):
 
 
 def trace_line(text: str, index: int) -> int:
-    """1-based line of the trace text that parse_trace() read event ``index`` from."""
-    return next(itertools.islice(_event_lines(text), index, None))[0]
+    """1-based line of the trace text that parse_trace() read event ``index`` from.
+    Raises IndexError if the text holds no such event."""
+    if index >= 0:
+        for lineno, _ in itertools.islice(_event_lines(text), index, None):
+            return lineno
+    raise IndexError(f"trace has no event {index}")

@@ -200,9 +200,12 @@ class Schedule:
 
     @classmethod
     def from_codes(cls, codes, dims: ProblemDims) -> "Schedule":
-        """Wrap a read-only int64 copy of an (N, 4) code array. Rejects
-        unknown opcodes and matrices."""
-        codes = np.array(codes, dtype=np.int64)
+        """Wrap a read-only int64 copy of an (N, 4) integer code array.
+        Rejects other dtypes, bool included, and unknown opcodes and matrices."""
+        codes = np.asarray(codes)
+        if codes.dtype.kind not in "iu":
+            raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
+        codes = codes.astype(np.int64)
         if codes.ndim != 2 or codes.shape[1] != 4:
             raise ValueError(f"codes must have shape (N, 4), got {codes.shape}")
         ops = codes[:, 0]

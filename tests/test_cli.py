@@ -357,6 +357,9 @@ def test_brute_force_json(capsys):
          "--seed", "\u0661"],
         ["goto", *_GOTO_96, "--threshold", "1_0"],
         ["goto", *_GOTO_96, "--threshold", " 1.5"],
+        # algorithm names are exact too
+        ["sweep", "--algs", " alg-c", "--sizes", "5", "--capacities", "9"],
+        ["sweep", "--algs", "alg-c, naive", "--sizes", "5", "--capacities", "9"],
     ],
 )
 def test_invalid_usage_exits_1(capsys, argv):

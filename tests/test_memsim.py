@@ -385,6 +385,9 @@ def test_skipped_lines_keep_their_numbers_in_errors():
         parse_trace("L A 0 0\r\n\rF 0 0\r\n", dims)  # CRLF is one break, CR another
     text = "# head\nL A 0 0\n# gap\nL B 0 0\nL C 0 0\nF 0 0 0\n"
     assert [trace_line(text, index) for index in range(4)] == [2, 4, 5, 6]
+    for index in (4, 6, -1):
+        with pytest.raises(IndexError, match=f"no event {index}$"):
+            trace_line(text, index)
 
 
 def test_comment_ends_at_every_line_break():
@@ -447,6 +450,17 @@ def test_codes_must_name_known_events():
     with pytest.raises(ValueError, match="shape"):
         Schedule.from_codes([0, 0, 0, 0], dims)
     assert len(Schedule.from_codes([[3, 5, 5, 5]], dims).events) == 1  # fma fields are free
+    # codes are integers as given: nothing is truncated, rounded or parsed
+    for codes, dtype in (
+        ([[0, 0, 0.7, 0]], "float64"),
+        ([[0, 0, 1.9, 0]], "float64"),
+        ([["0", "0", "1", "0"]], "<U1"),
+        (np.zeros((1, 4), dtype=bool), "bool"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"dtype {dtype}")):
+            Schedule.from_codes(codes, dims)
+    unsigned = np.array([[0, 1, 0, 0]], dtype=np.uint8)
+    assert Schedule.from_codes(unsigned, dims).codes.tolist() == [[0, 1, 0, 0]]
 
 
 def test_schedule_cannot_change_after_construction():

@@ -12,11 +12,14 @@ import pytest
 
 from iomma import (
     Algorithm,
+    MemoryConfig,
     ProblemDims,
     TooSmallError,
     compulsory_io,
+    execute,
     lower_bound_final,
     predicted_io,
+    seeded_matrices,
     tiny_optimal_schedule,
 )
 
@@ -33,10 +36,13 @@ CAPPED = [
 
 
 def optimum_row(m: int, n: int, k: int, S: int) -> tuple[str, ...]:
-    """One table row, as printed. Ties for the best algorithm list every one."""
+    """One table row, as printed. Ties for the best algorithm list every one.
+    The witness must replay through execute to exactly min_io."""
     dims = ProblemDims(m, n, k)
     found = tiny_optimal_schedule(dims, S)
     assert found.optimal, (m, n, k, S)
+    stats = execute(found.schedule, MemoryConfig(S), *seeded_matrices(dims, 0)).stats
+    assert stats.io_total == found.min_io, (m, n, k, S)
     costs = {}
     for alg in Algorithm:
         try:
