@@ -81,7 +81,6 @@ from .phases import (
     EmptyInputError,
     PhaseConfig,
     PhaseReport,
-    UnvalidatedTraceError,
     check_capacity,
     check_loomis_whitney,
     partition_phases,

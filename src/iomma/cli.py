@@ -33,7 +33,6 @@ from .model import ProblemDims
 from .phases import (
     PHASE_COLUMNS,
     PhaseConfig,
-    UnvalidatedTraceError,
     check_capacity,
     check_loomis_whitney,
     partition_phases,
@@ -289,12 +288,13 @@ def cmd_phases(ns: argparse.Namespace) -> dict | str:
         if text is not None:  # a read trace must fit in -S; it replays once
             validate_trace(schedule, MemoryConfig(ns.S))
         reports = partition_phases(schedule, PhaseConfig(M))
-    except UnvalidatedTraceError as exc:
+    except SimulationError as exc:
         # name the file line too; a missing writeback has no event to point at
-        if text is None or exc.index >= len(schedule.codes):
-            raise
-        line = trace_line(text, exc.index)
-        raise UnvalidatedTraceError(f"trace line {line}: {exc}", exc.index) from exc
+        where = ""
+        if text is not None and exc.index < len(schedule.codes):
+            where = f"trace line {trace_line(text, exc.index)}: "
+        exc.args = (f"{where}invalid trace: {exc}",)
+        raise
     if ns.out_format == "csv":
         return phases_to_csv(reports)
     return {
@@ -303,7 +303,7 @@ def cmd_phases(ns: argparse.Namespace) -> dict | str:
         "M": M,
         "algorithm": ns.alg.value if ns.alg else None,
         "phases": [dict(zip(PHASE_COLUMNS, phase_row(r))) for r in reports],
-        "efficiency": phase_efficiency(reports, ns.S, M) if reports else None,
+        "efficiency": phase_efficiency(reports) if reports else None,
         "loomis_whitney_ok": all(check_loomis_whitney(r) for r in reports),
         "capacity_ok": all(check_capacity(r, ns.S, M) for r in reports),
     }
@@ -416,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify(ns)
         report = _REPORTS[ns.command](ns)
         _write(ns, report)
-    except (ValueError, OSError, SimulationError, UnvalidatedTraceError) as exc:
+    except (ValueError, OSError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # simulate's is the one report with a verdict: a mismatch exits 2

@@ -119,6 +119,7 @@ _OPCODE = {cls: op for op, cls in enumerate(_EVENT_TYPES)}
 MATRICES = tuple(Matrix)
 MATRIX_CODE = {matrix: code for code, matrix in enumerate(MATRICES)}
 _CHUNK = 1 << 12  # code rows handled per step; bounds the per-step Python lists
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def _decode(op: int, f1: int, f2: int, f3: int) -> TraceEvent:
@@ -128,17 +129,25 @@ def _decode(op: int, f1: int, f2: int, f3: int) -> TraceEvent:
 
 
 def _encode(events: Iterable[TraceEvent]) -> np.ndarray:
+    """Code rows of events; a field that is not an int in int64 (bool is not)
+    or a matrix that is not a Matrix raises ValueError naming the event."""
     rows = []
-    for event in events:
+    for index, event in enumerate(events):
         cls = event.__class__
         if cls is Fma:
-            rows.append((OP_FMA, event.i, event.j, event.p))
-            continue
-        op = _OPCODE.get(cls)
-        if op is None:
-            raise TypeError(f"unknown event type {cls.__name__}")
-        ref = event.ref
-        rows.append((op, MATRIX_CODE[ref.matrix], ref.row, ref.col))
+            row = (OP_FMA, event.i, event.j, event.p)
+        else:
+            op = _OPCODE.get(cls)
+            if op is None:
+                raise TypeError(f"unknown event type {cls.__name__}")
+            ref = event.ref
+            if not isinstance(ref.matrix, Matrix):
+                raise ValueError(f"event {index}: matrix must be a Matrix, got {ref.matrix!r}")
+            row = (op, MATRIX_CODE[ref.matrix], ref.row, ref.col)
+        for field in row[1:]:
+            if not isinstance(field, int) or isinstance(field, bool) or not _INT64_MIN <= field <= _INT64_MAX:
+                raise ValueError(f"event {index}: fields must be int64 integers, got {field!r}")
+        rows.append(row)
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 

@@ -4,9 +4,10 @@ A phase is a maximal run of events containing exactly M loads plus stores
 (the last phase may fall short). Fma and evict events ride along for free
 and belong to the phase whose I/O budget was open when they happened; the
 boundary falls immediately before the load or store that would be transfer
-M + 1. Per phase we record the distinct A, B and C elements the fmas
-actually touched, which is what the sqrt(x*y*z) fma cap and the S + M
-capacity argument constrain.
+M + 1. Per phase we count events by opcode and record the distinct A, B
+and C elements the fmas actually touched, which is what the sqrt(x*y*z)
+fma cap and the S + M capacity argument constrain. A trace that breaks a
+residency or bounds rule raises execute()'s own SimulationError.
 """
 
 from __future__ import annotations
@@ -17,27 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memsim import MemoryConfig, SimulationError, execute
+from .memsim import MemoryConfig, execute
 from .model import (
     OP_FMA,
-    OP_LOAD,
     OP_STORE,
     Schedule,
     _check_positive,
     fma_operand_ids,
     layout,
 )
-
-
-class UnvalidatedTraceError(Exception):
-    """The trace breaks a residency or bounds rule and cannot be analyzed.
-
-    ``index`` is the failing event's position, as execute() reported it.
-    """
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
 
 
 class EmptyInputError(ValueError):
@@ -80,12 +69,10 @@ class PhaseReport:
 
 def validate_trace(trace: Schedule, config: MemoryConfig) -> None:
     """Run a trace through execute() on zero matrices at the given capacity.
-    Any rule violation raises UnvalidatedTraceError with execute()'s index."""
+    A broken rule raises execute()'s SimulationError, whose ``index`` names
+    the failing event."""
     zeros = (np.zeros((rows, cols)) for rows, cols, _ in layout(trace.dims))
-    try:
-        execute(trace, config, *zeros)
-    except SimulationError as exc:
-        raise UnvalidatedTraceError(f"invalid trace: {exc}", exc.index) from exc
+    execute(trace, config, *zeros)
 
 
 def partition_phases(trace: Schedule, config: PhaseConfig) -> list[PhaseReport]:
@@ -93,7 +80,9 @@ def partition_phases(trace: Schedule, config: PhaseConfig) -> list[PhaseReport]:
 
     A trace execute() has not yet accepted first goes through validate_trace()
     with room for every element, so the fast-memory size need not be known; a
-    broken rule raises UnvalidatedTraceError. An empty trace yields no phases.
+    broken rule raises execute()'s SimulationError. An empty trace yields no
+    phases. Counts come from one (phase, opcode) table; resident_at_start is
+    loads - stores - evicts summed over the earlier phases.
     """
     M = config.M
     if not trace._legal:  # set by a successful execute(); a Schedule cannot change
@@ -104,21 +93,21 @@ def partition_phases(trace: Schedule, config: PhaseConfig) -> list[PhaseReport]:
     if not len(codes):
         return []
     ops = codes[:, 0]
-    load = ops == OP_LOAD
-    store = ops == OP_STORE
-    fma = ops == OP_FMA
     # an event belongs to the phase of the latest transfer at or before it,
-    # and events before the first transfer to phase 0
-    phase = np.maximum(np.cumsum(load | store) - 1, 0) // M
+    # and events before the first transfer to phase 0; the transfers are
+    # ops <= OP_STORE because loads and stores are opcodes 0 and 1
+    phase = np.maximum(np.cumsum(ops <= OP_STORE) - 1, 0) // M
     count = int(phase[-1]) + 1
-    loads, stores, fmas = (np.bincount(phase[mask], minlength=count) for mask in (load, store, fma))
+    # one row per phase, one column per opcode
+    loads, stores, evicts, fmas = np.bincount(phase * 4 + ops, minlength=4 * count).reshape(count, 4).T
+    net = loads - stores - evicts
+    resident_at_start = np.cumsum(net) - net
     # footprints hold the element ids of each fma's A, B and C
+    fma = ops == OP_FMA
+    fma_phase = phase[fma]
+    del phase  # frees a whole-trace array before the footprints peak
     ids = fma_operand_ids(trace.dims, codes[fma, 1], codes[fma, 2], codes[fma, 3])
-    xs, ys, zs = (_distinct_per_phase(phase[fma], each, count) for each in ids)
-    # occupancy when a phase opens: loads - stores - evicts before its first event
-    change = load.astype(np.int64) - (~load & ~fma)
-    occupancy = np.cumsum(change) - change
-    resident_at_start = occupancy[np.searchsorted(phase, np.arange(count))]
+    xs, ys, zs = (_distinct_per_phase(fma_phase, each, count) for each in ids)
     rows = zip(*(column.tolist() for column in (loads, stores, fmas, xs, ys, zs, resident_at_start)))
     return [PhaseReport(index, *row) for index, row in enumerate(rows)]
 
@@ -148,12 +137,11 @@ def check_capacity(report: PhaseReport, S: int, M: int) -> bool:
     return footprint <= S + M and footprint <= report.resident_at_start + report.loads
 
 
-def phase_efficiency(reports: list[PhaseReport], S: int, M: int) -> float:
+def phase_efficiency(reports: list[PhaseReport]) -> float:
     """Total fmas per transfer across all phases.
 
     At full phases of M = 2S a schedule can reach at most sqrt(S)/2; the
-    blocked algorithms approach b/2 at scale. S and M identify the regime
-    the reports came from; the ratio itself is pure arithmetic on them.
+    blocked algorithms approach b/2 at scale.
     """
     if not reports:
         raise EmptyInputError("no phases to aggregate")

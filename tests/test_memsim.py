@@ -461,6 +461,23 @@ def test_codes_must_name_known_events():
             Schedule.from_codes(codes, dims)
     unsigned = np.array([[0, 1, 0, 0]], dtype=np.uint8)
     assert Schedule.from_codes(unsigned, dims).codes.tolist() == [[0, 1, 0, 0]]
+    # so are events: each field an int in int64, each matrix a Matrix
+    good = Load(_ref(A, 0, 0))
+    for bad, message in (
+        (Fma(0.7, 0, 0), "fields must be int64 integers, got 0.7"),
+        (Fma(1.9, 0, 0), "fields must be int64 integers, got 1.9"),
+        (Fma("1", 0, 0), "fields must be int64 integers, got '1'"),
+        (Fma(True, 0, 0), "fields must be int64 integers, got True"),
+        (Load(_ref(A, 0.5, 1)), "fields must be int64 integers, got 0.5"),
+        (Fma(2**70, 0, 0), f"fields must be int64 integers, got {2**70}"),
+        (Fma(0, -2**63 - 1, 0), f"fields must be int64 integers, got {-2**63 - 1}"),
+        (Evict(OperandRef("D", 0, 0)), "matrix must be a Matrix, got 'D'"),
+        (Store(OperandRef("C", 0, 0)), "matrix must be a Matrix, got 'C'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"event 1: {message}")):
+            Schedule((good, bad), dims)
+    extremes = Schedule((Fma(2**63 - 1, -2**63, 0),), dims)
+    assert extremes.codes.tolist() == [[3, 2**63 - 1, -2**63, 0]]
 
 
 def test_schedule_cannot_change_after_construction():

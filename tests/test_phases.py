@@ -11,9 +11,11 @@ from iomma import (
     EmptyInputError,
     Evict,
     Fma,
+    IncompleteWritebackError,
     Load,
     Matrix,
     MemoryConfig,
+    NonResidentOperandError,
     OperandRef,
     OutOfBoundsError,
     PHASE_CSV_HEADER,
@@ -22,7 +24,7 @@ from iomma import (
     Schedule,
     SimulationError,
     Store,
-    UnvalidatedTraceError,
+    StoreNonResidentError,
     build_schedule,
     check_capacity,
     check_loomis_whitney,
@@ -113,10 +115,11 @@ def test_empty_trace_yields_no_phases():
     assert reports == []
 
 
-def test_resident_at_start_matches_independent_replay():
+@pytest.mark.parametrize("alg", list(Algorithm), ids=lambda alg: alg.value)
+@pytest.mark.parametrize("M", [1, 2, 9, 18])  # 1, 2, S and 2S
+def test_resident_at_start_matches_independent_replay(alg, M):
     dims = ProblemDims(4, 3, 5)
-    schedule = build_schedule(Algorithm.C, dims, 9)
-    M = 9
+    schedule = build_schedule(alg, dims, 9)
     reports = partition_phases(schedule, PhaseConfig(M))
     # replay occupancy by hand: +1 on load, -1 on store and evict
     occupancy = 0
@@ -143,11 +146,13 @@ def test_resident_at_start_matches_independent_replay():
 def test_invalid_traces_rejected():
     dims = ProblemDims(1, 1, 1)
     c_ref = OperandRef(Matrix.C, 0, 0)
-    with pytest.raises(UnvalidatedTraceError):
+    with pytest.raises(NonResidentOperandError) as exc:
         partition_phases(Schedule((Fma(0, 0, 0),), dims), PhaseConfig(4))
-    with pytest.raises(UnvalidatedTraceError):
+    assert exc.value.index == 0
+    with pytest.raises(StoreNonResidentError) as exc:
         partition_phases(Schedule((Store(c_ref),), dims), PhaseConfig(4))
-    with pytest.raises(UnvalidatedTraceError) as exc:
+    assert exc.value.index == 0
+    with pytest.raises(IncompleteWritebackError) as exc:
         # dirty at end of trace
         partition_phases(
             Schedule(
@@ -162,15 +167,14 @@ def test_invalid_traces_rejected():
             PhaseConfig(4),
         )
     assert exc.value.index == 4
-    with pytest.raises(UnvalidatedTraceError) as exc:
+    with pytest.raises(OutOfBoundsError) as exc:
         partition_phases(
             Schedule((Load(c_ref), Load(OperandRef(Matrix.A, 5, 0))), dims),
             PhaseConfig(4),
         )
-    # the index of execute's error passes through, and so does its text
+    # execute's own error, with its index and its text
     assert exc.value.index == 1
-    assert str(exc.value) == "invalid trace: event 1: A row 5 outside [0, 1)"
-    assert isinstance(exc.value.__cause__, OutOfBoundsError)
+    assert str(exc.value) == "event 1: A row 5 outside [0, 1)"
 
 
 def _counting_execute(monkeypatch):
@@ -206,7 +210,7 @@ def test_invalid_trace_rejected_on_every_call(monkeypatch):
         execute(trace, MemoryConfig(4), *seeded_matrices(dims, 1))
     calls = _counting_execute(monkeypatch)
     for M in (4, 4, 8):
-        with pytest.raises(UnvalidatedTraceError) as exc:
+        with pytest.raises(OutOfBoundsError) as exc:
             partition_phases(trace, PhaseConfig(M))
         assert exc.value.index == 1
     assert len(calls) == 3
@@ -252,9 +256,9 @@ def test_partition_phases_rejects_what_execute_rejects(case):
     try:
         stats = execute(trace, unbounded, a, b, c).stats
     except (SimulationError, OutOfBoundsError) as exc:
-        with pytest.raises(UnvalidatedTraceError) as rejected:
+        with pytest.raises(SimulationError) as rejected:
             partition_phases(trace, PhaseConfig(M))
-        assert type(rejected.value.__cause__) is type(exc)
+        assert type(rejected.value) is type(exc)
         assert rejected.value.index == exc.index
         return
     reports = partition_phases(trace, PhaseConfig(M))
@@ -290,12 +294,12 @@ def _report(fmas=0, x=0, y=0, z=0, loads=0, stores=0, resident_at_start=0):
 def test_naive_efficiency_is_quarter():
     dims = ProblemDims(4, 5, 6)
     reports = partition_phases(naive_schedule(dims), PhaseConfig(8))
-    assert phase_efficiency(reports, 4, 8) == 0.25
+    assert phase_efficiency(reports) == 0.25
 
 
 def test_blocked_efficiency_approaches_half_block():
     _, reports = _alg_c_phases(size=60, S=16, M=32)
-    eff = phase_efficiency(reports, 16, 32)
+    eff = phase_efficiency(reports)
     assert eff == 216000 / 151200  # fmas / (147600 + 3600)
     # within 5% of the b/2 = 1.5 asymptote already at m=n=k=60
     assert abs(eff - 1.5) / 1.5 < 0.05
@@ -303,7 +307,7 @@ def test_blocked_efficiency_approaches_half_block():
 
 def test_efficiency_rejects_empty():
     with pytest.raises(EmptyInputError):
-        phase_efficiency([], 16, 32)
+        phase_efficiency([])
 
 
 def test_csv_format():
