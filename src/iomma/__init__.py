@@ -16,6 +16,7 @@ from .algorithms import (
     build_schedule,
     naive_schedule,
     predicted_io,
+    runnable_costs,
 )
 from .bounds import (
     BoundReport,

@@ -334,3 +334,18 @@ def predicted_io(algorithm: Algorithm, dims: ProblemDims, S: int) -> PredictedIO
     reads, reads_a, reads_b, writes = blocked_reads(resident, dims, shape)
     closed_reads, _, _, closed_writes = blocked_reads(resident, dims, shape, real=True)
     return PredictedIO(reads, writes, closed_reads, float(closed_writes), reads_a, reads_b, writes)
+
+
+def runnable_costs(dims: ProblemDims, S: int) -> dict[Algorithm, int]:
+    """Predicted loads + stores of every algorithm that runs at capacity S,
+    in ``Algorithm`` order; one whose shape rule raises ``TooSmallError`` is
+    left out. Naive runs wherever any algorithm does, so below its least S
+    this raises naive's ``TooSmallError`` rather than return nothing."""
+    _no_block(S)
+    costs = {}
+    for algorithm in Algorithm:
+        try:
+            costs[algorithm] = predicted_io(algorithm, dims, S).io_total
+        except TooSmallError:
+            continue
+    return costs

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import Algorithm, naive_schedule, predicted_io
+from .algorithms import build_schedule, runnable_costs
 from .model import (
     OP_EVICT,
     OP_FMA,
@@ -238,8 +238,12 @@ def tiny_optimal_schedule(
     pruning bound counts loads of needed-but-absent operands plus one store
     per unfinished C element plus stores of finished-but-dirty slots, all of
     which any completion must still pay. Ties expand loads before fmas before
-    stores before evicts. If the node budget runs out the best schedule found
-    so far is returned with optimal=False.
+    stores before evicts. The incumbent starts as the cheapest algorithm
+    that runs at S (``runnable_costs``; the first in ``Algorithm`` order on a
+    tie), so the search only looks for strictly cheaper schedules, and if it
+    finds none that algorithm's ``build_schedule`` is the witness. If the node
+    budget runs out the best schedule found so far, that preset's or a
+    cheaper one, is returned with optimal=False.
 
     A state is three bitmasks over ``execute``'s element ids (A, then B,
     then C, each row-major): the resident elements, the dirty C elements,
@@ -265,9 +269,9 @@ def tiny_optimal_schedule(
     records it without a test. The moves that reached a state form a linked
     (op, bit, parent) path, reversed once into the witness. When the budget
     runs out, a private exception unwinds the whole search.
-    The six instances of perfbench's exact-search workload (24200 nodes)
-    take about 0.04-0.065 s on a 2-vCPU Xeon VM, and all 152 capped
-    instances about 1.4-1.7 s.
+    The six instances of perfbench's exact-search workload (11793 nodes)
+    take about 0.02-0.035 s on a 2-vCPU Xeon VM, and all 152 capped
+    instances (542304 nodes) about 0.9-1.5 s.
     """
     _check_positive(S=S, budget=budget)
     m, n, k = dims.m, dims.n, dims.k
@@ -276,9 +280,11 @@ def tiny_optimal_schedule(
             f"instance ({m},{n},{k}) with S={S} exceeds the exact-search caps "
             "(mnk <= 8, S <= 6)"
         )
-    # the naive schedule is always a valid incumbent where it runs; it is
-    # built only if nothing beats it
-    best_cost = predicted_io(Algorithm.NAIVE, dims, S).io_total
+    # the incumbent is the cheapest algorithm that runs at S, the first in
+    # Algorithm order on a tie; its schedule is built only if nothing beats it
+    costs = runnable_costs(dims, S)
+    seed = min(costs, key=costs.get)
+    best_cost = costs[seed]
 
     shapes = layout(dims)
     # a move is recorded as its opcode and bit; these give the other fields
@@ -398,7 +404,7 @@ def tiny_optimal_schedule(
         except _BudgetExhausted:
             optimal = False
     if best_path is None:
-        schedule = naive_schedule(dims)
+        schedule = build_schedule(seed, dims, S)
     else:
         rows = []
         while best_path:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import time
 
-from .algorithms import Algorithm, TooSmallError, block_size, build_schedule, predicted_io
+from .algorithms import Algorithm, block_size, build_schedule, predicted_io, runnable_costs
 from .bounds import (
     compulsory_io,
     fmax,
@@ -304,11 +304,7 @@ def check_tiny_optima(quick: bool) -> tuple[bool, str]:
         floor = compulsory_io(dims)
         if result.min_io < floor:
             return False, f"{where}: optimum {result.min_io} is below the compulsory floor {floor}"
-        for alg in _ALGS:
-            try:
-                cost = predicted_io(alg, dims, S).io_total
-            except TooSmallError:
-                continue
+        for alg, cost in runnable_costs(dims, S).items():
             if result.min_io > cost:
                 return False, f"{where}: optimum {result.min_io} exceeds {alg.value} cost {cost}"
     floors = [compulsory_io(dims) for dims, _, _ in cases]

@@ -22,6 +22,7 @@ from iomma import (
     ProblemDims,
     Schedule,
     Store,
+    build_schedule,
     compulsory_io,
     execute,
     fmax,
@@ -30,11 +31,11 @@ from iomma import (
     lower_bound_final,
     lower_bound_general,
     lower_bound_MS,
-    naive_schedule,
     optimal_M,
     optimal_xyz,
     phase_size_payoff,
     predicted_io,
+    runnable_costs,
     seeded_matrices,
     tiny_optimal_schedule,
 )
@@ -207,13 +208,14 @@ def test_tiny_search_rejects_invalid_capacity_and_budget(S, budget):
 
 
 def test_tiny_search_budget_degrades_gracefully():
-    found = tiny_optimal_schedule(ProblemDims(2, 2, 2), 4, budget=50)
-    assert not found.optimal
-    assert found.min_io >= 16
+    # a search cut short keeps its incumbent, alg-c's 24, not naive's 32
     dims = ProblemDims(2, 2, 2)
     a, b, c = seeded_matrices(dims, 2)
-    stats = execute(found.schedule, MemoryConfig(4), a, b, c).stats
-    assert stats.io_total == found.min_io
+    for budget in (1, 50):
+        found = tiny_optimal_schedule(dims, 4, budget=budget)
+        assert (found.min_io, found.optimal) == (24, False)
+        stats = execute(found.schedule, MemoryConfig(4), a, b, c).stats
+        assert stats.io_total == found.min_io
 
 
 def _set_search(dims, S, budget):
@@ -238,9 +240,11 @@ def _set_search(dims, S, budget):
     res_b: set[tuple[int, int]] = set()
     res_c: dict[tuple[int, int], bool] = {}  # (i, j) -> dirty
 
-    # the naive schedule is always a valid incumbent at S >= 3; it is built
-    # only if nothing beats it
-    best_cost = 4 * m * n * k
+    # the cheapest algorithm that runs at S, the first on a tie, is the
+    # incumbent; its schedule is built only if nothing beats it
+    costs = runnable_costs(dims, S)
+    seed = min(costs, key=costs.get)
+    best_cost = costs[seed]
     best_events = None
     events: list = []
     memo: dict = {}
@@ -406,7 +410,7 @@ def _set_search(dims, S, budget):
                     events.pop()
 
     dfs(0)
-    witness = naive_schedule(dims) if best_events is None else Schedule(best_events, dims)
+    witness = build_schedule(seed, dims, S) if best_events is None else Schedule(best_events, dims)
     return best_cost, not exhausted, nodes, witness
 
 
@@ -459,6 +463,17 @@ def test_bitmask_search_truncates_like_set_search(budget):
 )
 def test_bitmask_search_matches_set_search_under_any_budget(dims, S, budget):
     _assert_matches_set_search(dims, S, budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.sampled_from(SMALL_DIMS),
+    S=st.integers(min_value=3, max_value=6),
+    budget=st.integers(min_value=1, max_value=300),
+)
+def test_truncated_search_is_never_worse_than_a_preset(dims, S, budget):
+    found = tiny_optimal_schedule(dims, S, budget)
+    assert found.min_io <= min(runnable_costs(dims, S).values())
 
 
 def test_compulsory_io_counts_one_transfer_per_element():

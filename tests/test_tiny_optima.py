@@ -11,14 +11,12 @@ from pathlib import Path
 import pytest
 
 from iomma import (
-    Algorithm,
     MemoryConfig,
     ProblemDims,
-    TooSmallError,
     compulsory_io,
     execute,
     lower_bound_final,
-    predicted_io,
+    runnable_costs,
     seeded_matrices,
     tiny_optimal_schedule,
 )
@@ -43,14 +41,9 @@ def optimum_row(m: int, n: int, k: int, S: int) -> tuple[str, ...]:
     assert found.optimal, (m, n, k, S)
     stats = execute(found.schedule, MemoryConfig(S), *seeded_matrices(dims, 0)).stats
     assert stats.io_total == found.min_io, (m, n, k, S)
-    costs = {}
-    for alg in Algorithm:
-        try:
-            costs[alg.value] = predicted_io(alg, dims, S).io_total
-        except TooSmallError:
-            continue
+    costs = runnable_costs(dims, S)
     best = min(costs.values())
-    names = ", ".join(name for name, cost in costs.items() if cost == best)
+    names = ", ".join(alg.value for alg, cost in costs.items() if cost == best)
     return tuple(str(cell) for cell in (
         m, n, k, S, found.min_io, found.nodes, compulsory_io(dims),
         f"{lower_bound_final(dims, S):.2f}", names, best, best - found.min_io,
@@ -70,8 +63,10 @@ def render() -> str:
         "optimal by `tiny_optimal_schedule` under its default node budget.",
         "",
         "- `min_io`: the fewest loads + stores of any schedule; `nodes`: the",
-        "  search nodes it took. At 0 the naive schedule already meets the",
-        "  floor, so the search prunes its root and returns that schedule.",
+        "  search nodes it took. The search starts from the best algorithm's",
+        "  cost (the first listed, on a tie) and looks only for cheaper",
+        "  schedules. At 0 that algorithm already meets the floor, so the",
+        "  search prunes its root and returns that algorithm's schedule.",
         "- `floor`: the compulsory transfers mk + kn + 2mn, one load of every",
         "  element and one store of every C element (`compulsory_io`).",
         "- `lower_bound_final`: 2mnk/√S − 2S. It is positive only at",
