@@ -47,13 +47,22 @@ def seeded_matrices(
     dims: ProblemDims, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The canonical (A, B, C) input triple for a seed: A then B then C,
-    row-major, from one splitmix64 stream."""
-    rng = SplitMix64(seed)
+    row-major, from one splitmix64 stream.
 
-    def fill(rows: int, cols: int) -> np.ndarray:
-        return np.array(
-            [[rng.next_signed_unit() for _ in range(cols)] for _ in range(rows)],
-            dtype=float,
-        )
-
-    return tuple(fill(rows, cols) for rows, cols, _ in layout(dims))
+    The stream is computed in closed form: the state before the i-th output
+    (from 1) is seed + i * gamma modulo 2**64. Only uint64 arrays take part,
+    whose arithmetic wraps silently, as the recurrence does.
+    """
+    shapes = layout(dims)
+    count = sum(rows * cols for rows, cols, _ in shapes)
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN_GAMMA)
+    z += np.uint64(seed & _MASK64)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(factor)
+    z ^= z >> np.uint64(31)
+    units = (z >> np.uint64(11)).astype(float) * 2.0**-53 * 2.0 - 1.0
+    return tuple(
+        units[first:first + rows * cols].reshape(rows, cols) for rows, cols, first in shapes
+    )

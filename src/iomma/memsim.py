@@ -1,7 +1,7 @@
 """Two-level memory simulator.
 
 Fast memory holds at most S scalars and starts empty; slow memory holds the
-three matrices. The simulator executes a schedule one event at a time,
+three matrices. The simulator executes a schedule's events in order,
 enforces residency and capacity rules, counts every transfer, and checks
 that all accumulated C values reach slow memory before the schedule ends.
 
@@ -12,8 +12,8 @@ C element costs one write.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import operator
 import re
 from dataclasses import dataclass
 
@@ -23,6 +23,7 @@ from .model import (
     _CHUNK,
     MATRICES,
     MATRIX_CODE,
+    OP_EVICT,
     OP_FMA,
     OP_LOAD,
     OP_STORE,
@@ -103,16 +104,54 @@ class ExecutionResult:
     output_c: np.ndarray
 
 
-def _flat(mat, rows: int, cols: int, name: str) -> list[float]:
+def _flat(mat, rows: int, cols: int, name: str) -> np.ndarray:
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.shape != (rows, cols):
         raise ShapeMismatchError(
             f"{name} must have shape ({rows}, {cols}), got {arr.shape}"
         )
-    return arr.ravel().tolist()
+    return arr.ravel()
 
 
 _C = MATRIX_CODE[Matrix.C]
+# A touch is one element used by one event: a load, store or evict touches
+# its element, an fma its A, B and C. Its kind is the event's opcode, except
+# that an fma's use of C is _FMA_C.
+_FMA_C = OP_FMA + 1
+# the state a legal touch leaves, by kind, whatever the state before: a load
+# leaves its element clean, a store or evict absent, an fma its A and B
+# clean and its C dirty
+_AFTER = np.array([1, 0, 0, 1, 2], dtype=np.int8)
+# whether a touch breaks a rule, at kind * 3 + state before (absent, clean, dirty)
+_ILLEGAL = np.array([
+    False, True, True,   # load of a resident element
+    True, False, False,  # store of an absent one
+    True, False, True,   # evict of an absent or dirty one
+    True, False, False,  # fma on an absent A or B
+    True, False, False,  # fma on an absent C
+])
+_LEVEL_STEP = np.array([1, -1, -1, 0])  # occupancy change, by opcode
+
+
+class _TouchKeys:
+    """Sort keys for the touches of a chunk of up to ``size`` events over
+    ``elements`` element ids.
+
+    Event e's touches sit at positions 3e, 3e + 1 and 3e + 2: its element,
+    or an fma's A, then its B and C. A touch's key is its element id shifted
+    left past the positions, or'ed with its position, so the keys are
+    distinct and sort into element order, each element's touches in event
+    order. ``kinds`` holds each position's touch kind; the first of each
+    three is set per chunk.
+    """
+
+    def __init__(self, elements: int, size: int):
+        self.shift = (3 * size - 1).bit_length()
+        self.dtype = np.uint32 if elements << self.shift <= 1 << 32 else np.uint64
+        self.positions = np.arange(3 * size, dtype=self.dtype).reshape(size, 3).T.copy()
+        self.kinds = np.empty(3 * size, dtype=np.intp)
+        self.kinds[1::3] = OP_FMA
+        self.kinds[2::3] = _FMA_C
 
 
 def execute(
@@ -137,24 +176,27 @@ def execute(
     # ids follow layout(): A, then B, then C. One value per element serves as
     # both copies: a fast copy differs from slow memory only while dirty,
     # and a dirty slot cannot leave fast memory except by a store.
-    fast = []
-    for (rows, cols, _), mat, name in zip(shapes, (a, b, c_in), ("a", "b", "c_in")):
-        fast += _flat(mat, rows, cols, name)
-    state = bytearray(len(fast))
+    values = np.concatenate([
+        _flat(mat, rows, cols, name)
+        for (rows, cols, _), mat, name in zip(shapes, (a, b, c_in), ("a", "b", "c_in"))
+    ])
+    state = np.zeros(len(values), dtype=np.int8)
     occupancy = peak = 0
-
     codes = schedule.codes
+    table = _event_table(dims)
+    keys = _TouchKeys(len(values), min(_CHUNK, len(codes)))
+
     for start in range(0, len(codes), _CHUNK):
         chunk = codes[start:start + _CHUNK]
-        ops, xs, ys, zs = _operand_ids(chunk, dims)
-        done, occupancy, peak = _replay(ops, xs, ys, zs, fast, state, occupancy, peak, cap)
+        ops, xs, ys, zs = _operand_ids(chunk, dims, table)
+        done, occupancy, peak = _replay(ops, xs, ys, zs, values, state, occupancy, peak, cap, keys)
         if done < len(chunk):
             error = _event_error(chunk[done].tolist(), dims, state, occupancy, cap)
             raise _locate(error, start + done)
 
-    dirty = state.find(2, c_off)
-    if dirty >= 0:
-        row, col = divmod(dirty - c_off, c_cols)
+    dirty = state[c_off:] == 2
+    if dirty.any():
+        row, col = divmod(int(dirty.argmax()), c_cols)
         message = f"dirty C({row},{col}) still resident at end of schedule"
         raise _locate(IncompleteWritebackError(message), len(codes))
 
@@ -165,70 +207,108 @@ def execute(
         reads=loads, writes=stores, fmas=fmas, peak_residency=peak,
         reads_a=reads_a, reads_b=reads_b, reads_c=reads_c,
     )
-    output_c = np.array(fast[c_off:], dtype=float).reshape(c_rows, c_cols)
+    output_c = values[c_off:].reshape(c_rows, c_cols).copy()
     schedule._mark_legal()
     return ExecutionResult(stats=stats, trace=schedule, output_c=output_c)
 
 
-def _operand_ids(chunk: np.ndarray, dims: ProblemDims):
+@functools.lru_cache(maxsize=256)
+def _event_table(dims: ProblemDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per event row index op * 3 + matrix, then one last row for an fma:
+    the bounds of the four code fields as unsigned ints, then the first
+    element id and the cols of the element's matrix. A store of A or B gets
+    a matrix bound of 0. Cached, so the arrays are read-only."""
+    shapes = layout(dims)
+    bounds, firsts, cols = [], [], []
+    for op in (OP_LOAD, OP_STORE, OP_EVICT):
+        for code, (rows, width, first) in enumerate(shapes):
+            read_only = op == OP_STORE and code != _C
+            bounds.append((OP_FMA + 1, 0 if read_only else len(MATRICES), rows, width))
+            firsts.append(first)
+            cols.append(width)
+    bounds.append((OP_FMA + 1, dims.m, dims.n, dims.k))
+    firsts.append(0)
+    cols.append(dims.k)
+    table = np.array(bounds, dtype=np.uint64), np.array(firsts), np.array(cols)
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
+def _operand_ids(chunk: np.ndarray, dims: ProblemDims, table):
     """Opcodes and element ids of the chunk's events up to its first bounds
-    or read-only-store violation, as lists.
+    or read-only-store violation, as arrays; ``table`` is _event_table().
 
-    A load, store or evict names its element in the first id list; an fma
-    names its A, B and C elements in the three lists.
+    A load, store or evict names its element in the first id array; an fma
+    names its A, B and C elements in the three arrays.
     """
-    m, n, k = dims.m, dims.n, dims.k
-    op, f1, f2, f3 = chunk.T
+    bounds, firsts, cols = table
+    op, f1, f2, f3 = np.ascontiguousarray(chunk.T)
+    # an fma (i, j, p) takes the last row, to which 9 + i clips; an i
+    # outside [0, m) fails the i bound in whichever row it takes
+    row = op * 3 + f1
+    # a negative field reads as a huge unsigned one
+    over = chunk.view(np.uint64) >= np.take(bounds, row, axis=0, mode="clip")
+    end = int(over.argmax()) // 4 if over.any() else len(chunk)
+    op, f1, f2, f3, row = (column[:end] for column in (op, f1, f2, f3, row))
     fma = op == OP_FMA
-    mat = np.where(fma, 0, f1)
-    rows, cols, offset = (np.array(column) for column in zip(*layout(dims)))
-    rows, cols = rows[mat], cols[mat]
-    bad = np.where(
-        fma,
-        (f1 < 0) | (f1 >= m) | (f2 < 0) | (f2 >= n) | (f3 < 0) | (f3 >= k),
-        ((op == OP_STORE) & (f1 != _C)) | (f2 < 0) | (f2 >= rows) | (f3 < 0) | (f3 >= cols),
-    )
-    end = int(bad.argmax()) if bad.any() else len(chunk)
-    op, f1, f2, f3, mat, cols = (column[:end] for column in (op, f1, f2, f3, mat, cols))
     a_ids, ys, zs = fma_operand_ids(dims, f1, f2, f3)
-    xs = np.where(op == OP_FMA, a_ids, offset[mat] + f2 * cols + f3)
-    return op.tolist(), xs.tolist(), ys.tolist(), zs.tolist()
+    first, width = (np.take(column, row, mode="clip") for column in (firsts, cols))
+    xs = np.where(fma, a_ids, first + f2 * width + f3)
+    return op, xs, ys, zs
 
 
-def _replay(ops, xs, ys, zs, fast, state, occupancy, peak, cap):
+def _replay(ops, xs, ys, zs, values, state, occupancy, peak, cap, keys):
     """Apply events in order until one breaks a residency or capacity rule.
 
-    Returns the number applied, then occupancy and peak after them.
+    Returns the number applied, then occupancy and peak after them. A legal
+    touch leaves a state set by its kind alone, so the state before each
+    touch is the one its element's previous touch in the chunk left, or the
+    carried state at its first. Until the first illegal event every derived
+    state is the true one, which makes that event exact. ``keys`` is a
+    _TouchKeys for the chunk.
     """
-    FMA, LOAD, STORE = OP_FMA, OP_LOAD, OP_STORE
-    remaining = iter(ops)
-    for op, x, y, z in zip(remaining, xs, ys, zs):
-        if op == FMA:
-            if not (state[x] and state[y] and state[z]):
-                break
-            fast[z] += fast[x] * fast[y]
-            state[z] = 2
-        elif op == LOAD:
-            if state[x] or occupancy >= cap:
-                break
-            state[x] = 1
-            occupancy += 1
-            if occupancy > peak:
-                peak = occupancy
-        elif op == STORE:
-            if not state[x]:
-                break
-            state[x] = 0
-            occupancy -= 1
-        else:
-            if state[x] != 1:
-                break
-            state[x] = 0
-            occupancy -= 1
-    else:
-        return len(ops), occupancy, peak
-    # zip drew the failing opcode last, so it is not among the remaining
-    return len(ops) - operator.length_hint(remaining) - 1, occupancy, peak
+    count = len(ops)
+    if not count:
+        return 0, occupancy, peak
+    fmas = np.flatnonzero(ops == OP_FMA)
+    grid = np.concatenate((xs, ys, zs), dtype=keys.dtype, casting="unsafe").reshape(3, count)
+    grid <<= keys.shift
+    grid |= keys.positions[:, :count]
+    touches = np.sort(np.concatenate((grid[0], grid[1, fmas], grid[2, fmas])))
+    ids = (touches >> keys.shift).astype(np.intp)
+    positions = (touches & ((1 << keys.shift) - 1)).astype(np.intp)
+    kinds = keys.kinds
+    kinds[0:3 * count:3] = ops
+    kinds = kinds[positions]
+    after = _AFTER[kinds]
+    first = np.concatenate(([True], ids[1:] != ids[:-1]))
+    before = np.where(first, state[ids], np.concatenate(([0], after[:-1])))
+    # an event fails if a touch of it is illegal or, for a load, if it
+    # pushes occupancy past the capacity; occupancy rises only at loads
+    level = occupancy + np.cumsum(_LEVEL_STEP[ops])
+    failed = level > cap
+    illegal = _ILLEGAL[kinds * 3 + before]
+    if illegal.any():
+        failed[positions[illegal] // 3] = True
+    done = int(failed.argmax()) if failed.any() else count
+    if not done:
+        return 0, occupancy, peak
+
+    # each element's last touch in the legal prefix sets its state
+    last = np.concatenate((first[1:], [True]))
+    if done < count:
+        applied = positions < 3 * done
+        last[:-1] |= ~applied[1:]
+        last &= applied
+        fmas = fmas[:np.searchsorted(fmas, done)]
+    last = np.flatnonzero(last)
+    state[ids[last]] = after[last]
+    # A and B never change, and add.at applies its updates in index order,
+    # which is event order; non-finite inputs give inf and nan silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(values, zs[fmas], values[xs[fmas]] * values[ys[fmas]])
+    return done, int(level[done - 1]), max(peak, int(level[:done].max()))
 
 
 def _event_error(row: list[int], dims: ProblemDims, state, occupancy: int, cap: int):
@@ -279,7 +359,9 @@ def reference_gemm(a, b, c_in) -> np.ndarray:
     """C := A*B + C by the canonical triple loop with p innermost, ascending.
 
     Every shipped schedule generator accumulates each c(i,j) over p in the
-    same order, so simulator output agrees with this loop bit for bit.
+    same order, so simulator output agrees with this loop bit for bit. The
+    loop runs as one rank-1 update of all of C per p, which keeps each
+    c(i,j)'s left fold over p; non-finite inputs give inf and nan silently.
     """
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
@@ -292,18 +374,11 @@ def reference_gemm(a, b, c_in) -> np.ndarray:
         raise ShapeMismatchError(f"a is {a_arr.shape} but b is {b_arr.shape}")
     if c_arr.shape != (m, n):
         raise ShapeMismatchError(f"c_in must have shape ({m}, {n}), got {c_arr.shape}")
-    a_rows = a_arr.tolist()
-    b_rows = b_arr.tolist()
-    out = c_arr.tolist()
-    for i in range(m):
-        a_row = a_rows[i]
-        out_row = out[i]
-        for j in range(n):
-            acc = out_row[j]
-            for p in range(k):
-                acc += a_row[p] * b_rows[p][j]
-            out_row[j] = acc
-    return np.array(out, dtype=float)
+    out = c_arr.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(k):
+            out += a_arr[:, p, None] * b_arr[None, p, :]
+    return out
 
 
 # one line format per (opcode, matrix) pair of a load, store or evict, then the fma's

@@ -8,6 +8,7 @@ that holds a trace as one array of integer codes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -50,9 +51,11 @@ class ProblemDims:
 OPERAND_AXES = ((0, 2), (2, 1), (0, 1))
 
 
+@functools.lru_cache(maxsize=256)
 def layout(dims: ProblemDims) -> tuple[tuple[int, int, int], ...]:
     """(rows, cols, first element id) of A, B and C, whose elements take
-    consecutive ids, each matrix row-major."""
+    consecutive ids, each matrix row-major. Cached: the result is immutable
+    and execute() asks for it on every chunk."""
     extent = (dims.m, dims.n, dims.k)
     shapes = [(extent[row_axis], extent[col_axis]) for row_axis, col_axis in OPERAND_AXES]
     firsts = itertools.accumulate((rows * cols for rows, cols in shapes), initial=0)
@@ -118,7 +121,7 @@ _EVENT_TYPES = (Load, Store, Evict)
 _OPCODE = {cls: op for op, cls in enumerate(_EVENT_TYPES)}
 MATRICES = tuple(Matrix)
 MATRIX_CODE = {matrix: code for code, matrix in enumerate(MATRICES)}
-_CHUNK = 1 << 12  # code rows handled per step; bounds the per-step Python lists
+_CHUNK = 1 << 12  # code rows handled per step; bounds each step's temporary arrays
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 

@@ -2,8 +2,11 @@
 and the trace wire format."""
 
 import importlib
+import itertools
+import math
 import pkgutil
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +45,7 @@ from iomma import (
     seeded_matrices,
 )
 from iomma.memsim import trace_line
-from iomma.model import MATRIX_CODE, OP_EVICT, OP_FMA, OP_LOAD, OP_STORE
+from iomma.model import MATRIX_CODE, OP_EVICT, OP_FMA, OP_LOAD, OP_STORE, layout
 
 A = Matrix.A
 B = Matrix.B
@@ -273,6 +276,234 @@ def test_reference_gemm_small():
     c = [[1.0, 0.0], [0.0, 1.0]]
     out = reference_gemm(a, b, c)
     assert out.tolist() == [[20.0, 22.0], [43.0, 51.0]]
+
+
+def _loop_gemm(a, b, c_in):
+    """The triple loop over Python floats, p innermost and ascending: the
+    oracle for reference_gemm."""
+    a_rows = np.asarray(a, dtype=float).tolist()
+    b_rows = np.asarray(b, dtype=float).tolist()
+    out = np.asarray(c_in, dtype=float).tolist()
+    for a_row, out_row in zip(a_rows, out):
+        for j in range(len(out_row)):
+            acc = out_row[j]
+            for p, a_ip in enumerate(a_row):
+                acc += a_ip * b_rows[p][j]
+            out_row[j] = acc
+    return np.array(out, dtype=float).reshape(np.shape(c_in))
+
+
+def _loop_replay(ops, xs, ys, zs, values, state, occupancy, peak, cap, keys=None):
+    """The per-event loop execute once ran: one Python step per event, on
+    Python floats and a bytearray of states. The oracle for _replay, with
+    its signature; ``keys`` is unused."""
+    fast, flags = values.tolist(), bytearray(state.tobytes())
+    done = 0
+    for op, x, y, z in zip(ops.tolist(), xs.tolist(), ys.tolist(), zs.tolist()):
+        if op == OP_FMA:
+            if not (flags[x] and flags[y] and flags[z]):
+                break
+            fast[z] += fast[x] * fast[y]
+            flags[z] = 2
+        elif op == OP_LOAD:
+            if flags[x] or occupancy >= cap:
+                break
+            flags[x] = 1
+            occupancy += 1
+            peak = max(peak, occupancy)
+        elif op == OP_STORE:
+            if not flags[x]:
+                break
+            flags[x] = 0
+            occupancy -= 1
+        else:
+            if flags[x] != 1:
+                break
+            flags[x] = 0
+            occupancy -= 1
+        done += 1
+    values[:] = fast
+    state[:] = np.frombuffer(bytes(flags), dtype=np.int8)
+    return done, occupancy, peak
+
+
+def _outcome(codes, dims, S, inputs, **patches):
+    """What execute makes of the codes with memsim's names patched: the
+    stats and the bytes of C, or the error's class, index and message.
+    Warnings are errors."""
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, value in patches.items():
+            patch.setattr(iomma.memsim, name, value)
+        try:
+            result = execute(Schedule.from_codes(codes, dims), MemoryConfig(S), *inputs)
+        except SimulationError as exc:
+            return type(exc), exc.index, str(exc)
+    return result.stats, result.output_c.tobytes()
+
+
+# one NaN input; inf * 0 and inf - inf make the other, so the two meet in C
+_ENTRIES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.5, 0.1, 3.0, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan]
+)
+_ARBITRARY_ROW = st.tuples(
+    st.integers(0, 3), st.integers(-1, 3), st.integers(-1, 3), st.integers(-1, 3)
+).map(lambda row: row if row[0] == OP_FMA else (row[0], row[1] % 3, *row[2:]))
+
+
+@st.composite
+def _replay_cases(draw):
+    """A problem, a capacity, inputs with non-finite entries, and code rows:
+    arbitrary events alone, or a stream of legal events that is sometimes
+    written back in full and sometimes has one more event inserted."""
+    m, n, k = (draw(st.integers(1, 3)) for _ in range(3))
+    dims = ProblemDims(m, n, k)
+    S = draw(st.integers(1, 6))
+    inputs = tuple(
+        np.array(draw(st.lists(_ENTRIES, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+        for rows, cols, _ in layout(dims)
+    )
+    if draw(st.integers(0, 3)) == 0:
+        return dims, S, inputs, draw(st.lists(_ARBITRARY_ROW, max_size=8))
+    elements = [
+        (code, row, col)
+        for code, (rows, cols, _) in enumerate(layout(dims))
+        for row in range(rows)
+        for col in range(cols)
+    ]
+    all_fmas = list(itertools.product(range(m), range(n), range(k)))
+    state, rows = {}, []
+
+    def apply(move):
+        op, *field = move
+        if op == OP_FMA:
+            state[(2, field[0], field[1])] = 2
+        elif op == OP_LOAD:
+            state[tuple(field)] = 1
+        else:
+            del state[tuple(field)]
+        rows.append(move)
+
+    for _ in range(draw(st.integers(0, 30))):
+        if S >= 3 and draw(st.booleans()):
+            # an fma, after loading its missing operands into room made by
+            # writing back or evicting others
+            i, j, p = draw(st.sampled_from(all_fmas))
+            needed = [(0, i, p), (1, p, j), (2, i, j)]
+            for element in needed:
+                while element not in state and len(state) >= S:
+                    victim = draw(st.sampled_from([other for other in state if other not in needed]))
+                    clean_c = victim[0] == MATRIX_CODE[C] and state[victim] == 1
+                    write_back = state[victim] == 2 or (clean_c and draw(st.booleans()))
+                    apply((OP_STORE if write_back else OP_EVICT, *victim))
+                if element not in state:
+                    apply((OP_LOAD, *element))
+            apply((OP_FMA, i, j, p))
+            continue
+        # any legal event
+        fmas = [(OP_FMA, *ijp) for ijp in all_fmas if {(0, ijp[0], ijp[2]), (1, ijp[2], ijp[1]), (2, *ijp[:2])} <= state.keys()]
+        stores = [(OP_STORE, *element) for element in state if element[0] == MATRIX_CODE[C]]
+        evicts = [(OP_EVICT, *element) for element, flag in state.items() if flag == 1]
+        loads = [(OP_LOAD, *element) for element in elements if element not in state] if len(state) < S else []
+        kinds = [moves for moves in (fmas, stores, evicts, loads) if moves]
+        if kinds:
+            apply(draw(st.sampled_from(draw(st.sampled_from(kinds)))))
+    dirty = [element for element, flag in state.items() if flag == 2]
+    if draw(st.booleans()):
+        rows += [(OP_STORE, *element) for element in dirty]
+    if draw(st.booleans()):
+        # most often an event inside the problem, which the state may forbid
+        in_bounds = [(op, *element) for op in (OP_LOAD, OP_STORE, OP_EVICT) for element in elements]
+        in_bounds += [(OP_FMA, *ijp) for ijp in itertools.product(range(m), range(n), range(k))]
+        events = [st.sampled_from(in_bounds), _ARBITRARY_ROW]
+        events += [st.sampled_from([(OP_EVICT, *element) for element in dirty])] if dirty else []
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.one_of(events)))
+    return dims, S, inputs, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_replay_cases(), chunk=st.integers(3, 17))
+def test_replay_matches_event_loop(case, chunk):
+    # the loop sees the schedule as one chunk, the numpy step as many, so
+    # states, occupancy and failures cross chunk boundaries
+    dims, S, inputs, rows = case
+    codes = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    expected = _outcome(codes, dims, S, inputs, _replay=_loop_replay)
+    assert _outcome(codes, dims, S, inputs, _CHUNK=chunk) == expected
+
+
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_replay_matches_event_loop_on_generated_schedules(alg):
+    dims = ProblemDims(7, 5, 6)
+    codes = build_schedule(alg, dims, 16).codes
+    inputs = seeded_matrices(dims, 4)
+    expected = _outcome(codes, dims, 16, inputs, _replay=_loop_replay)
+    assert expected[1] == reference_gemm(*inputs).tobytes()
+    for chunk in (5, 64, 4096):
+        assert _outcome(codes, dims, 16, inputs, _CHUNK=chunk) == expected
+    # a capacity one short of the peak fails at the same load on both paths
+    short = expected[0].peak_residency - 1
+    expected = _outcome(codes, dims, short, inputs, _replay=_loop_replay)
+    assert expected[0] is CapacityExceededError
+    assert _outcome(codes, dims, short, inputs, _CHUNK=64) == expected
+
+
+def test_replay_sorts_wide_element_ids():
+    # past 2**18 elements, ids and 14 position bits overflow 32-bit sort keys
+    dims = ProblemDims(300, 300, 300)
+    assert iomma.memsim._TouchKeys(3 * 300 * 300, iomma.model._CHUNK).dtype == np.uint64
+    a_code, b_code, c_code = (MATRIX_CODE[mat] for mat in (A, B, C))
+    rows = [(OP_LOAD, c_code, 299, 299), (OP_LOAD, a_code, 299, 7), (OP_LOAD, b_code, 7, 299)]
+    rows += [(OP_FMA, 299, 299, 7)] * 3 + [(OP_EVICT, a_code, 299, 7), (OP_STORE, c_code, 299, 299)]
+    rows += [(OP_EVICT, b_code, 7, 299), (OP_EVICT, b_code, 7, 299)]
+    inputs = seeded_matrices(dims, 5)
+    codes = np.array(rows, dtype=np.int64)
+    expected = _outcome(codes, dims, 3, inputs, _replay=_loop_replay)
+    assert expected[0] is NonResidentOperandError and expected[1] == len(rows) - 1
+    assert _outcome(codes, dims, 3, inputs, _CHUNK=4) == expected
+    assert _outcome(codes[:-1], dims, 3, inputs) == _outcome(codes[:-1], dims, 3, inputs, _replay=_loop_replay)
+
+
+@pytest.mark.parametrize(
+    "a,b,c",
+    [
+        ([[1e308, 1.0]], [[10.0], [1.0]], [[0.0]]),  # overflow to inf
+        ([[math.inf, 1.0]], [[0.0], [1.0]], [[0.0]]),  # inf * 0 is nan
+        ([[-math.inf, 1.0]], [[2.0], [math.inf]], [[0.0]]),  # -inf + inf is nan
+        ([[math.nan, 2.0]], [[1.0], [3.0]], [[1.0]]),  # nan propagates
+        ([[0.0, -0.0]], [[-1.0], [1.0]], [[-0.0]]),  # -0.0 + -0.0 keeps its sign
+        ([[-1e308, -1e308], [1.0, 2.0]], [[10.0, 0.5], [1.0, 0.0]], [[1.0, -0.0], [math.inf, 2.0]]),
+    ],
+)
+def test_non_finite_inputs_match_the_loops_silently(a, b, c):
+    dims = ProblemDims(len(a), len(b[0]), len(b))
+    codes = naive_schedule(dims).codes
+    expected = _outcome(codes, dims, 3, (a, b, c), _replay=_loop_replay)
+    assert expected == _outcome(codes, dims, 3, (a, b, c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert reference_gemm(a, b, c).tobytes() == _loop_gemm(a, b, c).tobytes() == expected[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), n=st.integers(1, 4), k=st.integers(0, 4))
+def test_reference_gemm_matches_triple_loop(data, m, n, k):
+    entries = st.one_of(_ENTRIES, st.floats(width=64))
+
+    def matrix(rows, cols):
+        values = data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+        return np.array(values, dtype=float).reshape(rows, cols)
+
+    a, b, c = matrix(m, k), matrix(k, n), matrix(m, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, expected = reference_gemm(a, b, c), _loop_gemm(a, b, c)
+    # bit for bit, except that any NaN matches any NaN: IEEE 754 leaves open
+    # which NaN an operation on two NaNs returns, and numpy's vector loops
+    # return another one than Python's float code
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
 
 
 def test_trace_round_trip():
