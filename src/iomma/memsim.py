@@ -216,8 +216,9 @@ def execute(
 def _event_table(dims: ProblemDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per event row index op * 3 + matrix, then one last row for an fma:
     the bounds of the four code fields as unsigned ints, then the first
-    element id and the cols of the element's matrix. A store of A or B gets
-    a matrix bound of 0. Cached, so the arrays are read-only."""
+    element id and the cols of the element's matrix. The opcode's bound
+    always holds, since a Schedule's opcodes are valid; a store of A or B
+    gets a matrix bound of 0. Cached, so the arrays are read-only."""
     shapes = layout(dims)
     bounds, firsts, cols = [], [], []
     for op in (OP_LOAD, OP_STORE, OP_EVICT):
