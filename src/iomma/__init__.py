@@ -14,6 +14,7 @@ from .algorithms import (
     TooSmallError,
     block_size,
     build_schedule,
+    cheapest_runnable,
     naive_schedule,
     predicted_io,
     runnable_costs,

@@ -4,14 +4,19 @@ structural I/O predictions.
 All four generators emit every fma for a given c(i,j) with p ascending, so
 the simulator reproduces the reference triple loop bitwise. The three
 blocked algorithms share the block edge b = floor(sqrt(S)) - 1, chosen so a
-b-by-b block plus two length-b vectors fit in S - 1 slots.
+b-by-b block plus two length-b vectors fit in S - 1 slots. A blocked schedule
+can also bring one streamed operand in an element at a time, as the paper's
+attaining schedule does; ``cheapest_runnable`` weighs those blocks against
+the algorithms to seed the exact search.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -207,38 +212,65 @@ def naive_schedule(dims: ProblemDims) -> Schedule:
     return Schedule._wrap(_to_codes(rows, _FIELDS[rows[:, 1]]), dims)
 
 
-def _block_codes(resident: Matrix, shape: tuple[int, int], steps: int):
+def _leave(matrix: Matrix) -> int:
+    """How an element leaves fast memory: a C element is stored, any other evicted."""
+    return OP_STORE if matrix is Matrix.C else OP_EVICT
+
+
+def _block_codes(
+    resident: Matrix, shape: tuple[int, int], steps: int, element: Matrix | None = None
+):
     """Codes of one resident block at the origin, streaming over ``steps``,
     and the change in its codes per unit of row and of col offset.
 
-    The block is loaded row-major. Each step loads the pieces of the two
-    other matrices that meet the block, in matrix order, runs the block's
-    fmas with the i, j, p loops nested in that order, writes back a streamed
-    C piece, evicts the streamed A or B pieces, and advances the streamed
-    axis. The block then leaves: stored if it is C, evicted otherwise.
+    The block is loaded row-major. With ``element`` None, each step loads the
+    pieces of the two other matrices that meet the block, in matrix order,
+    runs the block's fmas with the i, j, p loops nested in that order, writes
+    back a streamed C piece, evicts the streamed A or B pieces, and advances
+    the streamed axis. With ``element`` one of the streamed matrices, each
+    step loads the other streamed piece whole, then brings ``element``'s
+    piece in one element at a time: load it, run its fmas, and let it leave
+    (stored if it is C, evicted otherwise); the held piece leaves last. The
+    block then leaves: stored if it is C, evicted otherwise.
     """
     row_axis, col_axis = _AXES[resident]
     stream_axis = 3 - row_axis - col_axis
     extents = dict(zip((row_axis, col_axis), shape))
     streamed = [matrix for matrix in Matrix if matrix is not resident]
     piece = {}
+    piece_axis = {}
     for matrix in streamed:
         (axis,) = (axis for axis in _AXES[matrix] if axis != stream_axis)
+        piece_axis[matrix] = axis
         piece[matrix] = _loop((axis, extents[axis]))
-    step = [_rows(OP_LOAD, MATRIX_CODE[matrix], piece[matrix]) for matrix in streamed]
-    step.append(_rows(OP_FMA, _KIND_FMA, _loop(*sorted(extents.items()))))
-    if Matrix.C in piece:
-        step.append(_rows(OP_STORE, MATRIX_CODE[Matrix.C], piece[Matrix.C]))
-    step += [
-        _rows(OP_EVICT, MATRIX_CODE[matrix], piece[matrix])
-        for matrix in streamed if matrix is not Matrix.C
-    ]
+    if element is None:
+        step = [_rows(OP_LOAD, MATRIX_CODE[matrix], piece[matrix]) for matrix in streamed]
+        step.append(_rows(OP_FMA, _KIND_FMA, _loop(*sorted(extents.items()))))
+        if Matrix.C in piece:
+            step.append(_rows(OP_STORE, MATRIX_CODE[Matrix.C], piece[Matrix.C]))
+        step += [
+            _rows(OP_EVICT, MATRIX_CODE[matrix], piece[matrix])
+            for matrix in streamed if matrix is not Matrix.C
+        ]
+    else:
+        (held,) = (matrix for matrix in streamed if matrix is not element)
+        origin = np.zeros((1, 3), dtype=np.int64)
+        one = np.concatenate([
+            _rows(OP_LOAD, MATRIX_CODE[element], origin),
+            _rows(OP_FMA, _KIND_FMA, piece[held]),
+            _rows(_leave(element), MATRIX_CODE[element], origin),
+        ])
+        axis = piece_axis[element]
+        step = [
+            _rows(OP_LOAD, MATRIX_CODE[held], piece[held]),
+            _repeat(one, axis, extents[axis]),
+            _rows(_leave(held), MATRIX_CODE[held], piece[held]),
+        ]
     block = _loop(*extents.items())
-    leave = OP_STORE if resident is Matrix.C else OP_EVICT
     rows = np.concatenate([
         _rows(OP_LOAD, MATRIX_CODE[resident], block),
         _repeat(np.concatenate(step), stream_axis, steps),
-        _rows(leave, MATRIX_CODE[resident], block),
+        _rows(_leave(resident), MATRIX_CODE[resident], block),
     ])
     # a code column moves with an axis exactly when it reads that axis's i/j/p
     fields = _FIELDS[rows[:, 1]]
@@ -250,13 +282,20 @@ def _block_codes(resident: Matrix, shape: tuple[int, int], steps: int):
     return _to_codes(rows, fields), *shifts
 
 
-def blocked_schedule(resident: Matrix, dims: ProblemDims, shape: tuple[int, int]) -> Schedule:
+def blocked_schedule(
+    resident: Matrix, dims: ProblemDims, shape: tuple[int, int], element: Matrix | None = None
+) -> Schedule:
     """Keep a (rows, cols) block of one operand resident and stream the rest
     past it; edge blocks are cut short.
 
     Blocks visit the resident matrix's block grid row-major; the third axis
     streams in full, ascending, through each block. Blocks of one shape
-    differ only by an offset, so each shape's codes are built once.
+    differ only by an offset, so each shape's codes are built once. With
+    ``element`` None both streamed pieces are loaded whole, and a full block
+    peaks at rows*cols + rows + cols; with ``element`` one of the streamed
+    operands, that one comes in an element at a time (see ``_block_codes``),
+    and the block peaks at rows*cols plus the other piece's length plus 1.
+    The loaded elements, and so ``blocked_reads``, are the same either way.
     """
     _check_positive(rows=shape[0], cols=shape[1])
     extent = (dims.m, dims.n, dims.k)
@@ -270,7 +309,7 @@ def blocked_schedule(resident: Matrix, dims: ProblemDims, shape: tuple[int, int]
     built = {}
     for _, _, size in blocks:
         if size not in built:
-            built[size] = _block_codes(resident, size, steps)
+            built[size] = _block_codes(resident, size, steps, element)
     out = np.empty((sum(len(built[size][0]) for _, _, size in blocks), 4), dtype=np.int64)
     start = 0
     for r0, c0, size in blocks:
@@ -349,3 +388,48 @@ def runnable_costs(dims: ProblemDims, S: int) -> dict[Algorithm, int]:
         except TooSmallError:
             continue
     return costs
+
+
+def element_operand(resident: Matrix, shape: tuple[int, int]) -> Matrix:
+    """The streamed operand an element-streamed block brings in one element
+    at a time: the one with the longer piece, so that the held piece is the
+    shorter and a block peaks at rows*cols + min(rows, cols) + 1. On a tie,
+    the later one in ``Matrix`` order: B for a block of C, as in the paper's
+    attaining schedule."""
+    # a streamed piece runs along the one resident axis its matrix has
+    first, second = (shape[1 - place] for _, _, place in _STREAMED[resident])
+    earlier, later = (matrix for matrix in Matrix if matrix is not resident)
+    return earlier if first > second else later
+
+
+def cheapest_runnable(dims: ProblemDims, S: int) -> tuple[int, Callable[[], Schedule]]:
+    """The fewest loads + stores of any schedule generated here that runs at
+    capacity S, and a function that builds that schedule.
+
+    The candidates are every algorithm that runs at S (``runnable_costs``)
+    and every element-streamed block: each resident operand, and each
+    (rows, cols) shape within its matrix with rows*cols + min(rows, cols) + 1
+    <= S, built by ``blocked_schedule`` with ``element_operand``. Blocks cost
+    their ``blocked_reads`` plus C's term as writes. On a tie the first
+    candidate wins: algorithms in ``Algorithm`` order, then blocks of A, B
+    and C, each with its shapes in ascending order. Raises naive's
+    ``TooSmallError`` below S = 3, as ``runnable_costs`` does.
+    """
+    costs = runnable_costs(dims, S)
+    best = min(costs, key=costs.get)
+    best_cost = costs[best]
+    build = partial(build_schedule, best, dims, S)
+    extent = (dims.m, dims.n, dims.k)
+    for resident in Matrix:
+        row_axis, col_axis = _AXES[resident]
+        for rows in range(1, min(extent[row_axis], S) + 1):
+            for cols in range(1, extent[col_axis] + 1):
+                if rows * cols + min(rows, cols) + 1 > S:
+                    break
+                shape = (rows, cols)
+                reads, _, _, writes = blocked_reads(resident, dims, shape)
+                if reads + writes < best_cost:
+                    best_cost = reads + writes
+                    build = partial(blocked_schedule, resident, dims, shape,
+                                    element_operand(resident, shape))
+    return best_cost, build

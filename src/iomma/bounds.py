@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import build_schedule, runnable_costs
+from .algorithms import cheapest_runnable
 from .model import (
     OP_EVICT,
     OP_FMA,
@@ -238,12 +238,14 @@ def tiny_optimal_schedule(
     pruning bound counts loads of needed-but-absent operands plus one store
     per unfinished C element plus stores of finished-but-dirty slots, all of
     which any completion must still pay. Ties expand loads before fmas before
-    stores before evicts. The incumbent starts as the cheapest algorithm
-    that runs at S (``runnable_costs``; the first in ``Algorithm`` order on a
-    tie), so the search only looks for strictly cheaper schedules, and if it
-    finds none that algorithm's ``build_schedule`` is the witness. If the node
-    budget runs out the best schedule found so far, that preset's or a
-    cheaper one, is returned with optimal=False.
+    stores before evicts. The incumbent starts as the cheapest schedule
+    generated here that runs at S (``cheapest_runnable``): a runnable
+    algorithm, or a block of any operand and shape that streams one operand
+    an element at a time, the first candidate on a tie. So the search only
+    looks for strictly cheaper schedules, and if it finds none the
+    incumbent's schedule, built only then, is the witness. If the node budget
+    runs out the best schedule found so far, the incumbent's or a cheaper
+    one, is returned with optimal=False.
 
     A state is three bitmasks over ``execute``'s element ids (A, then B,
     then C, each row-major): the resident elements, the dirty C elements,
@@ -269,9 +271,9 @@ def tiny_optimal_schedule(
     records it without a test. The moves that reached a state form a linked
     (op, bit, parent) path, reversed once into the witness. When the budget
     runs out, a private exception unwinds the whole search.
-    The six instances of perfbench's exact-search workload (11793 nodes)
-    take about 0.02-0.035 s on a 2-vCPU Xeon VM, and all 152 capped
-    instances (542304 nodes) about 0.9-1.5 s.
+    The six instances of perfbench's exact-search workload (3061 nodes)
+    take about 0.007-0.009 s on a 2-vCPU Xeon VM, and all 152 capped
+    instances (163576 nodes) about 0.34-0.44 s.
     """
     _check_positive(S=S, budget=budget)
     m, n, k = dims.m, dims.n, dims.k
@@ -280,11 +282,9 @@ def tiny_optimal_schedule(
             f"instance ({m},{n},{k}) with S={S} exceeds the exact-search caps "
             "(mnk <= 8, S <= 6)"
         )
-    # the incumbent is the cheapest algorithm that runs at S, the first in
-    # Algorithm order on a tie; its schedule is built only if nothing beats it
-    costs = runnable_costs(dims, S)
-    seed = min(costs, key=costs.get)
-    best_cost = costs[seed]
+    # the incumbent is the cheapest generated schedule that runs at S; it is
+    # built only if nothing beats it
+    best_cost, build = cheapest_runnable(dims, S)
 
     shapes = layout(dims)
     # a move is recorded as its opcode and bit; these give the other fields
@@ -404,7 +404,7 @@ def tiny_optimal_schedule(
         except _BudgetExhausted:
             optimal = False
     if best_path is None:
-        schedule = build_schedule(seed, dims, S)
+        schedule = build()
     else:
         rows = []
         while best_path:

@@ -360,9 +360,11 @@ def reference_gemm(a, b, c_in) -> np.ndarray:
     """C := A*B + C by the canonical triple loop with p innermost, ascending.
 
     Every shipped schedule generator accumulates each c(i,j) over p in the
-    same order, so simulator output agrees with this loop bit for bit. The
-    loop runs as one rank-1 update of all of C per p, which keeps each
-    c(i,j)'s left fold over p; non-finite inputs give inf and nan silently.
+    same order, so on finite inputs simulator output agrees with this loop
+    bit for bit. The loop runs as one rank-1 update of all of C per p, which
+    keeps each c(i,j)'s left fold over p; non-finite inputs give inf and nan
+    silently, and where two NaNs meet, the sign or payload of the NaN here
+    and in ``execute`` may differ.
     """
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)

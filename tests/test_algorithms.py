@@ -1,6 +1,8 @@
 """Schedule generators: block sizing, exact I/O counts, and agreement
 between structural prediction and simulation on arbitrary shapes."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,16 @@ from iomma import (
     seeded_matrices,
     tiny_optimal_schedule,
 )
-from iomma.algorithms import _segments, blocked_reads, blocked_schedule
+from iomma.algorithms import (
+    _AXES,
+    _PRESETS,
+    _segments,
+    blocked_reads,
+    blocked_schedule,
+    cheapest_runnable,
+    element_operand,
+)
+from iomma.model import OP_LOAD
 
 ALL_ALGS = list(Algorithm)
 BLOCKED = [Algorithm.A, Algorithm.B, Algorithm.C]
@@ -354,3 +365,126 @@ def test_rectangular_blocks_match_blocked_reads(dims, shape, resident):
     assert (stats.reads, stats.reads_a, stats.reads_b, stats.reads_c) == reads
     assert stats.writes == reads[3]  # C's term
     assert result.output_c.tobytes() == reference_gemm(a, b, c).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(min_value=1, max_value=9)] * 3),
+    shape=st.tuples(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5)),
+    resident=st.sampled_from(list(Matrix)),
+    swap=st.booleans(),
+)
+def test_element_streamed_blocks(dims, shape, resident, swap):
+    # one streamed operand comes in an element at a time and the other piece
+    # is held whole: rows*cols + held + 1 slots for the first, full-size
+    # block, whose shape is the block's shape cut to the resident matrix
+    dims = ProblemDims(*dims)
+    extent = (dims.m, dims.n, dims.k)
+    effective = tuple(min(size, extent[axis]) for size, axis in zip(shape, _AXES[resident]))
+    element = element_operand(resident, effective)
+    if swap:
+        # the other streamed operand: legal too, with the longer piece held
+        (element,) = (matrix for matrix in Matrix if matrix not in (resident, element))
+    (held,) = (matrix for matrix in Matrix if matrix not in (resident, element))
+    (held_axis,) = set(_AXES[held]) & set(_AXES[resident])
+    held_length = effective[_AXES[resident].index(held_axis)]
+    if not swap:
+        assert held_length == min(effective)
+    S = effective[0] * effective[1] + held_length + 1
+    schedule = blocked_schedule(resident, dims, shape, element)
+    a, b, c = seeded_matrices(dims, 5)
+    result = execute(schedule, MemoryConfig(S), a, b, c)
+    stats = result.stats
+    assert stats.peak_residency == S
+    reads = blocked_reads(resident, dims, shape)
+    assert (stats.reads, stats.reads_a, stats.reads_b, stats.reads_c) == reads
+    assert stats.writes == reads[3]  # C's term
+    assert result.output_c.tobytes() == reference_gemm(a, b, c).tobytes()
+
+    def loads(codes):
+        return sorted(map(tuple, codes[codes[:, 0] == OP_LOAD].tolist()))
+
+    assert loads(schedule.codes) == loads(blocked_schedule(resident, dims, shape).codes)
+
+
+# sha256 of each preset's codes, recorded before blocks could stream an
+# operand one element at a time; remainder blocks occur in every dimension
+PRESET_CODES = {
+    ((7, 5, 6), 16): {
+        Algorithm.NAIVE: "480732598b3c9d2ebf4d6f7f3b5bc9c7e6d9cc1696ef321385baf2ca9c14a41b",
+        Algorithm.A: "f9d012633774784748ab53efca5945be174ef38f9df2d370c10a2c8b5f876d73",
+        Algorithm.B: "ebf8659fba5762dac7c008149dc231fcc122e40d7683cc373b9c99ddc6831bfd",
+        Algorithm.C: "a6d65bced57c0b818c02f8931f2ab3899655a725765b040b87bec9eebebca84c",
+    },
+    ((35, 27, 31), 20): {
+        Algorithm.NAIVE: "8b93ff6815ea2408a69b283ccec79d89d1d7b90373a27b83d37d4178e2f2b873",
+        Algorithm.A: "f77ba7bd4ac6c0442c092ebbff20aa25529300f9b8fab7c912552ce337b756c4",
+        Algorithm.B: "7a5a39ec8c5be182f0bbf2c18b49a838c8a62bfe9d29a814ecd5505d41fda372",
+        Algorithm.C: "dd9c285a569d666a25066ab3470dfd8aef8f3c8e390b008189827ff847e83192",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRESET_CODES))
+def test_preset_codes_are_unchanged(case):
+    dims, S = ProblemDims(*case[0]), case[1]
+    for alg, digest in PRESET_CODES[case].items():
+        codes = [build_schedule(alg, dims, S).codes]
+        resident, rule = _PRESETS[alg]
+        if resident is not None:
+            codes.append(blocked_schedule(resident, dims, rule(S), None).codes)
+        for each in codes:
+            assert hashlib.sha256(each.tobytes()).hexdigest() == digest, alg
+
+
+@pytest.mark.parametrize(
+    "dims,S,cost,witness",
+    [
+        # at S = 3 only naive runs among the presets; a 1x1 block runs too
+        ((2, 2, 2), 3, 24, "C 1x1"),
+        ((2, 2, 1), 4, 12, "A 2x1"),  # 2 + 2 + 4 + 4: the compulsory floor
+        ((2, 2, 2), 5, 20, "A 1x2"),
+        ((1, 8, 1), 4, 25, "alg-a"),  # a preset that ties keeps the seat
+        ((1, 1, 1), 3, 4, "naive"),
+    ],
+)
+def test_cheapest_runnable(dims, S, cost, witness):
+    dims = ProblemDims(*dims)
+    found, build = cheapest_runnable(dims, S)
+    assert found == cost
+    schedule = build()
+    a, b, c = seeded_matrices(dims, 1)
+    result = execute(schedule, MemoryConfig(S), a, b, c)
+    assert result.stats.io_total == cost
+    assert result.output_c.tobytes() == reference_gemm(a, b, c).tobytes()
+    if witness in {alg.value for alg in Algorithm}:
+        expected = build_schedule(Algorithm(witness), dims, S)
+    else:
+        name, shape = witness.split()
+        shape = tuple(map(int, shape.split("x")))
+        resident = Matrix(name)
+        expected = blocked_schedule(resident, dims, shape, element_operand(resident, shape))
+    assert (schedule.codes == expected.codes).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(min_value=1, max_value=5)] * 3),
+    S=st.integers(min_value=3, max_value=12),
+)
+def test_cheapest_runnable_beats_every_candidate(dims, S):
+    dims = ProblemDims(*dims)
+    cost, build = cheapest_runnable(dims, S)
+    presets = [predicted_io(alg, dims, S).io_total for alg in ALL_ALGS
+               if alg is Algorithm.NAIVE or S >= 4]
+    assert cost <= min(presets)
+    extent = (dims.m, dims.n, dims.k)
+    for resident in Matrix:
+        row_axis, col_axis = _AXES[resident]
+        for rows in range(1, extent[row_axis] + 1):
+            for cols in range(1, extent[col_axis] + 1):
+                if rows * cols + min(rows, cols) + 1 <= S:
+                    reads = blocked_reads(resident, dims, (rows, cols))
+                    assert cost <= reads[0] + reads[3]
+    result = execute(build(), MemoryConfig(S), *seeded_matrices(dims, 2))
+    assert result.stats.io_total == cost

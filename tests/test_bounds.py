@@ -22,7 +22,7 @@ from iomma import (
     ProblemDims,
     Schedule,
     Store,
-    build_schedule,
+    cheapest_runnable,
     compulsory_io,
     execute,
     fmax,
@@ -208,12 +208,13 @@ def test_tiny_search_rejects_invalid_capacity_and_budget(S, budget):
 
 
 def test_tiny_search_budget_degrades_gracefully():
-    # a search cut short keeps its incumbent, alg-c's 24, not naive's 32
+    # a search cut short keeps its incumbent, a 1x2 element-streamed block
+    # of A at 20, not alg-c's 24 or naive's 32; the optimum is 18
     dims = ProblemDims(2, 2, 2)
     a, b, c = seeded_matrices(dims, 2)
     for budget in (1, 50):
         found = tiny_optimal_schedule(dims, 4, budget=budget)
-        assert (found.min_io, found.optimal) == (24, False)
+        assert (found.min_io, found.optimal) == (20, False)
         stats = execute(found.schedule, MemoryConfig(4), a, b, c).stats
         assert stats.io_total == found.min_io
 
@@ -240,11 +241,9 @@ def _set_search(dims, S, budget):
     res_b: set[tuple[int, int]] = set()
     res_c: dict[tuple[int, int], bool] = {}  # (i, j) -> dirty
 
-    # the cheapest algorithm that runs at S, the first on a tie, is the
-    # incumbent; its schedule is built only if nothing beats it
-    costs = runnable_costs(dims, S)
-    seed = min(costs, key=costs.get)
-    best_cost = costs[seed]
+    # the cheapest generated schedule that runs at S is the incumbent; it is
+    # built only if nothing beats it
+    best_cost, build = cheapest_runnable(dims, S)
     best_events = None
     events: list = []
     memo: dict = {}
@@ -410,7 +409,7 @@ def _set_search(dims, S, budget):
                     events.pop()
 
     dfs(0)
-    witness = build_schedule(seed, dims, S) if best_events is None else Schedule(best_events, dims)
+    witness = build() if best_events is None else Schedule(best_events, dims)
     return best_cost, not exhausted, nodes, witness
 
 
@@ -474,6 +473,7 @@ def test_bitmask_search_matches_set_search_under_any_budget(dims, S, budget):
 def test_truncated_search_is_never_worse_than_a_preset(dims, S, budget):
     found = tiny_optimal_schedule(dims, S, budget)
     assert found.min_io <= min(runnable_costs(dims, S).values())
+    assert found.min_io <= cheapest_runnable(dims, S)[0]
 
 
 def test_compulsory_io_counts_one_transfer_per_element():

@@ -13,11 +13,15 @@ import iomma.phases
 import iomma.verify
 from iomma import (
     Algorithm,
+    MemoryConfig,
     PredictedIO,
     ProblemDims,
     build_schedule,
     dump_trace,
+    execute,
+    parse_trace,
     phases_to_csv,
+    seeded_matrices,
 )
 from iomma.cli import main
 from iomma.phases import PhaseConfig, partition_phases
@@ -311,13 +315,28 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_brute_force_json(capsys):
-    code, out, _ = _run(capsys, "brute-force", "-m", "2", "-n", "2", "-k", "1", "-S", "4")
+    # the incumbent, an element-streamed block at 20, is above the optimum,
+    # so the search expands nodes to prove it
+    code, out, _ = _run(capsys, "brute-force", "-m", "2", "-n", "2", "-k", "2", "-S", "5")
     assert code == 0
     payload = json.loads(out)
-    assert payload["min_io"] == 12
+    assert payload["min_io"] == 17
     assert payload["optimal"] is True
     assert payload["nodes"] > 0
     assert payload["trace"][0].startswith("L ")
+
+
+def test_brute_force_incumbent_at_the_floor_prunes_the_root(capsys):
+    # a 2x1 element-streamed block of A costs 2 + 2 + 4 + 4, the compulsory
+    # floor, so the search expands no node and the block is the witness
+    code, out, _ = _run(capsys, "brute-force", "-m", "2", "-n", "2", "-k", "1", "-S", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["min_io"], payload["optimal"], payload["nodes"]) == (12, True, 0)
+    dims = ProblemDims(2, 2, 1)
+    witness = parse_trace("\n".join(payload["trace"]) + "\n", dims)
+    stats = execute(witness, MemoryConfig(4), *seeded_matrices(dims, 0)).stats
+    assert stats.io_total == 12
 
 
 @pytest.mark.parametrize(

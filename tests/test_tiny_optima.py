@@ -1,5 +1,6 @@
 """docs/tiny_optima.md: the proven optimum of every instance under the exact
-search's caps, next to the bounds and the best runnable algorithm.
+search's caps, next to the search's incumbent, the bounds and the best
+runnable algorithm.
 
 Running this file prints the document:
 
@@ -13,6 +14,7 @@ import pytest
 from iomma import (
     MemoryConfig,
     ProblemDims,
+    cheapest_runnable,
     compulsory_io,
     execute,
     lower_bound_final,
@@ -23,7 +25,7 @@ from iomma import (
 
 TABLE = Path(__file__).parents[1] / "docs" / "tiny_optima.md"
 HEADER = (
-    "m", "n", "k", "S", "min_io", "nodes", "floor", "lower_bound_final",
+    "m", "n", "k", "S", "min_io", "nodes", "incumbent", "floor", "lower_bound_final",
     "best algorithm", "its io", "gap",
 )
 CAPPED = [
@@ -45,17 +47,22 @@ def optimum_row(m: int, n: int, k: int, S: int) -> tuple[str, ...]:
     best = min(costs.values())
     names = ", ".join(alg.value for alg, cost in costs.items() if cost == best)
     return tuple(str(cell) for cell in (
-        m, n, k, S, found.min_io, found.nodes, compulsory_io(dims),
-        f"{lower_bound_final(dims, S):.2f}", names, best, best - found.min_io,
+        m, n, k, S, found.min_io, found.nodes, cheapest_runnable(dims, S)[0],
+        compulsory_io(dims), f"{lower_bound_final(dims, S):.2f}", names, best,
+        best - found.min_io,
     ))
 
 
 def render() -> str:
     rows = [optimum_row(*instance) for instance in CAPPED]
-    at_floor = sum(row[4] == row[6] for row in rows)
+    at_floor = sum(row[4] == row[7] for row in rows)
+    seeded = sum(row[4] == row[6] for row in rows)
     attained = sum(row[-1] == "0" for row in rows)
-    positive = sorted({row[3] for row in rows if float(row[7]) > 0})
-    below_floor = sum(float(row[7]) < int(row[6]) for row in rows)
+    positive = sorted({row[3] for row in rows if float(row[8]) > 0})
+    below_floor = sum(float(row[8]) < int(row[7]) for row in rows)
+    capacities = sorted({row[3] for row in rows}, key=int)
+    nodes = {S: sum(int(row[5]) for row in rows if row[3] == S) for S in capacities}
+    pruned = sum(row[5] == "0" for row in rows)
     lines = [
         "# Exact optima of the tiny instances",
         "",
@@ -63,10 +70,14 @@ def render() -> str:
         "optimal by `tiny_optimal_schedule` under its default node budget.",
         "",
         "- `min_io`: the fewest loads + stores of any schedule; `nodes`: the",
-        "  search nodes it took. The search starts from the best algorithm's",
-        "  cost (the first listed, on a tie) and looks only for cheaper",
-        "  schedules. At 0 that algorithm already meets the floor, so the",
-        "  search prunes its root and returns that algorithm's schedule.",
+        "  search nodes it took.",
+        "- `incumbent`: the cost the search starts from, that of the cheapest",
+        "  schedule generated here that runs at S (`cheapest_runnable`): a",
+        "  runnable algorithm, or a block of any operand and any (rows, cols)",
+        "  shape with one streamed operand brought in an element at a time,",
+        "  which needs rows·cols + min(rows, cols) + 1 ≤ S. The search looks",
+        "  only for cheaper schedules. At 0 nodes the incumbent already meets",
+        "  the floor, so the search prunes its root and returns its schedule.",
         "- `floor`: the compulsory transfers mk + kn + 2mn, one load of every",
         "  element and one store of every C element (`compulsory_io`).",
         "- `lower_bound_final`: 2mnk/√S − 2S. It is positive only at",
@@ -76,8 +87,11 @@ def render() -> str:
         "  transfers (`predicted_io`), every one on a tie; at S = 3 only naive",
         "  runs. `gap` is its io minus `min_io`.",
         "",
-        f"The optimum equals the floor on {at_floor} of {len(rows)} rows, and the",
-        f"best algorithm attains it on {attained}.",
+        f"The optimum equals the floor on {at_floor} of {len(rows)} rows. The",
+        f"incumbent equals the optimum on {seeded} rows, and the best algorithm",
+        f"on {attained}. The search takes {sum(nodes.values())} nodes over all rows, and",
+        f"{pruned} rows take 0. By S: "
+        + "; ".join(f"{count} at S = {S}" for S, count in nodes.items()) + ".",
         "",
         f"Tier-1 re-derives all {len(rows)} rows (`tests/test_tiny_optima.py`), which",
         "also prints this file:",
@@ -103,10 +117,11 @@ def test_table_covers_every_capped_instance():
     rows = _table_rows()
     assert [tuple(map(int, row[:4])) for row in rows] == CAPPED
     for row in rows:
-        min_io, floor, best, gap = int(row[4]), int(row[6]), int(row[9]), int(row[10])
-        assert floor <= min_io <= best
+        min_io, incumbent, floor = int(row[4]), int(row[6]), int(row[7])
+        best, gap = int(row[10]), int(row[11])
+        assert floor <= min_io <= incumbent <= best
         assert gap == best - min_io
-        assert float(row[7]) < min_io
+        assert float(row[8]) < min_io
 
 
 @pytest.mark.parametrize("S", range(3, 7))
