@@ -441,11 +441,11 @@ def test_preset_codes_are_unchanged(case):
     "dims,S,cost,witness",
     [
         # at S = 3 only naive runs among the presets; a 1x1 block runs too
-        ((2, 2, 2), 3, 24, "C 1x1"),
-        ((2, 2, 1), 4, 12, "A 2x1"),  # 2 + 2 + 4 + 4: the compulsory floor
-        ((2, 2, 2), 5, 20, "A 1x2"),
-        ((1, 8, 1), 4, 25, "alg-a"),  # a preset that ties keeps the seat
-        ((1, 1, 1), 3, 4, "naive"),
+        ((2, 2, 2), 3, 24, (Matrix.C, (1, 1))),
+        ((2, 2, 1), 4, 12, (Matrix.A, (2, 1))),  # 2 + 2 + 4 + 4: the compulsory floor
+        ((2, 2, 2), 5, 20, (Matrix.A, (1, 2))),
+        ((1, 8, 1), 4, 25, Algorithm.A),  # a preset that ties keeps the seat
+        ((1, 1, 1), 3, 4, Algorithm.NAIVE),
     ],
 )
 def test_cheapest_runnable(dims, S, cost, witness):
@@ -457,12 +457,10 @@ def test_cheapest_runnable(dims, S, cost, witness):
     result = execute(schedule, MemoryConfig(S), a, b, c)
     assert result.stats.io_total == cost
     assert result.output_c.tobytes() == reference_gemm(a, b, c).tobytes()
-    if witness in {alg.value for alg in Algorithm}:
-        expected = build_schedule(Algorithm(witness), dims, S)
+    if isinstance(witness, Algorithm):
+        expected = build_schedule(witness, dims, S)
     else:
-        name, shape = witness.split()
-        shape = tuple(map(int, shape.split("x")))
-        resident = Matrix(name)
+        resident, shape = witness
         expected = blocked_schedule(resident, dims, shape, element_operand(resident, shape))
     assert (schedule.codes == expected.codes).all()
 
