@@ -266,14 +266,15 @@ def tiny_optimal_schedule(
     element adds 1. At the root the bound is the compulsory floor. The
     parent tests each child's bound before entering it, except after a
     forced move, whose child has the bound the parent has just passed. So
-    every state is entered below best_cost, and as the bound of a final
-    state is its cost, the forced store, the only move that can reach one,
-    records it without a test. The moves that reached a state form a linked
+    every state but the root is entered below best_cost, and as the bound of
+    a final state is its cost, the forced store, the only move that can
+    reach one, records it without a test. The root is entered even when the
+    incumbent meets the floor, so every search counts at least one node. The moves that reached a state form a linked
     (op, bit, parent) path, reversed once into the witness. When the budget
     runs out, a private exception unwinds the whole search.
-    The six instances of perfbench's exact-search workload (3061 nodes)
+    The six instances of perfbench's exact-search workload (3065 nodes)
     take about 0.007-0.009 s on a 2-vCPU Xeon VM, and all 152 capped
-    instances (163576 nodes) about 0.34-0.44 s.
+    instances (163709 nodes) about 0.34-0.44 s.
     """
     _check_positive(S=S, budget=budget)
     m, n, k = dims.m, dims.n, dims.k
@@ -313,8 +314,8 @@ def tiny_optimal_schedule(
     nodes = 0
 
     def search(res: int, dirty: int, rem: int, cost: int, key: int, bound: int, path) -> None:
-        # enter a state whose bound, dirty term included, is below best_cost;
-        # an unseen key reads as cost + 1
+        # enter a state whose bound, dirty term included, is below best_cost,
+        # or the root; an unseen key reads as cost + 1
         nonlocal best_cost, best_path, nodes
         if memo.get(key, cost + 1) <= cost:
             return
@@ -395,14 +396,14 @@ def tiny_optimal_schedule(
                 bits ^= low
                 search(res ^ low, dirty, rem, cost, key ^ low, bound + 1, (OP_EVICT, low, path))
 
+    # the root is always entered, so it counts as a node; at the incumbent's
+    # cost its first child test prunes every child
     optimal = True
-    bound = compulsory_io(dims)
-    if bound < best_cost:
-        rem = len(needed) - 1
-        try:
-            search(0, 0, rem, 0, rem << 2 * width, bound, None)
-        except _BudgetExhausted:
-            optimal = False
+    rem = len(needed) - 1
+    try:
+        search(0, 0, rem, 0, rem << 2 * width, compulsory_io(dims), None)
+    except _BudgetExhausted:
+        optimal = False
     if best_path is None:
         schedule = build()
     else:

@@ -268,7 +268,8 @@ def _set_search(dims, S, budget):
                 best_cost = cost
                 best_events = list(events)
             return
-        if cost + remaining_floor() >= best_cost:
+        # the root is examined, and counted, even at the incumbent's cost
+        if events and cost + remaining_floor() >= best_cost:
             return
         key = (
             frozenset(res_a),

@@ -328,11 +328,12 @@ def test_brute_force_json(capsys):
 
 def test_brute_force_incumbent_at_the_floor_prunes_the_root(capsys):
     # a 2x1 element-streamed block of A costs 2 + 2 + 4 + 4, the compulsory
-    # floor, so the search expands no node and the block is the witness
+    # floor, so the search prunes every child of its root, its one node, and
+    # the block is the witness
     code, out, _ = _run(capsys, "brute-force", "-m", "2", "-n", "2", "-k", "1", "-S", "4")
     assert code == 0
     payload = json.loads(out)
-    assert (payload["min_io"], payload["optimal"], payload["nodes"]) == (12, True, 0)
+    assert (payload["min_io"], payload["optimal"], payload["nodes"]) == (12, True, 1)
     dims = ProblemDims(2, 2, 1)
     witness = parse_trace("\n".join(payload["trace"]) + "\n", dims)
     stats = execute(witness, MemoryConfig(4), *seeded_matrices(dims, 0)).stats

@@ -62,7 +62,7 @@ def render() -> str:
     below_floor = sum(float(row[8]) < int(row[7]) for row in rows)
     capacities = sorted({row[3] for row in rows}, key=int)
     nodes = {S: sum(int(row[5]) for row in rows if row[3] == S) for S in capacities}
-    pruned = sum(row[5] == "0" for row in rows)
+    pruned = sum(row[5] == "1" for row in rows)
     lines = [
         "# Exact optima of the tiny instances",
         "",
@@ -76,8 +76,9 @@ def render() -> str:
         "  runnable algorithm, or a block of any operand and any (rows, cols)",
         "  shape with one streamed operand brought in an element at a time,",
         "  which needs rows·cols + min(rows, cols) + 1 ≤ S. The search looks",
-        "  only for cheaper schedules. At 0 nodes the incumbent already meets",
-        "  the floor, so the search prunes its root and returns its schedule.",
+        "  only for cheaper schedules. At 1 node the incumbent already meets",
+        "  the floor, so the search prunes every child of its root and returns",
+        "  the incumbent's schedule.",
         "- `floor`: the compulsory transfers mk + kn + 2mn, one load of every",
         "  element and one store of every C element (`compulsory_io`).",
         "- `lower_bound_final`: 2mnk/√S − 2S. It is positive only at",
@@ -90,7 +91,7 @@ def render() -> str:
         f"The optimum equals the floor on {at_floor} of {len(rows)} rows. The",
         f"incumbent equals the optimum on {seeded} rows, and the best algorithm",
         f"on {attained}. The search takes {sum(nodes.values())} nodes over all rows, and",
-        f"{pruned} rows take 0. By S: "
+        f"{pruned} rows take 1, the root. By S: "
         + "; ".join(f"{count} at S = {S}" for S, count in nodes.items()) + ".",
         "",
         f"Tier-1 re-derives all {len(rows)} rows (`tests/test_tiny_optima.py`), which",
