@@ -13,10 +13,10 @@ the algorithms to seed the exact search.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from .model import (
     Schedule,
     _check_positive,
 )
+
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 
 class TooSmallError(ValueError):
@@ -218,20 +221,21 @@ def _leave(matrix: Matrix) -> int:
 
 
 def _block_codes(
-    resident: Matrix, shape: tuple[int, int], steps: int, element: Matrix | None = None
+    resident: Matrix, shape: tuple[int, int], steps: int, by_element: bool = False
 ):
     """Codes of one resident block at the origin, streaming over ``steps``,
     and the change in its codes per unit of row and of col offset.
 
-    The block is loaded row-major. With ``element`` None, each step loads the
-    pieces of the two other matrices that meet the block, in matrix order,
-    runs the block's fmas with the i, j, p loops nested in that order, writes
-    back a streamed C piece, evicts the streamed A or B pieces, and advances
-    the streamed axis. With ``element`` one of the streamed matrices, each
-    step loads the other streamed piece whole, then brings ``element``'s
-    piece in one element at a time: load it, run its fmas, and let it leave
-    (stored if it is C, evicted otherwise); the held piece leaves last. The
-    block then leaves: stored if it is C, evicted otherwise.
+    The block is loaded row-major. Without ``by_element``, each step loads
+    the pieces of the two other matrices that meet the block, in matrix
+    order, runs the block's fmas with the i, j, p loops nested in that order,
+    writes back a streamed C piece, evicts the streamed A or B pieces, and
+    advances the streamed axis. With ``by_element``, each step loads the
+    shorter streamed piece whole, then brings the longer one in one element
+    at a time: load it, run its fmas, and let it leave (stored if it is C,
+    evicted otherwise); the held piece leaves last. On a tie the later matrix
+    comes by element: B for a block of C, as in the paper's attaining
+    schedule. The block then leaves: stored if it is C, evicted otherwise.
     """
     row_axis, col_axis = _AXES[resident]
     stream_axis = 3 - row_axis - col_axis
@@ -243,7 +247,7 @@ def _block_codes(
         (axis,) = (axis for axis in _AXES[matrix] if axis != stream_axis)
         piece_axis[matrix] = axis
         piece[matrix] = _loop((axis, extents[axis]))
-    if element is None:
+    if not by_element:
         step = [_rows(OP_LOAD, MATRIX_CODE[matrix], piece[matrix]) for matrix in streamed]
         step.append(_rows(OP_FMA, _KIND_FMA, _loop(*sorted(extents.items()))))
         if Matrix.C in piece:
@@ -253,7 +257,8 @@ def _block_codes(
             for matrix in streamed if matrix is not Matrix.C
         ]
     else:
-        (held,) = (matrix for matrix in streamed if matrix is not element)
+        # a stable sort keeps Matrix order on a tie
+        held, element = sorted(streamed, key=lambda matrix: len(piece[matrix]))
         origin = np.zeros((1, 3), dtype=np.int64)
         one = np.concatenate([
             _rows(OP_LOAD, MATRIX_CODE[element], origin),
@@ -283,18 +288,18 @@ def _block_codes(
 
 
 def blocked_schedule(
-    resident: Matrix, dims: ProblemDims, shape: tuple[int, int], element: Matrix | None = None
+    resident: Matrix, dims: ProblemDims, shape: tuple[int, int], by_element: bool = False
 ) -> Schedule:
     """Keep a (rows, cols) block of one operand resident and stream the rest
     past it; edge blocks are cut short.
 
     Blocks visit the resident matrix's block grid row-major; the third axis
     streams in full, ascending, through each block. Blocks of one shape
-    differ only by an offset, so each shape's codes are built once. With
-    ``element`` None both streamed pieces are loaded whole, and a full block
-    peaks at rows*cols + rows + cols; with ``element`` one of the streamed
-    operands, that one comes in an element at a time (see ``_block_codes``),
-    and the block peaks at rows*cols plus the other piece's length plus 1.
+    differ only by an offset, so each shape's codes are built once. Without
+    ``by_element`` both streamed pieces are loaded whole, and a full block
+    peaks at rows*cols + rows + cols; with it, the longer piece comes in an
+    element at a time (see ``_block_codes``), and a full block peaks at
+    rows*cols + min(rows, cols) + 1.
     The loaded elements, and so ``blocked_reads``, are the same either way.
     """
     _check_positive(rows=shape[0], cols=shape[1])
@@ -309,7 +314,7 @@ def blocked_schedule(
     built = {}
     for _, _, size in blocks:
         if size not in built:
-            built[size] = _block_codes(resident, size, steps, element)
+            built[size] = _block_codes(resident, size, steps, by_element)
     out = np.empty((sum(len(built[size][0]) for _, _, size in blocks), 4), dtype=np.int64)
     start = 0
     for r0, c0, size in blocks:
@@ -390,18 +395,6 @@ def runnable_costs(dims: ProblemDims, S: int) -> dict[Algorithm, int]:
     return costs
 
 
-def element_operand(resident: Matrix, shape: tuple[int, int]) -> Matrix:
-    """The streamed operand an element-streamed block brings in one element
-    at a time: the one with the longer piece, so that the held piece is the
-    shorter and a block peaks at rows*cols + min(rows, cols) + 1. On a tie,
-    the later one in ``Matrix`` order: B for a block of C, as in the paper's
-    attaining schedule."""
-    # a streamed piece runs along the one resident axis its matrix has
-    first, second = (shape[1 - place] for _, _, place in _STREAMED[resident])
-    earlier, later = (matrix for matrix in Matrix if matrix is not resident)
-    return earlier if first > second else later
-
-
 def cheapest_runnable(dims: ProblemDims, S: int) -> tuple[int, Callable[[], Schedule]]:
     """The fewest loads + stores of any schedule generated here that runs at
     capacity S, and a function that builds that schedule.
@@ -409,7 +402,7 @@ def cheapest_runnable(dims: ProblemDims, S: int) -> tuple[int, Callable[[], Sche
     The candidates are every algorithm that runs at S (``runnable_costs``)
     and every element-streamed block: each resident operand, and each
     (rows, cols) shape within its matrix with rows*cols + min(rows, cols) + 1
-    <= S, built by ``blocked_schedule`` with ``element_operand``. Blocks cost
+    <= S, built by ``blocked_schedule`` with ``by_element``. Blocks cost
     their ``blocked_reads`` plus C's term as writes. On a tie the first
     candidate wins: algorithms in ``Algorithm`` order, then blocks of A, B
     and C, each with its shapes in ascending order. Raises naive's
@@ -430,6 +423,5 @@ def cheapest_runnable(dims: ProblemDims, S: int) -> tuple[int, Callable[[], Sche
                 reads, _, _, writes = blocked_reads(resident, dims, shape)
                 if reads + writes < best_cost:
                     best_cost = reads + writes
-                    build = partial(blocked_schedule, resident, dims, shape,
-                                    element_operand(resident, shape))
+                    build = partial(blocked_schedule, resident, dims, shape, by_element=True)
     return best_cost, build

@@ -33,7 +33,6 @@ from iomma.algorithms import (
     blocked_reads,
     blocked_schedule,
     cheapest_runnable,
-    element_operand,
 )
 from iomma.model import OP_LOAD
 
@@ -372,26 +371,17 @@ def test_rectangular_blocks_match_blocked_reads(dims, shape, resident):
     dims=st.tuples(*[st.integers(min_value=1, max_value=9)] * 3),
     shape=st.tuples(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5)),
     resident=st.sampled_from(list(Matrix)),
-    swap=st.booleans(),
 )
-def test_element_streamed_blocks(dims, shape, resident, swap):
-    # one streamed operand comes in an element at a time and the other piece
-    # is held whole: rows*cols + held + 1 slots for the first, full-size
-    # block, whose shape is the block's shape cut to the resident matrix
+def test_element_streamed_blocks(dims, shape, resident):
+    # the longer streamed piece comes in an element at a time and the shorter
+    # is held whole: rows*cols + min(rows, cols) + 1 slots for the first,
+    # full-size block, whose shape is the block's shape cut to the resident
+    # matrix
     dims = ProblemDims(*dims)
     extent = (dims.m, dims.n, dims.k)
-    effective = tuple(min(size, extent[axis]) for size, axis in zip(shape, _AXES[resident]))
-    element = element_operand(resident, effective)
-    if swap:
-        # the other streamed operand: legal too, with the longer piece held
-        (element,) = (matrix for matrix in Matrix if matrix not in (resident, element))
-    (held,) = (matrix for matrix in Matrix if matrix not in (resident, element))
-    (held_axis,) = set(_AXES[held]) & set(_AXES[resident])
-    held_length = effective[_AXES[resident].index(held_axis)]
-    if not swap:
-        assert held_length == min(effective)
-    S = effective[0] * effective[1] + held_length + 1
-    schedule = blocked_schedule(resident, dims, shape, element)
+    rows, cols = (min(size, extent[axis]) for size, axis in zip(shape, _AXES[resident]))
+    S = rows * cols + min(rows, cols) + 1
+    schedule = blocked_schedule(resident, dims, shape, by_element=True)
     a, b, c = seeded_matrices(dims, 5)
     result = execute(schedule, MemoryConfig(S), a, b, c)
     stats = result.stats
@@ -432,7 +422,7 @@ def test_preset_codes_are_unchanged(case):
         codes = [build_schedule(alg, dims, S).codes]
         resident, rule = _PRESETS[alg]
         if resident is not None:
-            codes.append(blocked_schedule(resident, dims, rule(S), None).codes)
+            codes.append(blocked_schedule(resident, dims, rule(S), by_element=False).codes)
         for each in codes:
             assert hashlib.sha256(each.tobytes()).hexdigest() == digest, alg
 
@@ -461,7 +451,7 @@ def test_cheapest_runnable(dims, S, cost, witness):
         expected = build_schedule(witness, dims, S)
     else:
         resident, shape = witness
-        expected = blocked_schedule(resident, dims, shape, element_operand(resident, shape))
+        expected = blocked_schedule(resident, dims, shape, by_element=True)
     assert (schedule.codes == expected.codes).all()
 
 
