@@ -245,7 +245,8 @@ def tiny_optimal_schedule(
     looks for strictly cheaper schedules, and if it finds none the
     incumbent's schedule, built only then, is the witness. If the node budget
     runs out the best schedule found so far, the incumbent's or a cheaper
-    one, is returned with optimal=False.
+    one, is returned with optimal=False, unless it meets the compulsory
+    floor, which proves it optimal.
 
     A state is three bitmasks over ``execute``'s element ids (A, then B,
     then C, each row-major): the resident elements, the dirty C elements,
@@ -269,9 +270,10 @@ def tiny_optimal_schedule(
     every state but the root is entered below best_cost, and as the bound of
     a final state is its cost, the forced store, the only move that can
     reach one, records it without a test. The root is entered even when the
-    incumbent meets the floor, so every search counts at least one node. The moves that reached a state form a linked
-    (op, bit, parent) path, reversed once into the witness. When the budget
-    runs out, a private exception unwinds the whole search.
+    incumbent meets the floor, so every search counts at least one node.
+    The moves that reached a state form a linked (op, bit, parent) path,
+    reversed once into the witness. When the budget runs out, a private
+    exception unwinds the whole search.
     The six instances of perfbench's exact-search workload (3065 nodes)
     take about 0.007-0.009 s on a 2-vCPU Xeon VM, and all 152 capped
     instances (163709 nodes) about 0.34-0.44 s.
@@ -398,12 +400,15 @@ def tiny_optimal_schedule(
 
     # the root is always entered, so it counts as a node; at the incumbent's
     # cost its first child test prunes every child
-    optimal = True
+    floor = compulsory_io(dims)
     rem = len(needed) - 1
     try:
-        search(0, 0, rem, 0, rem << 2 * width, compulsory_io(dims), None)
+        search(0, 0, rem, 0, rem << 2 * width, floor, None)
+        optimal = True
     except _BudgetExhausted:
-        optimal = False
+        # a schedule at the compulsory floor is optimal however far the
+        # search got
+        optimal = best_cost == floor
     if best_path is None:
         schedule = build()
     else:

@@ -219,6 +219,15 @@ def test_tiny_search_budget_degrades_gracefully():
         assert stats.io_total == found.min_io
 
 
+@pytest.mark.parametrize("budget", [1, 2, 3_000_000])
+def test_incumbent_at_the_floor_is_optimal_at_any_budget(budget):
+    # a 2x1 element-streamed block of A meets the floor of 12 at (2,2,1)
+    # S=4, so the search proves it optimal at its root, even if the budget
+    # runs out there
+    found = tiny_optimal_schedule(ProblemDims(2, 2, 1), 4, budget=budget)
+    assert (found.min_io, found.optimal, found.nodes) == (12, True, 1)
+
+
 def _set_search(dims, S, budget):
     """The exact search as it was written on sets and dicts of (row, col)
     tuples; the oracle for the bitmask search. Returns (min_io, optimal,
@@ -409,9 +418,11 @@ def _set_search(dims, S, budget):
                     res_c[ij] = False
                     events.pop()
 
+    floor = remaining_floor()
     dfs(0)
     witness = build() if best_events is None else Schedule(best_events, dims)
-    return best_cost, not exhausted, nodes, witness
+    # a schedule at the compulsory floor is optimal even if the search was cut
+    return best_cost, not exhausted or best_cost == floor, nodes, witness
 
 
 def _assert_matches_set_search(dims, S, budget=3_000_000):
@@ -475,6 +486,22 @@ def test_truncated_search_is_never_worse_than_a_preset(dims, S, budget):
     found = tiny_optimal_schedule(dims, S, budget)
     assert found.min_io <= min(runnable_costs(dims, S).values())
     assert found.min_io <= cheapest_runnable(dims, S)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.sampled_from(SMALL_DIMS + [ProblemDims(2, 2, 2)]),
+    S=st.integers(min_value=3, max_value=6),
+    budget=st.integers(min_value=1, max_value=300),
+)
+def test_truncated_search_claims_only_proven_optima(dims, S, budget):
+    # optimal under any budget means the untruncated optimum, and an
+    # incumbent at the floor is optimal under every budget
+    found = tiny_optimal_schedule(dims, S, budget)
+    if found.optimal:
+        assert found.min_io == tiny_optimal_schedule(dims, S).min_io
+    if cheapest_runnable(dims, S)[0] == compulsory_io(dims):
+        assert found.optimal
 
 
 def test_compulsory_io_counts_one_transfer_per_element():
