@@ -65,17 +65,10 @@ from .memsim import (
     reference_gemm,
 )
 from .model import (
-    EventView,
-    Evict,
-    Fma,
     IOStats,
-    Load,
     Matrix,
-    OperandRef,
     ProblemDims,
     Schedule,
-    Store,
-    TraceEvent,
     fma_count,
 )
 from .phases import (

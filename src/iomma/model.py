@@ -1,16 +1,15 @@
 """Core value types for two-level I/O accounting of C := A*B + C.
 
 Everything downstream (the simulator, the schedule generators, the phase
-analyzer) speaks in these types: a problem shape and its operand map, references
-to individual matrix elements, the four kinds of trace events, and the schedule
-that holds a trace as one array of integer codes.
+analyzer) speaks in these types: a problem shape and its operand map, the
+opcodes and matrix codes of a trace's rows, and the schedule that holds a
+trace as one array of those integer codes.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -73,125 +72,11 @@ def fma_operand_ids(dims: ProblemDims, i, j, p) -> tuple:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class OperandRef:
-    """A single scalar element, identified by matrix and zero-based position."""
-
-    matrix: Matrix
-    row: int
-    col: int
-
-
-@dataclass(frozen=True, slots=True)
-class Load:
-    """Copy one element from slow to fast memory. Costs one read."""
-
-    ref: OperandRef
-
-
-@dataclass(frozen=True, slots=True)
-class Store:
-    """Write a C element back to slow memory and free its slot. Costs one write."""
-
-    ref: OperandRef
-
-
-@dataclass(frozen=True, slots=True)
-class Evict:
-    """Free the slot of a clean resident element. Free of charge."""
-
-    ref: OperandRef
-
-
-@dataclass(frozen=True, slots=True)
-class Fma:
-    """c(i,j) += a(i,p) * b(p,j); all three operands must be resident."""
-
-    i: int
-    j: int
-    p: int
-
-
-TraceEvent = Load | Store | Evict | Fma
-
-
 # opcodes of a trace's code rows; matrices are coded 0, 1, 2 in Matrix order
 OP_LOAD, OP_STORE, OP_EVICT, OP_FMA = 0, 1, 2, 3
-_EVENT_TYPES = (Load, Store, Evict)
-_OPCODE = {cls: op for op, cls in enumerate(_EVENT_TYPES)}
 MATRICES = tuple(Matrix)
 MATRIX_CODE = {matrix: code for code, matrix in enumerate(MATRICES)}
 _CHUNK = 1 << 12  # code rows handled per step; bounds each step's temporary arrays
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-
-
-def _decode(op: int, f1: int, f2: int, f3: int) -> TraceEvent:
-    if op == OP_FMA:
-        return Fma(f1, f2, f3)
-    return _EVENT_TYPES[op](OperandRef(MATRICES[f1], f2, f3))
-
-
-def _encode(events: Iterable[TraceEvent]) -> np.ndarray:
-    """Code rows of events; a field that is not an int in int64 (bool is not)
-    or a matrix that is not a Matrix raises ValueError naming the event."""
-    rows = []
-    for index, event in enumerate(events):
-        cls = event.__class__
-        if cls is Fma:
-            row = (OP_FMA, event.i, event.j, event.p)
-        else:
-            op = _OPCODE.get(cls)
-            if op is None:
-                raise TypeError(f"unknown event type {cls.__name__}")
-            ref = event.ref
-            if not isinstance(ref.matrix, Matrix):
-                raise ValueError(f"event {index}: matrix must be a Matrix, got {ref.matrix!r}")
-            row = (op, MATRIX_CODE[ref.matrix], ref.row, ref.col)
-        for field in row[1:]:
-            if not isinstance(field, int) or isinstance(field, bool) or not _INT64_MIN <= field <= _INT64_MAX:
-                raise ValueError(f"event {index}: fields must be int64 integers, got {field!r}")
-        rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(-1, 4)
-
-
-class EventView(Sequence):
-    """Read-only sequence of the events a code array holds, decoded on access.
-
-    ``len`` is O(1) and decodes nothing. A view equals another view of the
-    same codes, and a tuple or list of the same events.
-    """
-
-    __slots__ = ("codes",)
-
-    def __init__(self, codes: np.ndarray):
-        self.codes = codes
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return EventView(self.codes[index])
-        return _decode(*self.codes[index].tolist())
-
-    def __iter__(self):
-        for start in range(0, len(self.codes), _CHUNK):
-            for row in self.codes[start:start + _CHUNK].tolist():
-                yield _decode(*row)
-
-    def __eq__(self, other):
-        if isinstance(other, EventView):
-            return np.array_equal(self.codes, other.codes)
-        if isinstance(other, (tuple, list)):
-            return len(other) == len(self) and all(
-                mine == theirs for mine, theirs in zip(self, other)
-            )
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"EventView(<{len(self)} events>)"
 
 
 class Schedule:
@@ -200,23 +85,21 @@ class Schedule:
     The trace is ``codes``, a read-only (N, 4) int64 array with one row per
     event: the opcode (OP_LOAD, OP_STORE, OP_EVICT or OP_FMA), then the
     matrix code, row and col; an fma uses the three fields for i, j and p.
-    ``Schedule(events, dims)`` encodes a sequence of Load/Store/Evict/Fma
-    events once; ``Schedule.from_codes`` copies a code array. ``events``
-    is a view that decodes on access. A schedule is immutable.
+    ``Schedule(codes, dims)`` takes a read-only copy of integer code rows.
+    A schedule is immutable.
     """
 
     __slots__ = ("codes", "dims", "_legal")
 
-    def __init__(self, events: Iterable[TraceEvent], dims: ProblemDims):
-        self._adopt(_encode(events), dims)
-
-    @classmethod
-    def from_codes(cls, codes, dims: ProblemDims) -> "Schedule":
-        """Wrap a read-only int64 copy of an (N, 4) integer code array.
-        Rejects other dtypes, bool included, and unknown opcodes and matrices."""
+    def __init__(self, codes, dims: ProblemDims):
+        """Copy an (N, 4) array or sequence of integer code rows; an empty
+        sequence is zero events. Rejects other dtypes, bool and uint64
+        included, values beyond int64, and unknown opcodes and matrices."""
         codes = np.asarray(codes)
-        if codes.dtype.kind not in "iu":
-            raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
+        if codes.size == 0 and codes.ndim == 1:
+            codes = codes.astype(np.int64).reshape(0, 4)
+        if codes.dtype.kind not in "iu" or not np.can_cast(codes.dtype, np.int64):
+            raise ValueError(f"codes must be integers within int64, got dtype {codes.dtype}")
         codes = codes.astype(np.int64)
         if codes.ndim != 2 or codes.shape[1] != 4:
             raise ValueError(f"codes must have shape (N, 4), got {codes.shape}")
@@ -226,7 +109,7 @@ class Schedule:
         matrices = codes[ops != OP_FMA, 1]
         if ((matrices < 0) | (matrices >= len(MATRICES))).any():
             raise ValueError("unknown matrix code in codes")
-        return cls._wrap(codes, dims)
+        self._adopt(codes, dims)
 
     @classmethod
     def _wrap(cls, codes: np.ndarray, dims: ProblemDims) -> "Schedule":
@@ -253,8 +136,10 @@ class Schedule:
         raise AttributeError(f"Schedule is immutable; cannot delete {name!r}")
 
     @property
-    def events(self) -> EventView:
-        return EventView(self.codes)
+    def events(self) -> np.ndarray:
+        """Another name for ``codes``: one row per event, so ``len`` counts
+        the events."""
+        return self.codes
 
     def __eq__(self, other):
         if not isinstance(other, Schedule):

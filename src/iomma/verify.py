@@ -5,7 +5,7 @@ what was covered and the tolerance applied, or names the first case that
 broke it. Where an acceptance criterion covers the same invariant, the full
 grid is that criterion's grid, seed and sample count, and the acceptance
 suite calls the check itself, so each invariant has one home. ``quick=True``
-shrinks the grids so the whole suite runs in about a second.
+shrinks the grids so the whole suite runs in about two seconds.
 """
 
 from __future__ import annotations

@@ -3,20 +3,16 @@ between structural prediction and simulation on arbitrary shapes."""
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iomma import (
     Algorithm,
-    Evict,
-    Fma,
-    Load,
     Matrix,
     MemoryConfig,
-    OperandRef,
     ProblemDims,
-    Store,
     TooSmallError,
     block_size,
     build_schedule,
@@ -34,7 +30,7 @@ from iomma.algorithms import (
     blocked_schedule,
     cheapest_runnable,
 )
-from iomma.model import OP_LOAD
+from iomma.model import MATRIX_CODE, OP_EVICT, OP_FMA, OP_LOAD, OP_STORE
 
 ALL_ALGS = list(Algorithm)
 BLOCKED = [Algorithm.A, Algorithm.B, Algorithm.C]
@@ -232,90 +228,155 @@ def test_predicted_io_is_closed_form_at_scale():
         assert (predicted.reads, predicted.writes) == counts
 
 
-def _loop_events(alg, dims, S):
-    """Every event of a schedule, emitted one at a time by plain loops; the
-    oracle for the array-built generators."""
+def _loop_events(resident, dims, shape, by_element=False):
+    """Every code row of a schedule, emitted one at a time by plain loops;
+    the oracle for the array-built generators. ``resident`` None is naive;
+    otherwise a ``shape`` block of it stays resident, as in
+    ``blocked_schedule(resident, dims, shape, by_element)``: with
+    ``by_element`` each block holds the shorter streamed piece whole and
+    brings the longer one an element at a time, the later matrix on a tie."""
     m, n, k = dims.m, dims.n, dims.k
-    A, B, C = Matrix.A, Matrix.B, Matrix.C
+    A, B, C = (MATRIX_CODE[matrix] for matrix in Matrix)
     events = []
     emit = events.append
-    if alg is Algorithm.NAIVE:
+    if resident is None:
         for i in range(m):
             for j in range(n):
                 for p in range(k):
-                    a_ref, b_ref, c_ref = OperandRef(A, i, p), OperandRef(B, p, j), OperandRef(C, i, j)
-                    for event in (Load(a_ref), Load(b_ref), Load(c_ref), Fma(i, j, p),
-                                  Store(c_ref), Evict(a_ref), Evict(b_ref)):
+                    for event in ((OP_LOAD, A, i, p), (OP_LOAD, B, p, j), (OP_LOAD, C, i, j),
+                                  (OP_FMA, i, j, p), (OP_STORE, C, i, j),
+                                  (OP_EVICT, A, i, p), (OP_EVICT, B, p, j)):
                         emit(event)
-        return tuple(events)
-    b = block_size(S)
-    if alg is Algorithm.C:
-        for i0, bm in _segments(m, b):
-            for j0, bn in _segments(n, b):
+    elif resident is Matrix.C:
+        for i0, bm in _segments(m, shape[0]):
+            for j0, bn in _segments(n, shape[1]):
                 rows, cols = range(i0, i0 + bm), range(j0, j0 + bn)
                 for i in rows:
                     for j in cols:
-                        emit(Load(OperandRef(C, i, j)))
+                        emit((OP_LOAD, C, i, j))
                 for p in range(k):
-                    for i in rows:
-                        emit(Load(OperandRef(A, i, p)))
-                    for j in cols:
-                        emit(Load(OperandRef(B, p, j)))
-                    for i in rows:
+                    if not by_element:
+                        for i in rows:
+                            emit((OP_LOAD, A, i, p))
                         for j in cols:
-                            emit(Fma(i, j, p))
-                    for i in rows:
-                        emit(Evict(OperandRef(A, i, p)))
-                    for j in cols:
-                        emit(Evict(OperandRef(B, p, j)))
+                            emit((OP_LOAD, B, p, j))
+                        for i in rows:
+                            for j in cols:
+                                emit((OP_FMA, i, j, p))
+                        for i in rows:
+                            emit((OP_EVICT, A, i, p))
+                        for j in cols:
+                            emit((OP_EVICT, B, p, j))
+                    elif bm <= bn:  # A's piece held, B's by element
+                        for i in rows:
+                            emit((OP_LOAD, A, i, p))
+                        for j in cols:
+                            emit((OP_LOAD, B, p, j))
+                            for i in rows:
+                                emit((OP_FMA, i, j, p))
+                            emit((OP_EVICT, B, p, j))
+                        for i in rows:
+                            emit((OP_EVICT, A, i, p))
+                    else:  # B's piece held, A's by element
+                        for j in cols:
+                            emit((OP_LOAD, B, p, j))
+                        for i in rows:
+                            emit((OP_LOAD, A, i, p))
+                            for j in cols:
+                                emit((OP_FMA, i, j, p))
+                            emit((OP_EVICT, A, i, p))
+                        for j in cols:
+                            emit((OP_EVICT, B, p, j))
                 for i in rows:
                     for j in cols:
-                        emit(Store(OperandRef(C, i, j)))
-    elif alg is Algorithm.B:
-        for p0, bk in _segments(k, b):
-            for j0, bn in _segments(n, b):
+                        emit((OP_STORE, C, i, j))
+    elif resident is Matrix.B:
+        for p0, bk in _segments(k, shape[0]):
+            for j0, bn in _segments(n, shape[1]):
                 ps, cols = range(p0, p0 + bk), range(j0, j0 + bn)
                 for p in ps:
                     for j in cols:
-                        emit(Load(OperandRef(B, p, j)))
+                        emit((OP_LOAD, B, p, j))
                 for i in range(m):
-                    for p in ps:
-                        emit(Load(OperandRef(A, i, p)))
-                    for j in cols:
-                        emit(Load(OperandRef(C, i, j)))
-                    for j in cols:
+                    if not by_element:
                         for p in ps:
-                            emit(Fma(i, j, p))
-                    for j in cols:
-                        emit(Store(OperandRef(C, i, j)))
-                    for p in ps:
-                        emit(Evict(OperandRef(A, i, p)))
+                            emit((OP_LOAD, A, i, p))
+                        for j in cols:
+                            emit((OP_LOAD, C, i, j))
+                        for j in cols:
+                            for p in ps:
+                                emit((OP_FMA, i, j, p))
+                        for j in cols:
+                            emit((OP_STORE, C, i, j))
+                        for p in ps:
+                            emit((OP_EVICT, A, i, p))
+                    elif bk <= bn:  # A's piece held, C's by element
+                        for p in ps:
+                            emit((OP_LOAD, A, i, p))
+                        for j in cols:
+                            emit((OP_LOAD, C, i, j))
+                            for p in ps:
+                                emit((OP_FMA, i, j, p))
+                            emit((OP_STORE, C, i, j))
+                        for p in ps:
+                            emit((OP_EVICT, A, i, p))
+                    else:  # C's piece held, A's by element
+                        for j in cols:
+                            emit((OP_LOAD, C, i, j))
+                        for p in ps:
+                            emit((OP_LOAD, A, i, p))
+                            for j in cols:
+                                emit((OP_FMA, i, j, p))
+                            emit((OP_EVICT, A, i, p))
+                        for j in cols:
+                            emit((OP_STORE, C, i, j))
                 for p in ps:
                     for j in cols:
-                        emit(Evict(OperandRef(B, p, j)))
+                        emit((OP_EVICT, B, p, j))
     else:
-        for i0, bm in _segments(m, b):
-            for p0, bk in _segments(k, b):
+        for i0, bm in _segments(m, shape[0]):
+            for p0, bk in _segments(k, shape[1]):
                 rows, ps = range(i0, i0 + bm), range(p0, p0 + bk)
                 for i in rows:
                     for p in ps:
-                        emit(Load(OperandRef(A, i, p)))
+                        emit((OP_LOAD, A, i, p))
                 for j in range(n):
-                    for p in ps:
-                        emit(Load(OperandRef(B, p, j)))
-                    for i in rows:
-                        emit(Load(OperandRef(C, i, j)))
-                    for i in rows:
+                    if not by_element:
                         for p in ps:
-                            emit(Fma(i, j, p))
-                    for i in rows:
-                        emit(Store(OperandRef(C, i, j)))
-                    for p in ps:
-                        emit(Evict(OperandRef(B, p, j)))
+                            emit((OP_LOAD, B, p, j))
+                        for i in rows:
+                            emit((OP_LOAD, C, i, j))
+                        for i in rows:
+                            for p in ps:
+                                emit((OP_FMA, i, j, p))
+                        for i in rows:
+                            emit((OP_STORE, C, i, j))
+                        for p in ps:
+                            emit((OP_EVICT, B, p, j))
+                    elif bk <= bm:  # B's piece held, C's by element
+                        for p in ps:
+                            emit((OP_LOAD, B, p, j))
+                        for i in rows:
+                            emit((OP_LOAD, C, i, j))
+                            for p in ps:
+                                emit((OP_FMA, i, j, p))
+                            emit((OP_STORE, C, i, j))
+                        for p in ps:
+                            emit((OP_EVICT, B, p, j))
+                    else:  # C's piece held, B's by element
+                        for i in rows:
+                            emit((OP_LOAD, C, i, j))
+                        for p in ps:
+                            emit((OP_LOAD, B, p, j))
+                            for i in rows:
+                                emit((OP_FMA, i, j, p))
+                            emit((OP_EVICT, B, p, j))
+                        for i in rows:
+                            emit((OP_STORE, C, i, j))
                 for i in rows:
                     for p in ps:
-                        emit(Evict(OperandRef(A, i, p)))
-    return tuple(events)
+                        emit((OP_EVICT, A, i, p))
+    return np.array(events, dtype=np.int64).reshape(-1, 4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -327,7 +388,24 @@ def _loop_events(alg, dims, S):
 def test_generators_match_loop_oracle(dims, S, alg):
     # S 4..100 gives b = 1..9, so partial blocks and dims below b both occur
     dims = ProblemDims(*dims)
-    assert build_schedule(alg, dims, S).events == _loop_events(alg, dims, S)
+    b = block_size(S)
+    expected = _loop_events(RESIDENT.get(alg), dims, (b, b))
+    assert np.array_equal(build_schedule(alg, dims, S).codes, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dims=dims_strategy,
+    shape=st.tuples(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5)),
+    resident=st.sampled_from(list(Matrix)),
+    by_element=st.booleans(),
+)
+def test_blocked_schedule_matches_loop_oracle(dims, shape, resident, by_element):
+    # rectangular blocks, cut short at the edges, so a block's held piece
+    # can differ from the first block's, and square ones tie
+    dims = ProblemDims(*dims)
+    schedule = blocked_schedule(resident, dims, shape, by_element=by_element)
+    assert np.array_equal(schedule.codes, _loop_events(resident, dims, shape, by_element))
 
 
 @pytest.mark.parametrize(

@@ -12,16 +12,10 @@ from iomma import (
     Algorithm,
     BoundReport,
     CapsExceededError,
-    Evict,
-    Fma,
     GridTooFineError,
-    Load,
-    Matrix,
     MemoryConfig,
-    OperandRef,
     ProblemDims,
     Schedule,
-    Store,
     cheapest_runnable,
     compulsory_io,
     execute,
@@ -40,6 +34,7 @@ from iomma import (
     tiny_optimal_schedule,
 )
 from iomma import verify
+from iomma.model import MATRIX_CODE, OP_EVICT, OP_FMA, OP_LOAD, OP_STORE
 
 D666 = ProblemDims(6, 6, 6)
 
@@ -233,6 +228,7 @@ def _set_search(dims, S, budget):
     tuples; the oracle for the bitmask search. Returns (min_io, optimal,
     nodes, witness schedule)."""
     m, n, k = dims.m, dims.n, dims.k
+    A, B, C = MATRIX_CODE.values()
     triples = [(i, j, p) for i in range(m) for j in range(n) for p in range(k)]
     remaining = set(triples)
     uses_a: dict[tuple[int, int], int] = {}
@@ -301,7 +297,7 @@ def _set_search(dims, S, budget):
         # later; storing now frees a slot and commutes with everything else.
         for ij in sorted(res_c):
             if res_c[ij] and ij not in needed_c:
-                events.append(Store(OperandRef(Matrix.C, ij[0], ij[1])))
+                events.append((OP_STORE, C, ij[0], ij[1]))
                 del res_c[ij]
                 dfs(cost + 1)
                 res_c[ij] = True
@@ -310,7 +306,7 @@ def _set_search(dims, S, budget):
         # forced move: a clean resident no pending fma uses is dead weight.
         for rc in sorted(res_a):
             if rc not in needed_a:
-                events.append(Evict(OperandRef(Matrix.A, rc[0], rc[1])))
+                events.append((OP_EVICT, A, rc[0], rc[1]))
                 res_a.discard(rc)
                 dfs(cost)
                 res_a.add(rc)
@@ -318,7 +314,7 @@ def _set_search(dims, S, budget):
                 return
         for rc in sorted(res_b):
             if rc not in needed_b:
-                events.append(Evict(OperandRef(Matrix.B, rc[0], rc[1])))
+                events.append((OP_EVICT, B, rc[0], rc[1]))
                 res_b.discard(rc)
                 dfs(cost)
                 res_b.add(rc)
@@ -326,7 +322,7 @@ def _set_search(dims, S, budget):
                 return
         for ij in sorted(res_c):
             if not res_c[ij] and ij not in needed_c:
-                events.append(Evict(OperandRef(Matrix.C, ij[0], ij[1])))
+                events.append((OP_EVICT, C, ij[0], ij[1]))
                 dirty = res_c.pop(ij)
                 dfs(cost)
                 res_c[ij] = dirty
@@ -337,20 +333,20 @@ def _set_search(dims, S, budget):
         if occupancy < S:
             for rc in sorted(needed_a - res_a):
                 res_a.add(rc)
-                events.append(Load(OperandRef(Matrix.A, rc[0], rc[1])))
+                events.append((OP_LOAD, A, rc[0], rc[1]))
                 dfs(cost + 1)
                 events.pop()
                 res_a.discard(rc)
             for rc in sorted(needed_b - res_b):
                 res_b.add(rc)
-                events.append(Load(OperandRef(Matrix.B, rc[0], rc[1])))
+                events.append((OP_LOAD, B, rc[0], rc[1]))
                 dfs(cost + 1)
                 events.pop()
                 res_b.discard(rc)
             for ij in sorted(needed_c):
                 if ij not in res_c:
                     res_c[ij] = False
-                    events.append(Load(OperandRef(Matrix.C, ij[0], ij[1])))
+                    events.append((OP_LOAD, C, ij[0], ij[1]))
                     dfs(cost + 1)
                     events.pop()
                     del res_c[ij]
@@ -371,7 +367,7 @@ def _set_search(dims, S, budget):
                 uses_c[(i, j)] -= 1
                 if uses_c[(i, j)] == 0:
                     needed_c.discard((i, j))
-                events.append(Fma(i, j, p))
+                events.append((OP_FMA, i, j, p))
                 dfs(cost)
                 events.pop()
                 if uses_c[(i, j)] == 0:
@@ -389,7 +385,7 @@ def _set_search(dims, S, budget):
         # stores of dirty slots with work left (partial writeback)
         for ij in sorted(res_c):
             if res_c[ij]:
-                events.append(Store(OperandRef(Matrix.C, ij[0], ij[1])))
+                events.append((OP_STORE, C, ij[0], ij[1]))
                 del res_c[ij]
                 dfs(cost + 1)
                 res_c[ij] = True
@@ -399,20 +395,20 @@ def _set_search(dims, S, budget):
         # occupancy, to make room
         if occupancy >= S:
             for rc in sorted(res_a):
-                events.append(Evict(OperandRef(Matrix.A, rc[0], rc[1])))
+                events.append((OP_EVICT, A, rc[0], rc[1]))
                 res_a.discard(rc)
                 dfs(cost)
                 res_a.add(rc)
                 events.pop()
             for rc in sorted(res_b):
-                events.append(Evict(OperandRef(Matrix.B, rc[0], rc[1])))
+                events.append((OP_EVICT, B, rc[0], rc[1]))
                 res_b.discard(rc)
                 dfs(cost)
                 res_b.add(rc)
                 events.pop()
             for ij in sorted(res_c):
                 if not res_c[ij]:
-                    events.append(Evict(OperandRef(Matrix.C, ij[0], ij[1])))
+                    events.append((OP_EVICT, C, ij[0], ij[1]))
                     del res_c[ij]
                     dfs(cost)
                     res_c[ij] = False

@@ -1,4 +1,4 @@
-"""Core types: dimensions, operand references, events, bounds checking.
+"""Core types: dimensions, trace bounds checking, counters.
 
 Bounds are checked by execute(), the one home of the model's rules."""
 
@@ -8,30 +8,25 @@ import pytest
 
 import iomma
 from iomma import (
-    Evict,
-    Fma,
     GotoParams,
     IOStats,
-    Load,
     Matrix,
     MemoryConfig,
-    OperandRef,
     OutOfBoundsError,
     PhaseConfig,
     ProblemDims,
-    Schedule,
-    Store,
     execute,
     fma_count,
     fmax,
+    parse_trace,
     seeded_matrices,
 )
 from iomma.algorithms import blocked_schedule
 
 
-def _execute(events, dims):
+def _execute(trace, dims):
     a, b, c = seeded_matrices(dims, 1)
-    return execute(Schedule(tuple(events), dims), MemoryConfig(4), a, b, c)
+    return execute(parse_trace(trace, dims), MemoryConfig(4), a, b, c)
 
 
 def test_dims_reject_nonpositive():
@@ -76,34 +71,21 @@ def test_fma_count():
     assert fma_count(ProblemDims(2, 3, 5)) == 30
 
 
-def test_events_compare_by_type():
-    ref = OperandRef(Matrix.A, 0, 0)
-    assert Load(ref) == Load(OperandRef(Matrix.A, 0, 0))
-    assert Load(ref) != Evict(ref)
-    assert Store(OperandRef(Matrix.C, 1, 2)) != Load(OperandRef(Matrix.C, 1, 2))
-
-
-def test_events_hashable_and_frozen():
-    ref = OperandRef(Matrix.B, 1, 0)
-    assert len({Load(ref), Load(ref), Evict(ref)}) == 2
-    with pytest.raises(AttributeError):
-        Load(ref).ref = OperandRef(Matrix.A, 0, 0)
-
-
 @pytest.mark.parametrize(
     "ref,coordinate",
     [
-        (OperandRef(Matrix.A, 2, 0), "row"),
-        (OperandRef(Matrix.A, 0, 3), "col"),
-        (OperandRef(Matrix.B, 3, 0), "row"),
-        (OperandRef(Matrix.C, 0, 4), "col"),
-        (OperandRef(Matrix.A, -1, 0), "row"),
+        (("A", 2, 0), "row"),
+        (("A", 0, 3), "col"),
+        (("B", 3, 0), "row"),
+        (("C", 0, 4), "col"),
+        (("A", -1, 0), "row"),
     ],
 )
 def test_load_bounds_checked(ref, coordinate):
     dims = ProblemDims(2, 3, 3)  # A is 2x3, B 3x3, C 2x3
+    matrix, row, col = ref
     with pytest.raises(OutOfBoundsError) as exc:
-        _execute([Load(ref)], dims)
+        _execute(f"L {matrix} {row} {col}\n", dims)
     assert exc.value.coordinate == coordinate
     assert exc.value.index == 0
 
@@ -115,21 +97,15 @@ def test_load_bounds_checked(ref, coordinate):
 def test_fma_bounds_checked(i, j, p, coordinate):
     dims = ProblemDims(2, 3, 4)
     with pytest.raises(OutOfBoundsError) as exc:
-        _execute([Load(OperandRef(Matrix.A, 0, 0)), Fma(i, j, p)], dims)
+        _execute(f"L A 0 0\nF {i} {j} {p}\n", dims)
     assert exc.value.coordinate == coordinate
     assert exc.value.index == 1
 
 
 def test_validate_accepts_in_range():
     dims = ProblemDims(2, 3, 4)
-    a_ref = OperandRef(Matrix.A, 1, 3)
-    b_ref = OperandRef(Matrix.B, 3, 2)
-    c_ref = OperandRef(Matrix.C, 1, 2)
-    events = [
-        Load(a_ref), Load(b_ref), Load(c_ref), Fma(1, 2, 3),
-        Store(c_ref), Evict(a_ref), Evict(b_ref),
-    ]
-    stats = _execute(events, dims).stats
+    trace = "L A 1 3\nL B 3 2\nL C 1 2\nF 1 2 3\nS C 1 2\nE A 1 3\nE B 3 2\n"
+    stats = _execute(trace, dims).stats
     assert (stats.reads, stats.writes, stats.fmas) == (3, 1, 1)
 
 

@@ -9,32 +9,29 @@ import iomma.phases
 from iomma import (
     Algorithm,
     EmptyInputError,
-    Evict,
-    Fma,
     IncompleteWritebackError,
-    Load,
     Matrix,
     MemoryConfig,
     NonResidentOperandError,
-    OperandRef,
     OutOfBoundsError,
     PHASE_CSV_HEADER,
     PhaseConfig,
     ProblemDims,
     Schedule,
     SimulationError,
-    Store,
     StoreNonResidentError,
     build_schedule,
     check_capacity,
     check_loomis_whitney,
     execute,
     naive_schedule,
+    parse_trace,
     partition_phases,
     phase_efficiency,
     phases_to_csv,
     seeded_matrices,
 )
+from iomma.model import MATRIX_CODE, OP_EVICT, OP_FMA, OP_LOAD, OP_STORE
 
 
 def _alg_c_phases(size=6, S=16, M=32):
@@ -86,16 +83,8 @@ def test_footprints_count_distinct_elements():
 def test_trailing_compute_belongs_to_last_phase():
     # M transfers then fmas and evicts: the tail must not open a new phase
     dims = ProblemDims(1, 1, 1)
-    a_ref = OperandRef(Matrix.A, 0, 0)
-    b_ref = OperandRef(Matrix.B, 0, 0)
-    c_ref = OperandRef(Matrix.C, 0, 0)
-    events = (
-        Load(a_ref), Load(b_ref), Load(c_ref),
-        Fma(0, 0, 0),
-        Store(c_ref),
-        Evict(a_ref), Evict(b_ref),
-    )
-    reports = partition_phases(Schedule(events, dims), PhaseConfig(4))
+    trace = "L A 0 0\nL B 0 0\nL C 0 0\nF 0 0 0\nS C 0 0\nE A 0 0\nE B 0 0\n"
+    reports = partition_phases(parse_trace(trace, dims), PhaseConfig(4))
     assert len(reports) == 1
     assert reports[0].loads == 3 and reports[0].stores == 1
     assert reports[0].fmas == 1
@@ -111,7 +100,7 @@ def test_phase_boundary_right_after_mth_transfer():
 
 
 def test_empty_trace_yields_no_phases():
-    reports = partition_phases(Schedule((), ProblemDims(1, 1, 1)), PhaseConfig(4))
+    reports = partition_phases(Schedule([], ProblemDims(1, 1, 1)), PhaseConfig(4))
     assert reports == []
 
 
@@ -125,53 +114,38 @@ def test_resident_at_start_matches_independent_replay(alg, M):
     occupancy = 0
     boundaries = [0]
     io_seen = 0
-    for event in schedule.events:
-        if isinstance(event, Load):
+    for op, *_ in schedule.codes.tolist():
+        if op == OP_LOAD:
             if io_seen == M:
                 boundaries.append(occupancy)
                 io_seen = 0
             occupancy += 1
             io_seen += 1
-        elif isinstance(event, Store):
+        elif op == OP_STORE:
             if io_seen == M:
                 boundaries.append(occupancy)
                 io_seen = 0
             occupancy -= 1
             io_seen += 1
-        elif isinstance(event, Evict):
+        elif op == OP_EVICT:
             occupancy -= 1
     assert [r.resident_at_start for r in reports] == boundaries[: len(reports)]
 
 
 def test_invalid_traces_rejected():
     dims = ProblemDims(1, 1, 1)
-    c_ref = OperandRef(Matrix.C, 0, 0)
     with pytest.raises(NonResidentOperandError) as exc:
-        partition_phases(Schedule((Fma(0, 0, 0),), dims), PhaseConfig(4))
+        partition_phases(parse_trace("F 0 0 0\n", dims), PhaseConfig(4))
     assert exc.value.index == 0
     with pytest.raises(StoreNonResidentError) as exc:
-        partition_phases(Schedule((Store(c_ref),), dims), PhaseConfig(4))
+        partition_phases(parse_trace("S C 0 0\n", dims), PhaseConfig(4))
     assert exc.value.index == 0
     with pytest.raises(IncompleteWritebackError) as exc:
         # dirty at end of trace
-        partition_phases(
-            Schedule(
-                (
-                    Load(OperandRef(Matrix.A, 0, 0)),
-                    Load(OperandRef(Matrix.B, 0, 0)),
-                    Load(c_ref),
-                    Fma(0, 0, 0),
-                ),
-                dims,
-            ),
-            PhaseConfig(4),
-        )
+        partition_phases(parse_trace("L A 0 0\nL B 0 0\nL C 0 0\nF 0 0 0\n", dims), PhaseConfig(4))
     assert exc.value.index == 4
     with pytest.raises(OutOfBoundsError) as exc:
-        partition_phases(
-            Schedule((Load(c_ref), Load(OperandRef(Matrix.A, 5, 0))), dims),
-            PhaseConfig(4),
-        )
+        partition_phases(parse_trace("L C 0 0\nL A 5 0\n", dims), PhaseConfig(4))
     # execute's own error, with its index and its text
     assert exc.value.index == 1
     assert str(exc.value) == "event 1: A row 5 outside [0, 1)"
@@ -204,8 +178,7 @@ def test_executed_schedule_is_not_validated_again(monkeypatch):
 
 def test_invalid_trace_rejected_on_every_call(monkeypatch):
     dims = ProblemDims(1, 1, 1)
-    c_ref = OperandRef(Matrix.C, 0, 0)
-    trace = Schedule((Load(c_ref), Load(OperandRef(Matrix.A, 5, 0))), dims)
+    trace = parse_trace("L C 0 0\nL A 5 0\n", dims)
     with pytest.raises(OutOfBoundsError):
         execute(trace, MemoryConfig(4), *seeded_matrices(dims, 1))
     calls = _counting_execute(monkeypatch)
@@ -224,12 +197,13 @@ def _random_trace(draw):
     def coord(dim):  # in range more often than not
         return draw(st.integers(-1, dim) | st.integers(0, dim - 1))
 
-    shapes = {Matrix.A: (m, k), Matrix.B: (k, n), Matrix.C: (m, n)}
+    a, b, c = (MATRIX_CODE[mat] for mat in Matrix)
+    shapes = {a: (m, k), b: (k, n), c: (m, n)}
     # half the traces start by loading most elements at random, so
     # that fmas, stores and dirty evictions can get past the residency check
     warm = draw(st.booleans())
-    events = [
-        Load(OperandRef(mat, row, col))
+    codes = [
+        (OP_LOAD, mat, row, col)
         for mat, (rows, cols) in shapes.items() if warm
         for row in range(rows) for col in range(cols) if draw(st.integers(0, 3))
     ]
@@ -237,13 +211,13 @@ def _random_trace(draw):
         kind = draw(st.sampled_from("LLSEFF"))
         if kind == "F":
             i, j, p = coord(m), coord(n), coord(k)
-            events.append(Fma(i, j, p))
+            codes.append((OP_FMA, i, j, p))
         else:
-            mat = draw(st.sampled_from(list(Matrix)))
+            mat = draw(st.sampled_from(list(shapes)))
             rows, cols = shapes[mat]
-            ref = OperandRef(mat, coord(rows), coord(cols))
-            events.append({"L": Load, "S": Store, "E": Evict}[kind](ref))
-    return Schedule(tuple(events), ProblemDims(m, n, k)), draw(st.integers(1, 6))
+            op = {"L": OP_LOAD, "S": OP_STORE, "E": OP_EVICT}[kind]
+            codes.append((op, mat, coord(rows), coord(cols)))
+    return Schedule(codes, ProblemDims(m, n, k)), draw(st.integers(1, 6))
 
 
 @settings(max_examples=300, deadline=None)
