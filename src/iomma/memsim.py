@@ -384,10 +384,8 @@ def reference_gemm(a, b, c_in) -> np.ndarray:
     return out
 
 
-# one line format per (opcode, matrix) pair of a load, store or evict, then the fma's
-_LINE_FORMATS = tuple(
-    f"{letter} {matrix.value} %d %d\n" for letter in "LSE" for matrix in MATRICES
-) + ("F %d %d %d\n",)
+# the head word of a load, store or evict line, one per (opcode, matrix) pair
+_HEADS = tuple(f"{letter} {matrix.value} " for letter in "LSE" for matrix in MATRICES)
 # every character str.splitlines() ends a line at; "\r\n" is one break
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _BREAK = f"(?:\r\n|[{_BREAKS}])"
@@ -419,18 +417,47 @@ def dump_trace(schedule: Schedule) -> str:
     trailing newline; all-ASCII, LF line endings.
     """
     codes = schedule.codes
-    formats = np.array(_LINE_FORMATS, dtype=object)
+    # A line is three words: a head ("L A " ... "E C ", or "F i " for an
+    # fma), a coordinate and a space, and a coordinate and a newline, taken
+    # from a word table. When the codes span fewer values than there are
+    # lines, one table serves the whole trace, its rows numbered by
+    # value - lo, and it holds no more words than the lines do. Otherwise
+    # each chunk numbers its own values by rank, so that the table stays as
+    # small as the chunk. The span covers opcodes and matrix codes too, as
+    # one pass over the contiguous array is far cheaper than passes over the
+    # printed columns, and zero, so dense values cannot overflow.
+    lo, hi = int(codes.min(initial=0)), int(codes.max(initial=0))
+    dense = hi - lo < len(codes)
+    if dense:
+        words, first_row = _word_table(range(lo, hi + 1))
     chunks = []
     for start in range(0, len(codes), _CHUNK):
         chunk = codes[start:start + _CHUNK]
-        fma = chunk[:, 0] == OP_FMA
-        kind = np.where(fma, len(formats) - 1, chunk[:, 0] * 3 + chunk[:, 1])
-        # an fma prints all three fields, any other event its row and col
-        printed = np.ones((len(chunk), 3), dtype=bool)
-        printed[:, 0] = fma
-        fields = tuple(chunk[:, 1:][printed].tolist())
-        chunks.append("".join(formats[kind].tolist()) % fields)
+        if dense:
+            ids = chunk[:, 1:] + (first_row - lo)
+        else:
+            ranked = np.unique(chunk)
+            words, first_row = _word_table(ranked.tolist())
+            ids = np.searchsorted(ranked, chunk[:, 1:]) + first_row
+        # a load, store or evict prints its head in place of its matrix code
+        ops = chunk[:, 0]
+        ids[:, 0] = np.where(ops == OP_FMA, ids[:, 0], ops * len(MATRICES) + chunk[:, 1])
+        chunks.append("".join(words[ids.ravel()].tolist()))
     return "".join(chunks)
+
+
+def _word_table(values) -> tuple[np.ndarray, np.ndarray]:
+    """dump_trace's words for the given values: the heads, then three blocks
+    of one word per value (an fma's head, a coordinate and a space, a
+    coordinate and a newline), and the first row of each block."""
+    words = np.array(
+        _HEADS
+        + tuple(f"F {value} " for value in values)
+        + tuple(f"{value} " for value in values)
+        + tuple(f"{value}\n" for value in values),
+        dtype=object,
+    )
+    return words, np.arange(len(_HEADS), len(words), len(values))
 
 
 def parse_trace(text: str, dims: ProblemDims) -> Schedule:

@@ -94,12 +94,18 @@ class Schedule:
     def __init__(self, codes, dims: ProblemDims):
         """Copy an (N, 4) array or sequence of integer code rows; an empty
         sequence is zero events. Rejects other dtypes, bool and uint64
-        included, values beyond int64, and unknown opcodes and matrices."""
+        included, a bool anywhere in a sequence, values beyond int64, and
+        unknown opcodes and matrices."""
+        # np.asarray reads a bool among Python ints as an int
+        elements = () if isinstance(codes, np.ndarray) else np.array(codes, dtype=object).flat
         codes = np.asarray(codes)
         if codes.size == 0 and codes.ndim == 1:
             codes = codes.astype(np.int64).reshape(0, 4)
-        if codes.dtype.kind not in "iu" or not np.can_cast(codes.dtype, np.int64):
-            raise ValueError(f"codes must be integers within int64, got dtype {codes.dtype}")
+        dtype = codes.dtype
+        if any(isinstance(element, (bool, np.bool_)) for element in elements):
+            dtype = np.dtype(bool)
+        if dtype.kind not in "iu" or not np.can_cast(dtype, np.int64):
+            raise ValueError(f"codes must be integers within int64, got dtype {dtype}")
         codes = codes.astype(np.int64)
         if codes.ndim != 2 or codes.shape[1] != 4:
             raise ValueError(f"codes must have shape (N, 4), got {codes.shape}")

@@ -85,9 +85,10 @@ def partition_phases(trace: Schedule, config: PhaseConfig) -> list[PhaseReport]:
     loads - stores - evicts summed over the earlier phases.
     """
     M = config.M
+    # element ids of A, B and C run from 0 to size - 1
+    size = sum(rows * cols for rows, cols, _ in layout(trace.dims))
     if not trace._legal:  # set by a successful execute(); a Schedule cannot change
-        room = sum(rows * cols for rows, cols, _ in layout(trace.dims))
-        validate_trace(trace, MemoryConfig(room))
+        validate_trace(trace, MemoryConfig(size))
 
     codes = trace.codes
     if not len(codes):
@@ -107,18 +108,20 @@ def partition_phases(trace: Schedule, config: PhaseConfig) -> list[PhaseReport]:
     fma_phase = phase[fma]
     del phase  # frees a whole-trace array before the footprints peak
     ids = fma_operand_ids(trace.dims, codes[fma, 1], codes[fma, 2], codes[fma, 3])
-    xs, ys, zs = (_distinct_per_phase(fma_phase, each, count) for each in ids)
+    xs, ys, zs = (_distinct_per_phase(fma_phase, each, count, size) for each in ids)
     rows = zip(*(column.tolist() for column in (loads, stores, fmas, xs, ys, zs, resident_at_start)))
     return [PhaseReport(index, *row) for index, row in enumerate(rows)]
 
 
-def _distinct_per_phase(phase: np.ndarray, ids: np.ndarray, count: int) -> np.ndarray:
-    """Number of distinct ids in each phase; phase is non-decreasing."""
-    order = np.lexsort((ids, phase))
-    phase, ids = phase[order], ids[order]
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = (phase[1:] != phase[:-1]) | (ids[1:] != ids[:-1])
-    return np.bincount(phase[first], minlength=count)
+def _distinct_per_phase(phase: np.ndarray, ids: np.ndarray, count: int, size: int) -> np.ndarray:
+    """Number of distinct ids in each phase, for ids below size."""
+    # one key per (phase, id) pair, below count * size <= N * size for a
+    # trace of N events: far inside int64, which a billion events over nine
+    # billion elements would take to fill
+    keys = np.sort(phase * size + ids)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return np.bincount(keys[first] // size, minlength=count)
 
 
 def check_loomis_whitney(report: PhaseReport) -> bool:

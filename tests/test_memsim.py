@@ -40,7 +40,7 @@ from iomma import (
     seeded_matrices,
 )
 from iomma.memsim import trace_line
-from iomma.model import MATRIX_CODE, OP_EVICT, OP_FMA, OP_LOAD, OP_STORE, layout
+from iomma.model import _CHUNK, MATRICES, MATRIX_CODE, OP_EVICT, OP_FMA, OP_LOAD, OP_STORE, layout
 
 A = Matrix.A
 B = Matrix.B
@@ -525,6 +525,67 @@ def test_trace_round_trip():
     assert parse_trace(spaced, dims) == schedule
 
 
+def _formatted_lines(codes):
+    """The trace text of code rows, one %-formatted line per row."""
+    lines = []
+    for op, field, row, col in codes.tolist():
+        if op == OP_FMA:
+            lines.append("F %d %d %d\n" % (field, row, col))
+        else:
+            lines.append("%s %s %d %d\n" % ("LSE"[op], MATRICES[field].value, row, col))
+    return "".join(lines)
+
+
+def _assert_dumped_as_formatted(codes):
+    """dump_trace writes each row as the %-format does, and where every
+    coordinate fits the grammar's 18 digits, parse_trace reads it back."""
+    dims = ProblemDims(1, 1, 1)
+    schedule = Schedule(codes, dims)
+    text = dump_trace(schedule)
+    assert text == _formatted_lines(codes)
+    if all(-10**18 < value < 10**18 for value in codes.ravel().tolist()):
+        assert parse_trace(text, dims) == schedule
+
+
+# one kind of coordinate per trace: dense near zero, dense far from it,
+# spread over int64, or its extremes
+_COORDINATES = st.sampled_from([
+    st.integers(-3, 40),
+    st.integers(10**17 - 3, 10**17 + 3),
+    st.integers(-2**63, 2**63 - 1),
+    st.sampled_from([2**63 - 1, -(2**63 - 1), -2**63, -1, 0, 5]),
+])
+
+
+@st.composite
+def _dump_codes(draw):
+    coordinate = draw(_COORDINATES)
+    row = st.tuples(st.integers(0, 3), st.integers(0, 2), coordinate, coordinate, coordinate)
+    rows = draw(st.lists(row, max_size=40))
+    codes = [(op, i if op == OP_FMA else matrix, row, col) for op, matrix, i, row, col in rows]
+    return np.array(codes, dtype=np.int64).reshape(-1, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes=_dump_codes(), chunk=st.integers(1, 9))
+def test_dump_trace_matches_per_row_format(codes, chunk):
+    # short chunks, so that traces cross chunk boundaries
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iomma.memsim, "_CHUNK", chunk)
+        _assert_dumped_as_formatted(codes)
+
+
+@pytest.mark.parametrize("events", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+@pytest.mark.parametrize("low,high", [(-3, 30), (-2**40, 2**40), (-2**63, 2**63 - 1)])
+def test_dump_trace_matches_per_row_format_across_chunks(events, low, high):
+    rng = np.random.default_rng(events)
+    ops = rng.integers(0, 4, events)
+    fields = rng.integers(low, high, (events, 3), endpoint=True)
+    matrices = rng.integers(0, 3, events)
+    codes = np.column_stack([ops, np.where(ops == OP_FMA, fields[:, 0], matrices), fields[:, 1:]])
+    _assert_dumped_as_formatted(codes)
+
+
 def test_long_trace_round_trip_across_match_spans():
     dims = ProblemDims(20, 20, 20)
     schedule = build_schedule(Algorithm.C, dims, 16)
@@ -678,6 +739,11 @@ def test_codes_must_name_known_events():
         (np.zeros((0, 4)), "float64"),
         ([["0", "0", "1", "0"]], "<U1"),
         (np.zeros((1, 4), dtype=bool), "bool"),
+        # np.asarray would read a bool among ints as an int
+        ([[3, True, 0, 0]], "bool"),
+        (((0, 0, 0, 0), (3, 0, 0, False)), "bool"),
+        ([[0, 0, np.False_, 0]], "bool"),
+        ([np.array([3, 1, 0, 0]), np.array([True, False, False, False])], "bool"),
         ([[3, 2**63, 0, 0]], "float64"),
         ([[3, 2**70, 0, 0]], "object"),
         (np.zeros((1, 4), dtype=np.uint64), "uint64"),

@@ -132,6 +132,45 @@ def test_resident_at_start_matches_independent_replay(alg, M):
     assert [r.resident_at_start for r in reports] == boundaries[: len(reports)]
 
 
+def _replayed_phases(schedule, M):
+    """Each phase's loads, stores, fmas, x, y, z and resident_at_start,
+    replayed row by row with a set of the A, B and C elements its fmas use."""
+    phases = []
+    occupancy = transfers = 0
+    for op, *fields in schedule.codes.tolist():
+        transfer = op in (OP_LOAD, OP_STORE)
+        if not phases or (transfer and transfers == M):
+            phases.append(([0, 0, 0, 0], (set(), set(), set()), occupancy))
+            transfers = 0
+        counts, footprints, _ = phases[-1]
+        counts[op] += 1
+        transfers += transfer
+        if op == OP_FMA:
+            i, j, p = fields
+            for footprint, element in zip(footprints, ((i, p), (p, j), (i, j))):
+                footprint.add(element)
+        else:
+            occupancy += 1 if op == OP_LOAD else -1
+    return [
+        (counts[OP_LOAD], counts[OP_STORE], counts[OP_FMA], *map(len, footprints), start)
+        for counts, footprints, start in phases
+    ]
+
+
+def _assert_phases_replayed(schedule, M):
+    reports = partition_phases(schedule, PhaseConfig(M))
+    assert [r.index for r in reports] == list(range(len(reports)))
+    rows = [(r.loads, r.stores, r.fmas, r.x, r.y, r.z, r.resident_at_start) for r in reports]
+    assert rows == _replayed_phases(schedule, M)
+
+
+@pytest.mark.parametrize("alg", list(Algorithm), ids=lambda alg: alg.value)
+@pytest.mark.parametrize("M", [1, 2, 9, 18])  # 1, 2, S and 2S
+def test_phase_reports_match_set_replay(alg, M):
+    schedule = build_schedule(alg, ProblemDims(4, 3, 5), 9)
+    _assert_phases_replayed(schedule, M)
+
+
 def test_invalid_traces_rejected():
     dims = ProblemDims(1, 1, 1)
     with pytest.raises(NonResidentOperandError) as exc:
@@ -239,6 +278,11 @@ def test_partition_phases_rejects_what_execute_rejects(case):
     assert sum(r.loads for r in reports) == stats.reads
     assert sum(r.stores for r in reports) == stats.writes
     assert sum(r.fmas for r in reports) == stats.fmas
+    # a legal trace's phases match the replay at 1, 2, S and 2S, where S
+    # is the least capacity that runs it
+    S = max(stats.peak_residency, 1)
+    for phase_size in (M, 1, 2, S, 2 * S):
+        _assert_phases_replayed(trace, phase_size)
 
 
 def test_loomis_whitney_is_exact_integer_comparison():
