@@ -100,7 +100,6 @@ class MemoryConfig:
 @dataclass(frozen=True)
 class ExecutionResult:
     stats: IOStats
-    trace: Schedule
     output_c: np.ndarray
 
 
@@ -161,8 +160,8 @@ def execute(
 
     Loads of C bring the current slow-memory value in clean; the first Fma on
     a C slot marks it dirty; a store writes the slot back and frees it. The
-    schedule must leave no dirty slot behind. Returns the counters, the
-    as-executed trace, and the final C as a fresh array.
+    schedule must leave no dirty slot behind. Returns the counters and the
+    final C as a fresh array.
 
     This is the one home of the model's rules. A failure's ``index`` is the
     offending event's position (the schedule's length for a missing
@@ -191,7 +190,7 @@ def execute(
         ops, xs, ys, zs = _operand_ids(chunk, dims, table)
         done, occupancy, peak = _replay(ops, xs, ys, zs, values, state, occupancy, peak, cap, keys)
         if done < len(chunk):
-            error = _event_error(chunk[done].tolist(), dims, state, occupancy, cap)
+            error = _event_error(chunk[done].tolist(), dims, state, cap)
             raise _locate(error, start + done)
 
     dirty = state[c_off:] == 2
@@ -209,7 +208,7 @@ def execute(
     )
     output_c = values[c_off:].reshape(c_rows, c_cols).copy()
     schedule._mark_legal()
-    return ExecutionResult(stats=stats, trace=schedule, output_c=output_c)
+    return ExecutionResult(stats=stats, output_c=output_c)
 
 
 @functools.lru_cache(maxsize=256)
@@ -312,7 +311,7 @@ def _replay(ops, xs, ys, zs, values, state, occupancy, peak, cap, keys):
     return done, int(level[done - 1]), max(peak, int(level[:done].max()))
 
 
-def _event_error(row: list[int], dims: ProblemDims, state, occupancy: int, cap: int):
+def _event_error(row: list[int], dims: ProblemDims, state, cap: int):
     """The rule one event breaks in the current state, checked in order:
     read-only store, coordinates, then residency and capacity."""
     op, f1, f2, f3 = row
@@ -386,6 +385,9 @@ def reference_gemm(a, b, c_in) -> np.ndarray:
 
 # the head word of a load, store or evict line, one per (opcode, matrix) pair
 _HEADS = tuple(f"{letter} {matrix.value} " for letter in "LSE" for matrix in MATRICES)
+# the %-format pattern of a line, by opcode; a load's, store's or evict's %c
+# takes its matrix code + ord("A"), the code point of its letter
+_PATTERNS = np.array([f"{letter} %c %d %d\n" for letter in "LSE"] + ["F %d %d %d\n"], dtype=object)
 # every character str.splitlines() ends a line at; "\r\n" is one break
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _BREAK = f"(?:\r\n|[{_BREAKS}])"
@@ -417,47 +419,45 @@ def dump_trace(schedule: Schedule) -> str:
     trailing newline; all-ASCII, LF line endings.
     """
     codes = schedule.codes
-    # A line is three words: a head ("L A " ... "E C ", or "F i " for an
-    # fma), a coordinate and a space, and a coordinate and a newline, taken
-    # from a word table. When the codes span fewer values than there are
-    # lines, one table serves the whole trace, its rows numbered by
-    # value - lo, and it holds no more words than the lines do. Otherwise
-    # each chunk numbers its own values by rank, so that the table stays as
-    # small as the chunk. The span covers opcodes and matrix codes too, as
-    # one pass over the contiguous array is far cheaper than passes over the
-    # printed columns, and zero, so dense values cannot overflow.
+    # When each value of the codes serves at least two lines, a line is
+    # three words of one table over the values: a head ("L A " ... "E C ",
+    # or "F i " for an fma), a coordinate and a space, and a coordinate and
+    # a newline, each row numbered by value - lo. A table word used about
+    # once costs more than formatting the line, so other traces fill each
+    # line's pattern. The span covers opcodes and matrix codes too, as one
+    # pass over the contiguous array is far cheaper than passes over the
+    # printed columns, and zero, so table ids cannot overflow.
     lo, hi = int(codes.min(initial=0)), int(codes.max(initial=0))
-    dense = hi - lo < len(codes)
-    if dense:
-        words, first_row = _word_table(range(lo, hi + 1))
+    span = hi - lo + 1
+    table = 2 * span <= len(codes)
+    if table:
+        values = range(lo, hi + 1)
+        words = np.array(
+            _HEADS
+            + tuple(f"F {value} " for value in values)
+            + tuple(f"{value} " for value in values)
+            + tuple(f"{value}\n" for value in values),
+            dtype=object,
+        )
+        # the id of value v in a block is that block's offset + v
+        offsets = np.arange(len(_HEADS), len(words), span) - lo
     chunks = []
     for start in range(0, len(codes), _CHUNK):
         chunk = codes[start:start + _CHUNK]
-        if dense:
-            ids = chunk[:, 1:] + (first_row - lo)
-        else:
-            ranked = np.unique(chunk)
-            words, first_row = _word_table(ranked.tolist())
-            ids = np.searchsorted(ranked, chunk[:, 1:]) + first_row
-        # a load, store or evict prints its head in place of its matrix code
         ops = chunk[:, 0]
-        ids[:, 0] = np.where(ops == OP_FMA, ids[:, 0], ops * len(MATRICES) + chunk[:, 1])
-        chunks.append("".join(words[ids.ravel()].tolist()))
+        if table:
+            ids = chunk[:, 1:] + offsets
+            # a load, store or evict prints its head in place of its matrix code
+            ids[:, 0] = np.where(ops == OP_FMA, ids[:, 0], ops * len(MATRICES) + chunk[:, 1])
+            chunks.append("".join(words[ids.ravel()].tolist()))
+        else:
+            # a load, store or evict prints its matrix code as a letter; one
+            # %-format of the chunk's patterns is about twice as fast as an
+            # f-string per line
+            fields = chunk[:, 1:].copy()
+            fields[ops != OP_FMA, 0] += ord("A")
+            chunks.append("".join(_PATTERNS[ops].tolist()) % tuple(fields.ravel().tolist()))
     return "".join(chunks)
-
-
-def _word_table(values) -> tuple[np.ndarray, np.ndarray]:
-    """dump_trace's words for the given values: the heads, then three blocks
-    of one word per value (an fma's head, a coordinate and a space, a
-    coordinate and a newline), and the first row of each block."""
-    words = np.array(
-        _HEADS
-        + tuple(f"F {value} " for value in values)
-        + tuple(f"{value} " for value in values)
-        + tuple(f"{value}\n" for value in values),
-        dtype=object,
-    )
-    return words, np.arange(len(_HEADS), len(words), len(values))
 
 
 def parse_trace(text: str, dims: ProblemDims) -> Schedule:

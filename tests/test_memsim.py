@@ -575,14 +575,35 @@ def test_dump_trace_matches_per_row_format(codes, chunk):
         _assert_dumped_as_formatted(codes)
 
 
-@pytest.mark.parametrize("events", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
-@pytest.mark.parametrize("low,high", [(-3, 30), (-2**40, 2**40), (-2**63, 2**63 - 1)])
-def test_dump_trace_matches_per_row_format_across_chunks(events, low, high):
+def _random_codes(low, high, events):
+    """Code rows of random events whose fields run from low to high; the
+    first row holds both ends, so its values span exactly [low, high]."""
     rng = np.random.default_rng(events)
     ops = rng.integers(0, 4, events)
     fields = rng.integers(low, high, (events, 3), endpoint=True)
+    fields[:1, 1:] = low, high
     matrices = rng.integers(0, 3, events)
-    codes = np.column_stack([ops, np.where(ops == OP_FMA, fields[:, 0], matrices), fields[:, 1:]])
+    return np.column_stack([ops, np.where(ops == OP_FMA, fields[:, 0], matrices), fields[:, 1:]])
+
+
+# (low, high, events): lengths across chunk edges at three spreads, then
+# dump_trace's edge, where the values 0 to _CHUNK - 1 serve two rows each
+# (its word table) and then one row fewer (a %-format per chunk)
+_RANDOM_TRACES = [
+    (low, high, events)
+    for low, high in [(-3, 30), (-2**40, 2**40), (-2**63, 2**63 - 1)]
+    for events in [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
+] + [(0, _CHUNK - 1, 2 * _CHUNK), (0, _CHUNK - 1, 2 * _CHUNK - 1)]
+_ALG_C = build_schedule(Algorithm.C, ProblemDims(20, 20, 20), 16).codes
+
+
+@pytest.mark.parametrize("codes", [
+    *(pytest.param(_random_codes(*case), id="{}-{}-{}".format(*case)) for case in _RANDOM_TRACES),
+    # an alg-c trace takes the word table, and one int64-extreme row more takes it off
+    pytest.param(_ALG_C, id="alg-c"),
+    pytest.param(np.vstack([_ALG_C, [[OP_FMA, -2**63, 0, 2**63 - 1]]]), id="alg-c-int64-row"),
+])
+def test_dump_trace_matches_per_row_format_across_chunks(codes):
     _assert_dumped_as_formatted(codes)
 
 
