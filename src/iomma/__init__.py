@@ -28,7 +28,6 @@ from .bounds import (
     compulsory_io,
     fmax,
     grid_search_xyz,
-    lower_bound_AB,
     lower_bound_final,
     lower_bound_general,
     lower_bound_MS,

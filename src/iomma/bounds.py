@@ -172,15 +172,6 @@ def compulsory_io(dims: ProblemDims) -> int:
     return m * k + k * n + 2 * m * n
 
 
-def lower_bound_AB(dims: ProblemDims, S: int, c_mn: float = 3.0) -> float:
-    """Bound for plain C := A*B, where C need not be read before first use.
-
-    Dropping the initial-C reads can save at most a constant multiple of mn
-    transfers; c_mn sets that constant.
-    """
-    return lower_bound_final(dims, S) - c_mn * dims.m * dims.n
-
-
 def phase_size_payoff(S: int, M: float) -> float:
     """fmas-per-transfer factor g(M) = 3*sqrt(3) * M / (S+M)^{3/2}.
 

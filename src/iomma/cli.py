@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import re
 import sys
@@ -49,44 +50,38 @@ SWEEP_CSV_HEADER = "alg,m,n,k,S,reads,writes,io_total,lb_final,ratio"
 _ALG_NAMES = ",".join(alg.value for alg in Algorithm)
 
 
-def _positive_int(text: str) -> int:
-    """ASCII decimal digits alone, as a trace coordinate: no sign,
-    underscore, whitespace or other script's digits."""
-    if not re.fullmatch("[0-9]+", text) or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return int(text)
+def _token(pattern: str, convert, what: str, name: str):
+    """The flag type ``name``: ``convert`` of a token that ``pattern`` matches
+    whole; any other is refused as not ``what``. argparse names a value that
+    ``convert`` raises ValueError on by the type's ``__name__``."""
+
+    def parse(text: str):
+        if not re.fullmatch(pattern, text):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text}")
+        return convert(text)
+    parse.__name__ = name
+    return parse
 
 
-def _int(text: str) -> int:
-    """As _positive_int, but any value, with an optional leading '-'."""
-    if not re.fullmatch("-?[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text}")
-    return int(text)
+def _list(item, name: str):
+    """The flag type ``name``: comma-separated ``item`` tokens; empty items
+    are skipped, so "" is none."""
+
+    def parse(text: str) -> list:
+        return [item(part) for part in text.split(",") if part]
+    parse.__name__ = name
+    return parse
 
 
-def _decimal(text: str) -> float:
-    """ASCII digits with an optional fraction and exponent, as 1, 1.05 or
-    2e-1: no sign, underscore, whitespace, nan or inf."""
-    if not re.fullmatch(r"[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?", text):
-        raise argparse.ArgumentTypeError(f"expected a decimal number, got {text}")
-    return float(text)
-
-
-def _algorithm(text: str) -> Algorithm:
-    try:
-        return Algorithm(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected one of {_ALG_NAMES}, got {text}") from None
-
-
-def _int_list(text: str) -> list[int]:
-    """Comma-separated positive ints; empty items are skipped, so "" is none."""
-    return [_positive_int(part) for part in text.split(",") if part]
-
-
-def _alg_list(text: str) -> list[Algorithm]:
-    """Comma-separated algorithm names, skipping empty items as _int_list does."""
-    return [_algorithm(part) for part in text.split(",") if part]
+# integers are ASCII decimal digits alone, as a trace coordinate: no sign,
+# underscore, whitespace or other script's digits, but a seed may have a
+# leading '-'; a decimal is 1, 1.05 or 2e-1, never nan or inf
+_positive_int = _token("[0-9]*[1-9][0-9]*", int, "a positive integer", "_positive_int")
+_int = _token("-?[0-9]+", int, "an integer", "_int")
+_decimal = _token(r"[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?", float, "a decimal number", "_decimal")
+_algorithm = _token(_ALG_NAMES.replace(",", "|"), Algorithm, f"one of {_ALG_NAMES}", "_algorithm")
+_int_list = _list(_positive_int, "_int_list")
+_alg_list = _list(_algorithm, "_alg_list")
 
 
 # the flags several commands take, each declared here once
@@ -320,14 +315,15 @@ def cmd_goto(ns: argparse.Namespace) -> dict:
 
 def _sweep_points(ns: argparse.Namespace) -> list[tuple[Algorithm, int, int, int, int]]:
     lists = (ns.m_list, ns.n_list, ns.k_list)
-    if ns.sizes is not None and any(lst is not None for lst in lists):
+    given = sum(lst is not None for lst in lists)
+    if ns.sizes is not None and given:
         raise ValueError("pass either --sizes or --m-list/--n-list/--k-list, not both")
     if ns.sizes is not None:
         shapes = [(s, s, s) for s in ns.sizes]
-    elif any(lst is not None for lst in lists):
-        if any(lst is None for lst in lists):
-            raise ValueError("--m-list, --n-list and --k-list must be given together")
-        shapes = [(m, n, k) for m in ns.m_list for n in ns.n_list for k in ns.k_list]
+    elif given == 3:
+        shapes = list(itertools.product(*lists))
+    elif given:
+        raise ValueError("--m-list, --n-list and --k-list must be given together")
     else:
         raise ValueError("sweep needs --sizes or --m-list/--n-list/--k-list")
     points = [

@@ -520,18 +520,13 @@ def _rejection(text: str, stop: int) -> str:
     return f"trace line {lineno}: {reason}"
 
 
-def _event_lines(text: str):
-    """(1-based line number, fields) of each line of a trace that holds an event."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.partition("#")[0].split()
-        if parts:
-            yield lineno, parts
-
-
 def trace_line(text: str, index: int) -> int:
-    """1-based line of the trace text that parse_trace() read event ``index`` from.
-    Raises IndexError if the text holds no such event."""
+    """1-based line of the trace text that parse_trace() read event ``index`` from:
+    an event's line starts with L, S, E or F after spaces and tabs. Raises
+    IndexError if the text holds no such event."""
     if index >= 0:
-        for lineno, _ in itertools.islice(_event_lines(text), index, None):
+        lines = enumerate(_LINE_BREAK.split(text), start=1)
+        events = (n for n, line in lines if line.lstrip(" \t").startswith(("L", "S", "E", "F")))
+        for lineno in itertools.islice(events, index, None):
             return lineno
     raise IndexError(f"trace has no event {index}")

@@ -10,6 +10,7 @@ shrinks the grids so the whole suite runs in about two seconds.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -34,17 +35,15 @@ SEED = 42
 _ALGS = tuple(Algorithm)
 
 
-def _all_dims(limit: int) -> list[ProblemDims]:
-    return [
-        ProblemDims(m, n, k)
-        for m in range(1, limit + 1)
-        for n in range(1, limit + 1)
-        for k in range(1, limit + 1)
-    ]
-
-
-def _label(alg: Algorithm, dims: ProblemDims, S: int) -> str:
-    return f"{alg.value} ({dims.m},{dims.n},{dims.k}) S={S}"
+def _runs(limit: int, s_values: tuple[int, ...]):
+    """(label, algorithm, dims, S, seeded inputs) of every algorithm at each S
+    in s_values on each dims in {1..limit}^3, dims outermost; the inputs are
+    drawn once per dims."""
+    for m, n, k in itertools.product(range(1, limit + 1), repeat=3):
+        dims = ProblemDims(m, n, k)
+        inputs = seeded_matrices(dims, SEED)
+        for S, alg in itertools.product(s_values, _ALGS):
+            yield f"{alg.value} ({m},{n},{k}) S={S}", alg, dims, S, inputs
 
 
 def _relative_gap(left: float, right: float) -> float:
@@ -63,23 +62,17 @@ def check_agreement(quick: bool) -> tuple[bool, str]:
     limit = 4 if quick else 6
     s_values = (4, 9, 16) if quick else (4, 9, 16, 25)
     cases = 0
-    for dims in _all_dims(limit):
-        inputs = seeded_matrices(dims, SEED)
-        for S in s_values:
-            for alg in _ALGS:
-                label = _label(alg, dims, S)
-                try:
-                    stats = execute(build_schedule(alg, dims, S), MemoryConfig(S), *inputs).stats
-                except Exception as exc:
-                    return False, f"{label}: {exc}"
-                predicted = predicted_io(alg, dims, S)
-                if not predicted.matches(stats):
-                    return False, (
-                        f"{label}: simulated {_counts(stats)} != predicted {_counts(predicted)}"
-                    )
-                if stats.fmas != fma_count(dims):
-                    return False, f"{label}: {stats.fmas} fmas != {fma_count(dims)}"
-                cases += 1
+    for label, alg, dims, S, inputs in _runs(limit, s_values):
+        try:
+            stats = execute(build_schedule(alg, dims, S), MemoryConfig(S), *inputs).stats
+        except Exception as exc:
+            return False, f"{label}: {exc}"
+        predicted = predicted_io(alg, dims, S)
+        if not predicted.matches(stats):
+            return False, f"{label}: simulated {_counts(stats)} != predicted {_counts(predicted)}"
+        if stats.fmas != fma_count(dims):
+            return False, f"{label}: {stats.fmas} fmas != {fma_count(dims)}"
+        cases += 1
     return True, f"{cases} cases exact"
 
 
@@ -111,18 +104,17 @@ def check_bitwise(quick: bool) -> tuple[bool, str]:
     """Every schedule's C is byte-identical to ``reference_gemm`` (criterion 8)."""
     limit = 4 if quick else 8
     cases = 0
-    for dims in _all_dims(limit):
-        a, b, c = seeded_matrices(dims, SEED)
-        expected = reference_gemm(a, b, c).tobytes()
-        for S in (4, 9, 16):
-            for alg in _ALGS:
-                result = execute(build_schedule(alg, dims, S), MemoryConfig(S), a, b, c)
-                if result.output_c.tobytes() != expected:
-                    return False, (
-                        f"{_label(alg, dims, S)}: output differs from the reference "
-                        "loop (zero byte-level mismatches required)"
-                    )
-                cases += 1
+    reference_dims = None
+    for label, alg, dims, S, inputs in _runs(limit, (4, 9, 16)):
+        if dims != reference_dims:  # once per dims, as the inputs are
+            reference_dims, expected = dims, reference_gemm(*inputs).tobytes()
+        result = execute(build_schedule(alg, dims, S), MemoryConfig(S), *inputs)
+        if result.output_c.tobytes() != expected:
+            return False, (
+                f"{label}: output differs from the reference loop (zero byte-level "
+                "mismatches required)"
+            )
+        cases += 1
     return True, (
         f"dims {{1..{limit}}}^3, S in {{4,9,16}}, all algorithms: {cases} runs, "
         "0 byte-level mismatches (zero required)"
@@ -133,20 +125,16 @@ def check_phase_inequalities(quick: bool) -> tuple[bool, str]:
     """Every phase obeys Loomis-Whitney and x+y+z <= S+M (criterion 6)."""
     limit = 4 if quick else 8
     phases = 0
-    for dims in _all_dims(limit):
-        for S in (4, 9, 16):
-            for alg in _ALGS:
-                schedule = build_schedule(alg, dims, S)
-                for M in (S, 2 * S):
-                    for report in partition_phases(schedule, PhaseConfig(M)):
-                        where = f"{_label(alg, dims, S)} M={M} phase {report.index}"
-                        if not check_loomis_whitney(report):
-                            return False, f"{where}: fmas^2 > x*y*z (zero violations required)"
-                        if not check_capacity(report, S, M):
-                            return False, (
-                                f"{where}: footprint exceeds capacity (zero violations required)"
-                            )
-                        phases += 1
+    for label, alg, dims, S, _ in _runs(limit, (4, 9, 16)):
+        schedule = build_schedule(alg, dims, S)
+        for M in (S, 2 * S):
+            for report in partition_phases(schedule, PhaseConfig(M)):
+                where = f"{label} M={M} phase {report.index}"
+                if not check_loomis_whitney(report):
+                    return False, f"{where}: fmas^2 > x*y*z (zero violations required)"
+                if not check_capacity(report, S, M):
+                    return False, f"{where}: footprint exceeds capacity (zero violations required)"
+                phases += 1
     return True, (
         f"dims {{1..{limit}}}^3, S in {{4,9,16}}, M in {{S,2S}}, all algorithms: "
         f"{phases} phases, 0 violations (zero required)"
@@ -157,30 +145,26 @@ def check_phase_conservation(quick: bool) -> tuple[bool, str]:
     """Phase sums equal the simulated counters; non-final phases hold M transfers."""
     limit = 3 if quick else 5
     cases = 0
-    for dims in _all_dims(limit):
-        inputs = seeded_matrices(dims, SEED)
-        for S in (4, 16):
-            for alg in _ALGS:
-                label = _label(alg, dims, S)
-                schedule = build_schedule(alg, dims, S)
-                stats = execute(schedule, MemoryConfig(S), *inputs).stats
-                M = 2 * S
-                reports = partition_phases(schedule, PhaseConfig(M))
-                loads = sum(r.loads for r in reports)
-                stores = sum(r.stores for r in reports)
-                fmas = sum(r.fmas for r in reports)
-                if (loads, stores, fmas) != (stats.reads, stats.writes, stats.fmas):
-                    return False, (
-                        f"{label}: phase sums ({loads},{stores},{fmas}) != stats "
-                        f"({stats.reads},{stats.writes},{stats.fmas})"
-                    )
-                for report in reports[:-1]:
-                    if report.loads + report.stores != M:
-                        return False, (
-                            f"{label}: non-final phase {report.index} has "
-                            f"{report.loads + report.stores} transfers, not {M}"
-                        )
-                cases += 1
+    for label, alg, dims, S, inputs in _runs(limit, (4, 16)):
+        schedule = build_schedule(alg, dims, S)
+        stats = execute(schedule, MemoryConfig(S), *inputs).stats
+        M = 2 * S
+        reports = partition_phases(schedule, PhaseConfig(M))
+        loads = sum(r.loads for r in reports)
+        stores = sum(r.stores for r in reports)
+        fmas = sum(r.fmas for r in reports)
+        if (loads, stores, fmas) != (stats.reads, stats.writes, stats.fmas):
+            return False, (
+                f"{label}: phase sums ({loads},{stores},{fmas}) != stats "
+                f"({stats.reads},{stats.writes},{stats.fmas})"
+            )
+        for report in reports[:-1]:
+            if report.loads + report.stores != M:
+                return False, (
+                    f"{label}: non-final phase {report.index} has "
+                    f"{report.loads + report.stores} transfers, not {M}"
+                )
+        cases += 1
     return True, f"{cases} traces conserve counters"
 
 

@@ -73,6 +73,10 @@ def test_alg_c_counts():
     assert stats.peak_residency == 15  # b^2 + 2b at b=3
     stats = _counts(Algorithm.C, ProblemDims(3, 3, 3), 16)
     assert (stats.reads, stats.writes) == (27, 9)
+    # an algorithm may be named by its value
+    assert predicted_io("alg-c", ProblemDims(6, 6, 6), 16).reads == 180
+    with pytest.raises(ValueError):
+        predicted_io("alg-z", ProblemDims(6, 6, 6), 16)
 
 
 def test_alg_a_b_counts():

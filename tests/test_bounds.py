@@ -21,7 +21,6 @@ from iomma import (
     execute,
     fmax,
     grid_search_xyz,
-    lower_bound_AB,
     lower_bound_final,
     lower_bound_general,
     lower_bound_MS,
@@ -105,8 +104,6 @@ def test_general_specializes_to_named_bounds():
 def test_bounds_never_clamped():
     tiny = ProblemDims(1, 1, 1)
     assert lower_bound_final(tiny, 16) < 0
-    assert lower_bound_AB(D666, 16) == 76.0 - 3 * 36
-    assert lower_bound_AB(D666, 16, c_mn=0.0) == lower_bound_final(D666, 16)
 
 
 def test_final_bound_asymptote():
@@ -124,6 +121,8 @@ def test_payoff_peaks_at_twice_capacity():
         assert peak == pytest.approx(2 / math.sqrt(S), rel=1e-12)
         assert peak > phase_size_payoff(S, 2 * S - 1)
         assert peak > phase_size_payoff(S, 2 * S + 1)
+    with pytest.raises(ValueError, match="M must be positive"):
+        phase_size_payoff(16, 0)
 
 
 @pytest.mark.parametrize("S", [16, 64, 256, 1024])
@@ -138,6 +137,8 @@ def test_optimal_M_first_wins_ties():
     # symmetric points around the peak have equal payoff only at the peak
     # itself, so feed duplicates instead
     assert optimal_M(16, [32.0, 32.0, 16.0]) == 32.0
+    with pytest.raises(ValueError, match="grid must not be empty"):
+        optimal_M(16, [])
 
 
 def test_bound_report_fields():

@@ -4,6 +4,7 @@ suite's failure reporting."""
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -387,12 +388,72 @@ def test_invalid_usage_exits_1(capsys, argv):
     capsys.readouterr()
 
 
+_ALG_CHOICES = "{naive,alg-a,alg-b,alg-c}"
+# each flag type as the last flag of a quick command
+_FLAG_TYPES = {
+    "a positive integer": ["predict", "-n", "2", "-k", "2", "-S", "16", "--alg", "alg-c", "-m"],
+    "an integer": ["simulate", "-m", "2", "-n", "2", "-k", "2", "-S", "16", "--alg", "alg-c",
+                   "--seed"],
+    "a decimal number": ["goto", *_GOTO_96, "--threshold"],
+}
+_TOKENS = ["0", "00", "01", "+1", "-0", "1_0", "\u0661", " 1", "", "1.5", "2e-1", "nan", "inf"]
+_ACCEPTED = {
+    "a positive integer": {"01": 1},
+    "an integer": {"0": 0, "00": 0, "01": 1, "-0": 0},
+    "a decimal number": {"0": 0.0, "00": 0.0, "01": 1.0, "1.5": 1.5, "2e-1": 0.2},
+}
+_MANY_DIGITS = "1" * 5000  # more than int() converts
+_SWEEP = ["sweep", "--capacities", "9", "--sizes"]
+
+
+def _usage_error(argv, message):
+    """stderr's last line when argparse refuses argv's last flag."""
+    return f"iomma {argv[0]}: error: argument {argv[-2]}: {message}"
+
+
+def _flag_case(what, token):
+    argv = _FLAG_TYPES[what] + [token]
+    if token in _ACCEPTED[what]:
+        return argv, 0, None, _ACCEPTED[what][token]
+    return argv, 1, _usage_error(argv, f"expected {what}, got {token}"), None
+
+
+# (argv, exit code, stderr's last line or None for an empty stderr, the last
+# flag's parsed value or None)
+_FLAG_TABLE = [_flag_case(what, token) for what in _FLAG_TYPES for token in _TOKENS] + [
+    (_SWEEP + ["1,,2"], 0, None, [1, 2]),
+    (_SWEEP + ["5", "--algs", "alg-c, naive"], 1,
+     f"iomma sweep: error: argument --algs: expected one of {_ALG_CHOICES[1:-1]}, got  naive",
+     None),
+    # argparse names the type whose conversion raised ValueError
+    *[
+        (argv, 1, _usage_error(argv, f"invalid {name} value: '{_MANY_DIGITS}'"), None)
+        for argv, name in (
+            (_FLAG_TYPES["a positive integer"] + [_MANY_DIGITS], "_positive_int"),
+            (_FLAG_TYPES["an integer"] + [_MANY_DIGITS], "_int"),
+            (_SWEEP + [_MANY_DIGITS], "_int_list"),
+        )
+    ],
+    (["sweep", "--m-list", "4", "--capacities", "9"], 1,
+     "error: --m-list, --n-list and --k-list must be given together", None),
+    (_FLAG_TYPES["a decimal number"] + ["1e999"], 1,
+     "error: suboptimal threshold must be finite, got inf", float("inf")),
+]
+
+
+@pytest.mark.parametrize("argv,code,last,value", _FLAG_TABLE)
+def test_flag_types_accept_and_refuse_tokens(capsys, argv, code, last, value):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert (err.splitlines()[-1] if err else None) == last
+    if value is not None:
+        parsed = vars(cli.build_parser().parse_args(argv))
+        assert parsed[argv[-2].lstrip("-").replace("-", "_")] == value
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
-
-
-_ALG_CHOICES = "{naive,alg-a,alg-b,alg-c}"
 
 
 @pytest.mark.parametrize(
@@ -479,6 +540,9 @@ def test_verify_quick_passes(capsys):
     assert len(pass_lines) == 10
     assert lines[-1] == "10/10 checks passed"
     assert lines[0].startswith("pass  schedule/prediction agreement")
+    # the quick grids of the four grid checks
+    for count in ("768 cases", "768 runs", "8232 phases", "216 traces"):
+        assert re.search(rf"\b{count}\b", out), count
 
 
 def _swap_a_and_b(predict):
@@ -507,6 +571,19 @@ def test_agreement_check_compares_each_operand_term(monkeypatch):
     ok, detail = iomma.verify.check_agreement(quick=True)
     assert not ok
     assert "simulated (" in detail and ") != predicted (" in detail
+
+
+@pytest.mark.parametrize(
+    "check,count",
+    [
+        (iomma.verify.check_agreement, "3456 cases"),
+        (iomma.verify.check_phase_conservation, "1000 traces"),
+    ],
+)
+def test_grid_checks_keep_their_full_grids(check, count):
+    # criteria 8 and 6 pin the other two full grids, test_verify_quick_passes the quick ones
+    ok, detail = check(quick=False)
+    assert ok and re.search(rf"\b{count}\b", detail), detail
 
 
 def test_verify_names_first_failure(capsys, monkeypatch):

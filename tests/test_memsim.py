@@ -253,6 +253,12 @@ def test_shape_mismatch_rejected():
         _run("", dims, 4, wrong, b, c)
     with pytest.raises(ShapeMismatchError):
         _run("", dims, 4, a, b, np.zeros((2, 4)))
+    with pytest.raises(ShapeMismatchError, match="two-dimensional"):
+        reference_gemm(a, b, np.zeros(8))
+    with pytest.raises(ShapeMismatchError, match=r"^a is \(2, 4\) but b is \(3, 3\)$"):
+        reference_gemm(a, wrong, c)
+    with pytest.raises(ShapeMismatchError, match=r"^c_in must have shape \(2, 3\), got \(2, 4\)$"):
+        reference_gemm(a, b, np.zeros((2, 4)))
 
 
 def test_untouched_c_passes_through():
@@ -634,9 +640,8 @@ class _SpanCounter:
 
 def _forbid_line_reader(monkeypatch):
     """Accepted traces never reach the per-line code, which only explains
-    rejections or names the line of an event."""
+    rejections."""
     monkeypatch.setattr(iomma.memsim, "_rejection", None)
-    monkeypatch.setattr(iomma.memsim, "_event_lines", None)
 
 
 def _assert_matched_once(monkeypatch, text, dims, schedule):
@@ -820,6 +825,8 @@ def test_parse_trace_rejects_garbage():
         parse_trace("L A 0\n", dims)
     with pytest.raises(ValueError):
         parse_trace("F 0 0\n", dims)
+    with pytest.raises(ValueError, match="^trace line 1: unknown matrix letter 'D'$"):
+        parse_trace("L D 0 0\n", dims)
 
 
 def _line_reader_codes(text):

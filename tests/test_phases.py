@@ -326,6 +326,8 @@ def test_blocked_efficiency_approaches_half_block():
 def test_efficiency_rejects_empty():
     with pytest.raises(EmptyInputError):
         phase_efficiency([])
+    with pytest.raises(EmptyInputError, match="no transfers"):
+        phase_efficiency([_report(fmas=1), _report()])
 
 
 def test_csv_format():
