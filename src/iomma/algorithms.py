@@ -32,6 +32,7 @@ from .model import (
     ProblemDims,
     Schedule,
     _check_positive,
+    _moved,
 )
 
 if TYPE_CHECKING:
@@ -144,13 +145,9 @@ class PredictedIO:
         )
 
 
-# Generators build each event as an (op, kind, i, j, p) row, where kind is
-# the matrix code or _KIND_FMA, and turn the rows into trace codes at the end.
-# Offsets and loop steps are then plain additions to the i, j or p column.
-_KIND_FMA = 3
-# per kind, the row columns that feed code columns 1..3: the matrix's
-# (kind, row, col), or an fma's (i, j, p)
-_FIELDS = np.array([(1, 2 + row, 2 + col) for row, col in OPERAND_AXES] + [(2, 3, 4)])
+# Generators build code rows at the origin and move them as a schedule's
+# runs do (model._moved): loop steps and block offsets add to the fields
+# that read an axis.
 _AXES = dict(zip(Matrix, OPERAND_AXES))
 # per resident matrix, each streamed operand's index in Matrix order, the
 # resident axis it lacks, and that axis's place in the block shape
@@ -176,43 +173,38 @@ def _loop(*loops: tuple[int, int]) -> np.ndarray:
     return ijp
 
 
-def _rows(op: int, kind: int, ijp: np.ndarray) -> np.ndarray:
-    rows = np.empty((len(ijp), 5), dtype=np.int64)
-    rows[:, 0] = op
-    rows[:, 1] = kind
-    rows[:, 2:] = ijp
-    return rows
-
-
-def _repeat(rows: np.ndarray, axis: int, count: int) -> np.ndarray:
-    """rows once per step 0..count-1 along an axis, in step order."""
-    out = np.tile(rows, (count, 1))
-    out[:, 2 + axis] += np.repeat(np.arange(count), len(rows))
-    return out
-
-
-def _to_codes(rows: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    codes = np.empty((len(rows), 4), dtype=np.int64)
-    codes[:, 0] = rows[:, 0]
-    codes[:, 1:] = np.take_along_axis(rows, fields, axis=1)
+def _rows(op: int, matrix: int | None, ijp: np.ndarray) -> np.ndarray:
+    """Code rows of one opcode at (i, j, p) points: an fma's fields are its
+    point, another event's are its matrix code and the point's row and col
+    in that matrix."""
+    codes = np.empty((len(ijp), 4), dtype=np.int64)
+    codes[:, 0] = op
+    if op == OP_FMA:
+        codes[:, 1:] = ijp
+    else:
+        codes[:, 1] = matrix
+        codes[:, 2:] = ijp[:, OPERAND_AXES[matrix]]
     return codes
 
 
 def naive_schedule(dims: ProblemDims) -> Schedule:
-    """One load-compute-store round trip per fma. Peak residency 3."""
+    """One load-compute-store round trip per fma. Peak residency 3.
+
+    One run: the round trips of c(0,0) over every p, moved to each (i, j)
+    in row-major order."""
     a, b, c = (MATRIX_CODE[matrix] for matrix in Matrix)
     origin = np.zeros((1, 3), dtype=np.int64)
     step = np.concatenate([
         _rows(OP_LOAD, a, origin),
         _rows(OP_LOAD, b, origin),
         _rows(OP_LOAD, c, origin),
-        _rows(OP_FMA, _KIND_FMA, origin),
+        _rows(OP_FMA, None, origin),
         _rows(OP_STORE, c, origin),
         _rows(OP_EVICT, a, origin),
         _rows(OP_EVICT, b, origin),
     ])
-    rows = _repeat(_repeat(_repeat(step, 2, dims.k), 1, dims.n), 0, dims.m)
-    return Schedule._wrap(_to_codes(rows, _FIELDS[rows[:, 1]]), dims)
+    template = _moved(step, _loop((2, dims.k)))
+    return Schedule._tiled([(template, _loop((0, dims.m), (1, dims.n)))], dims)
 
 
 def _leave(matrix: Matrix) -> int:
@@ -223,8 +215,7 @@ def _leave(matrix: Matrix) -> int:
 def _block_codes(
     resident: Matrix, shape: tuple[int, int], steps: int, by_element: bool = False
 ):
-    """Codes of one resident block at the origin, streaming over ``steps``,
-    and the change in its codes per unit of row and of col offset.
+    """Codes of one resident block at the origin, streaming over ``steps``.
 
     The block is loaded row-major. Without ``by_element``, each step loads
     the pieces of the two other matrices that meet the block, in matrix
@@ -249,7 +240,7 @@ def _block_codes(
         piece[matrix] = _loop((axis, extents[axis]))
     if not by_element:
         step = [_rows(OP_LOAD, MATRIX_CODE[matrix], piece[matrix]) for matrix in streamed]
-        step.append(_rows(OP_FMA, _KIND_FMA, _loop(*sorted(extents.items()))))
+        step.append(_rows(OP_FMA, None, _loop(*sorted(extents.items()))))
         if Matrix.C in piece:
             step.append(_rows(OP_STORE, MATRIX_CODE[Matrix.C], piece[Matrix.C]))
         step += [
@@ -262,29 +253,21 @@ def _block_codes(
         origin = np.zeros((1, 3), dtype=np.int64)
         one = np.concatenate([
             _rows(OP_LOAD, MATRIX_CODE[element], origin),
-            _rows(OP_FMA, _KIND_FMA, piece[held]),
+            _rows(OP_FMA, None, piece[held]),
             _rows(_leave(element), MATRIX_CODE[element], origin),
         ])
         axis = piece_axis[element]
         step = [
             _rows(OP_LOAD, MATRIX_CODE[held], piece[held]),
-            _repeat(one, axis, extents[axis]),
+            _moved(one, _loop((axis, extents[axis]))),
             _rows(_leave(held), MATRIX_CODE[held], piece[held]),
         ]
     block = _loop(*extents.items())
-    rows = np.concatenate([
+    return np.concatenate([
         _rows(OP_LOAD, MATRIX_CODE[resident], block),
-        _repeat(np.concatenate(step), stream_axis, steps),
+        _moved(np.concatenate(step), _loop((stream_axis, steps))),
         _rows(_leave(resident), MATRIX_CODE[resident], block),
     ])
-    # a code column moves with an axis exactly when it reads that axis's i/j/p
-    fields = _FIELDS[rows[:, 1]]
-    shifts = []
-    for axis in (row_axis, col_axis):
-        shift = np.zeros((len(rows), 4), dtype=np.int64)
-        shift[:, 1:] = fields == 2 + axis
-        shifts.append(shift)
-    return _to_codes(rows, fields), *shifts
 
 
 def blocked_schedule(
@@ -295,7 +278,8 @@ def blocked_schedule(
 
     Blocks visit the resident matrix's block grid row-major; the third axis
     streams in full, ascending, through each block. Blocks of one shape
-    differ only by an offset, so each shape's codes are built once. Without
+    differ only by an offset, so each shape's codes are built once, and each
+    stretch of same-shape blocks is one run of the schedule. Without
     ``by_element`` both streamed pieces are loaded whole, and a full block
     peaks at rows*cols + rows + cols; with it, the longer piece comes in an
     element at a time (see ``_block_codes``), and a full block peaks at
@@ -311,19 +295,19 @@ def blocked_schedule(
         for r0, rows in _segments(extent[row_axis], shape[0])
         for c0, cols in _segments(extent[col_axis], shape[1])
     ]
+    # one run per stretch of same-shape blocks, its moves the block offsets
     built = {}
-    for _, _, size in blocks:
+    runs = []
+    for r0, c0, size in blocks:
         if size not in built:
             built[size] = _block_codes(resident, size, steps, by_element)
-    out = np.empty((sum(len(built[size][0]) for _, _, size in blocks), 4), dtype=np.int64)
-    start = 0
-    for r0, c0, size in blocks:
-        codes, row_shift, col_shift = built[size]
-        end = start + len(codes)
-        out[start:end] = codes
-        out[start:end] += r0 * row_shift + c0 * col_shift
-        start = end
-    return Schedule._wrap(out, dims)
+        move = [0, 0, 0]
+        move[row_axis], move[col_axis] = r0, c0
+        if runs and runs[-1][0] is built[size]:
+            runs[-1][1].append(move)
+        else:
+            runs.append((built[size], [move]))
+    return Schedule._tiled([(codes, np.array(moves)) for codes, moves in runs], dims)
 
 
 def blocked_reads(

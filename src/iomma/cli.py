@@ -286,7 +286,7 @@ def cmd_phases(ns: argparse.Namespace) -> dict | str:
     except SimulationError as exc:
         # name the file line too; a missing writeback has no event to point at
         where = ""
-        if text is not None and exc.index < len(schedule.codes):
+        if text is not None and exc.index < len(schedule):
             where = f"trace line {trace_line(text, exc.index)}: "
         exc.args = (f"{where}invalid trace: {exc}",)
         raise

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .model import (
-    _CHUNK,
     MATRICES,
     MATRIX_CODE,
     OP_EVICT,
@@ -180,31 +180,31 @@ def execute(
         for (rows, cols, _), mat, name in zip(shapes, (a, b, c_in), ("a", "b", "c_in"))
     ])
     state = np.zeros(len(values), dtype=np.int8)
-    occupancy = peak = 0
-    codes = schedule.codes
+    occupancy = peak = start = 0
     table = _event_table(dims)
-    keys = _TouchKeys(len(values), min(_CHUNK, len(codes)))
+    keys = _TouchKeys(len(values), min(model._CHUNK, len(schedule)))
+    # events by op * 3 + matrix, every fma in the last bin
+    counts = np.zeros(10, dtype=np.int64)
 
-    for start in range(0, len(codes), _CHUNK):
-        chunk = codes[start:start + _CHUNK]
-        ops, xs, ys, zs = _operand_ids(chunk, dims, table)
+    for chunk in schedule.chunks():
+        ops, xs, ys, zs, rows = _operand_ids(chunk, dims, table)
         done, occupancy, peak = _replay(ops, xs, ys, zs, values, state, occupancy, peak, cap, keys)
         if done < len(chunk):
             error = _event_error(chunk[done].tolist(), dims, state, cap)
             raise _locate(error, start + done)
+        counts += np.bincount(np.minimum(rows, 9), minlength=10)
+        start += done
 
     dirty = state[c_off:] == 2
     if dirty.any():
         row, col = divmod(int(dirty.argmax()), c_cols)
         message = f"dirty C({row},{col}) still resident at end of schedule"
-        raise _locate(IncompleteWritebackError(message), len(codes))
+        raise _locate(IncompleteWritebackError(message), start)
 
-    ops = codes[:, 0]
-    loads, stores, _, fmas = np.bincount(ops, minlength=4).tolist()
-    reads_a, reads_b, reads_c = np.bincount(codes[ops == OP_LOAD, 1], minlength=3).tolist()
+    reads_a, reads_b, reads_c, *stores = counts[:6].tolist()
     stats = IOStats(
-        reads=loads, writes=stores, fmas=fmas, peak_residency=peak,
-        reads_a=reads_a, reads_b=reads_b, reads_c=reads_c,
+        reads=reads_a + reads_b + reads_c, writes=sum(stores), fmas=int(counts[9]),
+        peak_residency=peak, reads_a=reads_a, reads_b=reads_b, reads_c=reads_c,
     )
     output_c = values[c_off:].reshape(c_rows, c_cols).copy()
     schedule._mark_legal()
@@ -237,10 +237,12 @@ def _event_table(dims: ProblemDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _operand_ids(chunk: np.ndarray, dims: ProblemDims, table):
     """Opcodes and element ids of the chunk's events up to its first bounds
-    or read-only-store violation, as arrays; ``table`` is _event_table().
+    or read-only-store violation, as arrays, then their rows of ``table``,
+    which is _event_table().
 
     A load, store or evict names its element in the first id array; an fma
-    names its A, B and C elements in the three arrays.
+    names its A, B and C elements in the three arrays. A row is op * 3 +
+    matrix, or at least 9 for an fma.
     """
     bounds, firsts, cols = table
     op, f1, f2, f3 = np.ascontiguousarray(chunk.T)
@@ -255,7 +257,7 @@ def _operand_ids(chunk: np.ndarray, dims: ProblemDims, table):
     a_ids, ys, zs = fma_operand_ids(dims, f1, f2, f3)
     first, width = (np.take(column, row, mode="clip") for column in (firsts, cols))
     xs = np.where(fma, a_ids, first + f2 * width + f3)
-    return op, xs, ys, zs
+    return op, xs, ys, zs, row
 
 
 def _replay(ops, xs, ys, zs, values, state, occupancy, peak, cap, keys):
@@ -418,18 +420,17 @@ def dump_trace(schedule: Schedule) -> str:
     Lines are ``L A i j`` / ``S C i j`` / ``E X i j`` / ``F i j p`` with a
     trailing newline; all-ASCII, LF line endings.
     """
-    codes = schedule.codes
     # When each value of the codes serves at least two lines, a line is
     # three words of one table over the values: a head ("L A " ... "E C ",
     # or "F i " for an fma), a coordinate and a space, and a coordinate and
     # a newline, each row numbered by value - lo. A table word used about
     # once costs more than formatting the line, so other traces fill each
-    # line's pattern. The span covers opcodes and matrix codes too, as one
-    # pass over the contiguous array is far cheaper than passes over the
-    # printed columns, and zero, so table ids cannot overflow.
-    lo, hi = int(codes.min(initial=0)), int(codes.max(initial=0))
+    # line's pattern. The span covers opcodes and matrix codes too, which
+    # the schedule's runs give without a pass over the rows, and zero, so
+    # table ids cannot overflow.
+    lo, hi = schedule._value_range()
     span = hi - lo + 1
-    table = 2 * span <= len(codes)
+    table = 2 * span <= len(schedule)
     if table:
         values = range(lo, hi + 1)
         words = np.array(
@@ -442,8 +443,7 @@ def dump_trace(schedule: Schedule) -> str:
         # the id of value v in a block is that block's offset + v
         offsets = np.arange(len(_HEADS), len(words), span) - lo
     chunks = []
-    for start in range(0, len(codes), _CHUNK):
-        chunk = codes[start:start + _CHUNK]
+    for chunk in schedule.chunks():
         ops = chunk[:, 0]
         if table:
             ids = chunk[:, 1:] + offsets

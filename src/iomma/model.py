@@ -3,7 +3,7 @@
 Everything downstream (the simulator, the schedule generators, the phase
 analyzer) speaks in these types: a problem shape and its operand map, the
 opcodes and matrix codes of a trace's rows, and the schedule that holds a
-trace as one array of those integer codes.
+trace as runs of those integer codes and yields them a chunk at a time.
 """
 
 from __future__ import annotations
@@ -77,19 +77,31 @@ OP_LOAD, OP_STORE, OP_EVICT, OP_FMA = 0, 1, 2, 3
 MATRICES = tuple(Matrix)
 MATRIX_CODE = {matrix: code for code, matrix in enumerate(MATRICES)}
 _CHUNK = 1 << 12  # code rows handled per step; bounds each step's temporary arrays
+# Per row kind (a load's, store's or evict's matrix code, or 3 for an fma)
+# and code field, the axis (i, j, p = 0, 1, 2) whose offset the field adds
+# when a run moves its template, or 3 for none: the opcode and the matrix
+# never move, a row and col move with the axes OPERAND_AXES gives them, and
+# an fma's fields are its i, j and p.
+_MOVE_AXES = np.array([(3, 3, row, col) for row, col in OPERAND_AXES] + [(3, 0, 1, 2)])
 
 
 class Schedule:
     """An ordered event trace together with the problem shape it targets.
 
-    The trace is ``codes``, a read-only (N, 4) int64 array with one row per
-    event: the opcode (OP_LOAD, OP_STORE, OP_EVICT or OP_FMA), then the
-    matrix code, row and col; an fma uses the three fields for i, j and p.
-    ``Schedule(codes, dims)`` takes a read-only copy of integer code rows.
-    A schedule is immutable.
+    Each event is a code row of four int64 fields: the opcode (OP_LOAD,
+    OP_STORE, OP_EVICT or OP_FMA), then the matrix code, row and col; an
+    fma uses the three fields for i, j and p. A schedule holds its rows as
+    runs: a template block of rows and a (B, 3) array of (i, j, p) moves.
+    The run's rows are the template moved by each offset in turn, each
+    field adding the offset of the axis it reads (``_MOVE_AXES``). A literal
+    trace is one run with a single zero move.
+
+    ``chunks()`` yields the rows a bounded block at a time; ``codes`` builds
+    the whole (N, 4) array on each call. ``Schedule(codes, dims)`` takes a
+    read-only copy of integer code rows. A schedule is immutable.
     """
 
-    __slots__ = ("codes", "dims", "_legal")
+    __slots__ = ("_runs", "dims", "_length", "_legal")
 
     def __init__(self, codes, dims: ProblemDims):
         """Copy an (N, 4) array or sequence of integer code rows; an empty
@@ -115,19 +127,40 @@ class Schedule:
         matrices = codes[ops != OP_FMA, 1]
         if ((matrices < 0) | (matrices >= len(MATRICES))).any():
             raise ValueError("unknown matrix code in codes")
-        self._adopt(codes, dims)
+        self._adopt([_literal(codes)], dims)
 
     @classmethod
     def _wrap(cls, codes: np.ndarray, dims: ProblemDims) -> "Schedule":
         """Take over valid codes that nothing else holds, without a copy."""
         schedule = cls.__new__(cls)
-        schedule._adopt(codes, dims)
+        schedule._adopt([_literal(codes)], dims)
         return schedule
 
-    def _adopt(self, codes: np.ndarray, dims: ProblemDims) -> None:
-        codes.flags.writeable = False
-        object.__setattr__(self, "codes", codes)
+    @classmethod
+    def _tiled(cls, runs, dims: ProblemDims) -> "Schedule":
+        """Take over runs of valid (template, (B, 3) moves) that nothing else
+        holds, without a copy. A template may serve several runs."""
+        kinds = {}
+        adopted = []
+        for template, moves in runs:
+            if id(template) not in kinds:
+                kinds[id(template)] = _kinds(template)
+            adopted.append((template, kinds[id(template)], _padded(moves)))
+        schedule = cls.__new__(cls)
+        schedule._adopt(adopted, dims)
+        return schedule
+
+    def _adopt(self, runs: list, dims: ProblemDims) -> None:
+        """Hold runs of (template, kinds, moves): each row's kind indexes
+        ``_MOVE_AXES``, and each move has a fourth, zero field. A literal run,
+        which has no kinds and one zero move, comes alone. Runs without rows
+        are dropped."""
+        runs = tuple(run for run in runs if len(run[0]) and len(run[2]))
+        for template, _, _ in runs:
+            template.flags.writeable = False
+        object.__setattr__(self, "_runs", runs)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_length", sum(len(template) * len(moves) for template, _, moves in runs))
         # True once execute() has accepted the codes; sound because neither
         # the codes nor the dims can change
         object.__setattr__(self, "_legal", False)
@@ -141,21 +174,125 @@ class Schedule:
     def __delattr__(self, name):
         raise AttributeError(f"Schedule is immutable; cannot delete {name!r}")
 
+    def __len__(self) -> int:
+        return self._length
+
+    def chunks(self):
+        """Yield the code rows in order as read-only (rows, 4) arrays, every
+        one but the last of exactly ``_CHUNK`` rows, read when the first is
+        drawn. A chunk may be a view of one reused buffer, valid only until
+        the next is drawn, so copy what must outlive that."""
+        size = _CHUNK
+        if not self._length:
+            return
+        if self._runs[0][1] is None:  # a literal run is the only run
+            codes = self._runs[0][0]
+            for start in range(0, len(codes), size):
+                yield codes[start:start + size]
+            return
+        buffer = np.empty((min(size, self._length), 4), dtype=np.int64)
+        fill = 0
+        for template, kinds, moves in self._runs:
+            rows = len(template)
+            move = start = 0  # the next row is template row start of move
+            while move < len(moves):
+                room = size - fill
+                if not start and room >= rows:  # whole moves
+                    count, end = min(room // rows, len(moves) - move), rows
+                else:  # part of one move
+                    count, end = 1, min(rows, start + room)
+                out = buffer[fill:fill + count * (end - start)].reshape(count, end - start, 4)
+                _move(template[start:end], kinds[start:end], moves[move:move + count], out)
+                fill += out.size // 4
+                start = end % rows
+                if not start:
+                    move += count
+                if fill == size:
+                    yield _frozen(buffer)
+                    fill = 0
+        if fill:
+            yield _frozen(buffer[:fill])
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The whole trace as a read-only (N, 4) array, built on each call."""
+        codes = np.empty((self._length, 4), dtype=np.int64)
+        start = 0
+        for chunk in self.chunks():
+            codes[start:start + len(chunk)] = chunk
+            start += len(chunk)
+        codes.flags.writeable = False
+        return codes
+
     @property
     def events(self) -> np.ndarray:
         """Another name for ``codes``: one row per event, so ``len`` counts
-        the events."""
+        the events. Like ``codes`` it builds the whole array."""
         return self.codes
+
+    def _value_range(self) -> tuple[int, int]:
+        """The least and greatest value in the codes and zero, from each
+        run's template and the range of its moves."""
+        lo = hi = 0
+        for template, kinds, moves in self._runs:
+            if kinds is None:
+                lo, hi = min(lo, int(template.min())), max(hi, int(template.max()))
+                continue
+            axes = _MOVE_AXES[kinds]
+            lo = min(lo, int((template + moves.min(axis=0)[axes]).min()))
+            hi = max(hi, int((template + moves.max(axis=0)[axes]).max()))
+        return lo, hi
 
     def __eq__(self, other):
         if not isinstance(other, Schedule):
             return NotImplemented
-        return self.dims == other.dims and np.array_equal(self.codes, other.codes)
+        if self.dims != other.dims or len(self) != len(other):
+            return False
+        return all(map(np.array_equal, self.chunks(), other.chunks()))
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"Schedule(<{len(self.codes)} events>, {self.dims!r})"
+        return f"Schedule(<{len(self)} events>, {self.dims!r})"
+
+
+def _kinds(template: np.ndarray) -> np.ndarray:
+    """Each row's kind: its matrix code, or 3 for an fma."""
+    return np.where(template[:, 0] == OP_FMA, 3, template[:, 1])
+
+
+def _padded(moves: np.ndarray) -> np.ndarray:
+    """(i, j, p) moves with a fourth, zero field: the offset of fields that
+    never move."""
+    padded = np.zeros((len(moves), 4), dtype=np.int64)
+    padded[:, :3] = moves
+    return padded
+
+
+def _move(template: np.ndarray, kinds: np.ndarray, moves: np.ndarray, out: np.ndarray) -> None:
+    """Write the template moved by each padded move into out, shaped
+    (moves, template rows, 4)."""
+    moves.take(_MOVE_AXES, axis=1).take(kinds, axis=1, out=out, mode="clip")
+    out += template
+
+
+def _moved(template: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """The rows of a run as one array: the template moved by each (i, j, p)
+    move in turn."""
+    rows = np.empty((len(moves), len(template), 4), dtype=np.int64)
+    _move(template, _kinds(template), _padded(moves), rows)
+    return rows.reshape(-1, 4)
+
+
+def _literal(codes: np.ndarray) -> tuple:
+    """The run of code rows as they are."""
+    return codes, None, np.zeros((1, 4), dtype=np.int64)
+
+
+def _frozen(rows: np.ndarray) -> np.ndarray:
+    view = rows[:]
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True, slots=True)

@@ -81,47 +81,72 @@ def partition_phases(trace: Schedule, config: PhaseConfig) -> list[PhaseReport]:
     A trace execute() has not yet accepted first goes through validate_trace()
     with room for every element, so the fast-memory size need not be known; a
     broken rule raises execute()'s SimulationError. An empty trace yields no
-    phases. Counts come from one (phase, opcode) table; resident_at_start is
-    loads - stores - evicts summed over the earlier phases.
+    phases. The trace is read a chunk at a time; the last phase a chunk
+    reaches stays open into the next. Counts come from one (phase, opcode)
+    table per chunk; resident_at_start is loads - stores - evicts summed over
+    the earlier phases.
     """
     M = config.M
-    # element ids of A, B and C run from 0 to size - 1
-    size = sum(rows * cols for rows, cols, _ in layout(trace.dims))
+    dims = trace.dims
+    # element ids of A, B and C run from 0 to size - 1; bounds holds the
+    # first ids of A, B and C, then size
+    shapes = layout(dims)
+    size = sum(rows * cols for rows, cols, _ in shapes)
     if not trace._legal:  # set by a successful execute(); a Schedule cannot change
         validate_trace(trace, MemoryConfig(size))
-
-    codes = trace.codes
-    if not len(codes):
+    if not len(trace):
         return []
-    ops = codes[:, 0]
-    # an event belongs to the phase of the latest transfer at or before it,
-    # and events before the first transfer to phase 0; the transfers are
-    # ops <= OP_STORE because loads and stores are opcodes 0 and 1
-    phase = np.maximum(np.cumsum(ops <= OP_STORE) - 1, 0) // M
-    count = int(phase[-1]) + 1
-    # one row per phase, one column per opcode
-    loads, stores, evicts, fmas = np.bincount(phase * 4 + ops, minlength=4 * count).reshape(count, 4).T
+    bounds = np.array([first for *_, first in shapes] + [size])
+    # per chunk, its first phase and a row per phase it reaches: loads,
+    # stores, evicts, fmas, then the distinct A, B and C elements its fmas use
+    parts = []
+    transfers = start = 0
+    # the open phase an element was last counted in, or -1
+    counted = np.full(size, -1, dtype=np.int64)
+    for chunk in trace.chunks():
+        ops = chunk[:, 0]
+        # an event belongs to the phase of the latest transfer at or before
+        # it, and events before the first transfer to phase 0; the transfers
+        # are ops <= OP_STORE because loads and stores are opcodes 0 and 1
+        phase = np.cumsum(ops <= OP_STORE)
+        phase += transfers - 1
+        transfers = int(phase[-1]) + 1
+        np.maximum(phase, 0, out=phase)
+        phase //= M
+        first, last = int(phase[0]), int(phase[-1])
+        phase -= first
+        count = last - first + 1
+        table = np.empty((count, 7), dtype=np.int64)
+        table[:, :4] = np.bincount(phase * 4 + ops, minlength=4 * count).reshape(count, 4)
+        # one key per (phase, element) pair of the chunk's fmas, sorted and
+        # distinct, and where each phase's A, B and C keys start and end
+        fma = ops == OP_FMA
+        keys = np.stack(fma_operand_ids(dims, *chunk[fma, 1:].T))
+        keys += phase[fma] * size
+        keys = np.sort(keys, axis=None)
+        distinct = np.empty(len(keys), dtype=bool)
+        distinct[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        keys = keys[distinct]
+        edges = np.searchsorted(keys, np.arange(0, count * size, size)[:, None] + bounds)
+        table[:, 4:] = np.diff(edges)
+        if start:  # the first phase may be open since an earlier chunk
+            head = keys[:edges[0, 3]]
+            seen = head[counted[head] == first]
+            table[0, 4:] -= np.diff(np.searchsorted(seen, bounds))
+        start += len(chunk)
+        if start < len(trace):  # the last phase may stay open
+            counted[keys[edges[-1, 0]:] - (count - 1) * size] = last
+        parts.append((first, table))
+    if len(parts) > 1:
+        table = np.zeros((last + 1, 7), dtype=np.int64)
+        for first, part in parts:
+            table[first:first + len(part)] += part
+    loads, stores, evicts, fmas, xs, ys, zs = table.T
     net = loads - stores - evicts
     resident_at_start = np.cumsum(net) - net
-    # footprints hold the element ids of each fma's A, B and C
-    fma = ops == OP_FMA
-    fma_phase = phase[fma]
-    del phase  # frees a whole-trace array before the footprints peak
-    ids = fma_operand_ids(trace.dims, codes[fma, 1], codes[fma, 2], codes[fma, 3])
-    xs, ys, zs = (_distinct_per_phase(fma_phase, each, count, size) for each in ids)
     rows = zip(*(column.tolist() for column in (loads, stores, fmas, xs, ys, zs, resident_at_start)))
     return [PhaseReport(index, *row) for index, row in enumerate(rows)]
-
-
-def _distinct_per_phase(phase: np.ndarray, ids: np.ndarray, count: int, size: int) -> np.ndarray:
-    """Number of distinct ids in each phase, for ids below size."""
-    # one key per (phase, id) pair, below count * size <= N * size for a
-    # trace of N events: far inside int64, which a billion events over nine
-    # billion elements would take to fill
-    keys = np.sort(phase * size + ids)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return np.bincount(keys[first] // size, minlength=count)
 
 
 def check_loomis_whitney(report: PhaseReport) -> bool:

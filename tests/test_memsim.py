@@ -336,13 +336,13 @@ def _assert_same_bits(got, expected):
 
 
 def _outcome(codes, dims, S, inputs, **patches):
-    """What execute makes of the codes with memsim's names patched: the
-    stats and the bytes of C, or the error's class, index and message.
-    Warnings are errors."""
+    """What execute makes of the codes with memsim's names, or model's
+    _CHUNK, patched: the stats and the bytes of C, or the error's class,
+    index and message. Warnings are errors."""
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("error")
         for name, value in patches.items():
-            patch.setattr(iomma.memsim, name, value)
+            patch.setattr(iomma.model if name == "_CHUNK" else iomma.memsim, name, value)
         try:
             result = execute(Schedule(codes, dims), MemoryConfig(S), *inputs)
         except SimulationError as exc:
@@ -455,7 +455,7 @@ def test_replay_matches_event_loop_on_generated_schedules(alg):
     inputs = seeded_matrices(dims, 4)
     expected = _outcome(codes, dims, 16, inputs, _replay=_loop_replay)
     assert expected[1] == reference_gemm(*inputs).tobytes()
-    for chunk in (5, 64, 4096):
+    for chunk in (3, 5, 17, 64, _CHUNK):
         assert _outcome(codes, dims, 16, inputs, _CHUNK=chunk) == expected
     # a capacity one short of the peak fails at the same load on both paths
     short = expected[0].peak_residency - 1
@@ -577,7 +577,7 @@ def _dump_codes(draw):
 def test_dump_trace_matches_per_row_format(codes, chunk):
     # short chunks, so that traces cross chunk boundaries
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(iomma.memsim, "_CHUNK", chunk)
+        patch.setattr(iomma.model, "_CHUNK", chunk)
         _assert_dumped_as_formatted(codes)
 
 
@@ -797,8 +797,9 @@ def test_schedule_cannot_change_after_construction():
     with pytest.raises(AttributeError, match="immutable"):
         del schedule.dims
     assert schedule.dims == dims and not schedule._legal
-    # events is another name for the codes, so len counts the events
-    assert schedule.events is schedule.codes and len(schedule.events) == 2
+    # events is another name for the codes, built afresh like them
+    assert np.array_equal(schedule.events, schedule.codes)
+    assert schedule.events is not schedule.codes and len(schedule) == len(schedule.events) == 2
 
 
 def test_parse_trace_accepts_readme_example():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iomma.model
 import iomma.phases
 from iomma import (
     Algorithm,
@@ -31,7 +32,7 @@ from iomma import (
     phases_to_csv,
     seeded_matrices,
 )
-from iomma.model import MATRIX_CODE, OP_EVICT, OP_FMA, OP_LOAD, OP_STORE
+from iomma.model import _CHUNK, MATRIX_CODE, OP_EVICT, OP_FMA, OP_LOAD, OP_STORE
 
 
 def _alg_c_phases(size=6, S=16, M=32):
@@ -166,9 +167,16 @@ def _assert_phases_replayed(schedule, M):
 
 @pytest.mark.parametrize("alg", list(Algorithm), ids=lambda alg: alg.value)
 @pytest.mark.parametrize("M", [1, 2, 9, 18])  # 1, 2, S and 2S
-def test_phase_reports_match_set_replay(alg, M):
+@pytest.mark.parametrize("chunk", [3, 5, 17, _CHUNK])
+def test_phase_reports_match_set_replay(alg, M, chunk, monkeypatch):
+    # short chunks put chunk boundaries inside phases, so the counts and
+    # footprints of an open phase carry across them
     schedule = build_schedule(alg, ProblemDims(4, 3, 5), 9)
-    _assert_phases_replayed(schedule, M)
+    expected = _replayed_phases(schedule, M)
+    monkeypatch.setattr(iomma.model, "_CHUNK", chunk)
+    reports = partition_phases(schedule, PhaseConfig(M))
+    assert [r.index for r in reports] == list(range(len(reports)))
+    assert [(r.loads, r.stores, r.fmas, r.x, r.y, r.z, r.resident_at_start) for r in reports] == expected
 
 
 def test_invalid_traces_rejected():
