@@ -153,6 +153,46 @@ class _TouchKeys:
         self.kinds[2::3] = _FMA_C
 
 
+class _Moves:
+    """What every move of a template does that keeps its fields in bounds,
+    from one replay of it that starts and ends with fast memory empty: that
+    replay's ``counts``, and its peak, which the replay has already set. A
+    move d is in bounds when, on each axis the fields read, least <= d <
+    limit."""
+
+    def __init__(self, template, kinds, dims: ProblemDims, counts):
+        self.counts = counts
+        axes = model._MOVE_AXES[kinds]
+        self.read = [axis for axis in range(3) if (axes == axis).any()]
+        extent = np.array((dims.m, dims.n, dims.k))[self.read]
+        self.least = [-int(template[axes == axis].min()) for axis in self.read]
+        self.limit = extent - [int(template[axes == axis].max()) for axis in self.read]
+
+    def legal(self, moves) -> int:
+        """How many of the padded moves come before the first out of bounds."""
+        steps = moves[:, self.read]
+        bad = ((steps < self.least) | (steps >= self.limit)).any(axis=1)
+        return int(bad.argmax()) if bad.any() else len(moves)
+
+
+def _moved_fmas(template, moves, values, dims: ProblemDims) -> None:
+    """Do the fmas of the template moved by each padded move, in event
+    order, a block of at most ``_CHUNK`` fmas, or one move's, at a time.
+    An operand id is linear in the fma's fields, so a move adds its own
+    ids, less each matrix's first id, to the template's."""
+    fmas = template[template[:, 0] == OP_FMA, 1:].T
+    if not fmas.size:
+        return
+    ids = np.array(fma_operand_ids(dims, *fmas))
+    firsts = np.array([first for _, _, first in layout(dims)])
+    offsets = np.array(fma_operand_ids(dims, *moves[:, :3].T)) - firsts[:, None]
+    step = max(1, model._CHUNK // ids.shape[1])
+    for first in range(0, len(moves), step):
+        xs, ys, zs = (ids[:, None, :] + offsets[:, first:first + step, None]).reshape(3, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(values, zs, values[xs] * values[ys])
+
+
 def execute(
     schedule: Schedule, config: MemoryConfig, a, b, c_in
 ) -> ExecutionResult:
@@ -166,6 +206,13 @@ def execute(
     This is the one home of the model's rules. A failure's ``index`` is the
     offending event's position (the schedule's length for a missing
     writeback), and its message starts with ``event <index>: ``.
+
+    Rows are replayed a chunk at a time, except moves of a run's template
+    that can be translated: once one move of the template, replayed from
+    empty fast memory, has left it empty again, each later move entered
+    with fast memory empty and keeping every field in bounds touches the
+    same elements shifted, so it adds that replay's counts and peak and
+    only its fmas are done. The chunk replay decides every error.
     """
     dims = schedule.dims
     cap = config.S
@@ -186,14 +233,49 @@ def execute(
     # events by op * 3 + matrix, every fma in the last bin
     counts = np.zeros(10, dtype=np.int64)
 
-    for chunk in schedule.chunks():
-        ops, xs, ys, zs, rows = _operand_ids(chunk, dims, table)
-        done, occupancy, peak = _replay(ops, xs, ys, zs, values, state, occupancy, peak, cap, keys)
-        if done < len(chunk):
-            error = _event_error(chunk[done].tolist(), dims, state, cap)
-            raise _locate(error, start + done)
-        counts += np.bincount(np.minimum(rows, 9), minlength=10)
-        start += done
+    def replay(runs):
+        """Replay the runs' rows chunk by chunk, carrying the state, and
+        count them."""
+        nonlocal occupancy, peak, start, counts
+        for chunk in model._chunks(runs):
+            ops, xs, ys, zs, rows = _operand_ids(chunk, dims, table)
+            done, occupancy, peak = _replay(ops, xs, ys, zs, values, state, occupancy, peak, cap, keys)
+            if done < len(chunk):
+                error = _event_error(chunk[done].tolist(), dims, state, cap)
+                raise _locate(error, start + done)
+            counts += np.bincount(np.minimum(rows, 9), minlength=10)
+            start += done
+
+    # A template's first move entered with fast memory empty is replayed;
+    # if that ends empty too, later moves entered empty and in bounds only
+    # do their fmas (see _Moves). Other rows, and runs too short to repay
+    # this, wait in pending to share chunks of the replay.
+    facts = {}  # by template id, stable while the schedule holds its runs
+    pending = []
+    for run in schedule._runs:
+        template, kinds, moves = run
+        if kinds is None or len(template) * (len(moves) - 1) < model._CHUNK:
+            pending.append(run)
+            continue
+        replay(pending)
+        pending = []
+        if occupancy:
+            pending.append(run)
+            continue
+        if id(template) not in facts:
+            before = counts.copy()
+            replay([(template, kinds, moves[:1])])
+            facts[id(template)] = None if occupancy else _Moves(template, kinds, dims, counts - before)
+            moves = moves[1:]
+        fact = facts[id(template)]
+        legal = fact.legal(moves) if fact else 0
+        if legal:
+            _moved_fmas(template, moves[:legal], values, dims)
+            counts += legal * fact.counts
+            start += legal * len(template)
+        if legal < len(moves):
+            pending.append((template, kinds, moves[legal:]))
+    replay(pending)
 
     dirty = state[c_off:] == 2
     if dirty.any():

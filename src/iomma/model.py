@@ -182,36 +182,7 @@ class Schedule:
         one but the last of exactly ``_CHUNK`` rows, read when the first is
         drawn. A chunk may be a view of one reused buffer, valid only until
         the next is drawn, so copy what must outlive that."""
-        size = _CHUNK
-        if not self._length:
-            return
-        if self._runs[0][1] is None:  # a literal run is the only run
-            codes = self._runs[0][0]
-            for start in range(0, len(codes), size):
-                yield codes[start:start + size]
-            return
-        buffer = np.empty((min(size, self._length), 4), dtype=np.int64)
-        fill = 0
-        for template, kinds, moves in self._runs:
-            rows = len(template)
-            move = start = 0  # the next row is template row start of move
-            while move < len(moves):
-                room = size - fill
-                if not start and room >= rows:  # whole moves
-                    count, end = min(room // rows, len(moves) - move), rows
-                else:  # part of one move
-                    count, end = 1, min(rows, start + room)
-                out = buffer[fill:fill + count * (end - start)].reshape(count, end - start, 4)
-                _move(template[start:end], kinds[start:end], moves[move:move + count], out)
-                fill += out.size // 4
-                start = end % rows
-                if not start:
-                    move += count
-                if fill == size:
-                    yield _frozen(buffer)
-                    fill = 0
-        if fill:
-            yield _frozen(buffer[:fill])
+        return _chunks(self._runs)
 
     @property
     def codes(self) -> np.ndarray:
@@ -254,6 +225,43 @@ class Schedule:
 
     def __repr__(self) -> str:
         return f"Schedule(<{len(self)} events>, {self.dims!r})"
+
+
+def _chunks(runs):
+    """The rows of runs of (template, kinds, moves), as ``Schedule.chunks``
+    yields them: a literal run, which comes alone, as views of its codes,
+    and other runs moved into one reused buffer."""
+    size = _CHUNK
+    if len(runs) == 1 and runs[0][1] is None:
+        codes = runs[0][0]
+        for start in range(0, len(codes), size):
+            yield codes[start:start + size]
+        return
+    length = sum(len(template) * len(moves) for template, _, moves in runs)
+    if not length:
+        return
+    buffer = np.empty((min(size, length), 4), dtype=np.int64)
+    fill = 0
+    for template, kinds, moves in runs:
+        rows = len(template)
+        move = start = 0  # the next row is template row start of move
+        while move < len(moves):
+            room = size - fill
+            if not start and room >= rows:  # whole moves
+                count, end = min(room // rows, len(moves) - move), rows
+            else:  # part of one move
+                count, end = 1, min(rows, start + room)
+            out = buffer[fill:fill + count * (end - start)].reshape(count, end - start, 4)
+            _move(template[start:end], kinds[start:end], moves[move:move + count], out)
+            fill += out.size // 4
+            start = end % rows
+            if not start:
+                move += count
+            if fill == size:
+                yield _frozen(buffer)
+                fill = 0
+    if fill:
+        yield _frozen(buffer[:fill])
 
 
 def _kinds(template: np.ndarray) -> np.ndarray:

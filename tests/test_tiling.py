@@ -10,20 +10,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iomma.memsim
 import iomma.model
 from iomma import (
     Algorithm,
+    CapacityExceededError,
+    DoubleLoadError,
     Matrix,
     MemoryConfig,
+    OutOfBoundsError,
     PhaseConfig,
     ProblemDims,
     Schedule,
     SimulationError,
+    StoreNonCError,
     block_size,
     build_schedule,
     dump_trace,
     execute,
+    naive_schedule,
     partition_phases,
+    reference_gemm,
     seeded_matrices,
 )
 from iomma.algorithms import blocked_schedule
@@ -178,11 +185,14 @@ def _cases(draw):
     return schedule, _blocked_codes(resident, dims, shape, by_element=True)
 
 
-def _failure(schedule, S):
-    """The class, index and message of execute's error at capacity S."""
-    with pytest.raises(SimulationError) as error:
-        execute(schedule, MemoryConfig(S), *seeded_matrices(schedule.dims, 1))
-    return type(error.value), error.value.index, str(error.value)
+def _executed(schedule, S):
+    """The stats and the bytes of C that execute makes of the schedule at
+    capacity S, or the error's class, index and message."""
+    try:
+        result = execute(schedule, MemoryConfig(S), *seeded_matrices(schedule.dims, 3))
+    except SimulationError as exc:
+        return type(exc), exc.index, str(exc)
+    return result.stats, result.output_c.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -192,7 +202,8 @@ def test_runs_give_the_whole_array_builders_codes(case, chunk):
     literal = Schedule(expected, schedule.dims)
     size = sum(rows * cols for rows, cols, _ in layout(schedule.dims))
     peak = execute(literal, MemoryConfig(size), *seeded_matrices(schedule.dims, 1)).stats.peak_residency
-    short = _failure(literal, peak - 1)
+    short = _executed(literal, peak - 1)
+    assert short[0] is CapacityExceededError
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(iomma.model, "_CHUNK", chunk)
         chunks = [part.copy() for part in schedule.chunks()]
@@ -201,7 +212,7 @@ def test_runs_give_the_whole_array_builders_codes(case, chunk):
         assert len(schedule) == len(expected)
         assert np.array_equal(schedule.codes, expected)
         assert schedule == literal
-        assert _failure(schedule, peak - 1) == short
+        assert _executed(schedule, peak - 1) == short
     assert schedule._value_range() == (min(expected.min(), 0), max(expected.max(), 0))
     assert dump_trace(schedule) == dump_trace(literal)
 
@@ -267,8 +278,182 @@ def _traced_peak(n):
 
 
 def test_memory_stays_bounded_as_the_trace_grows():
-    # 24^3 is 24192 events and 48^3 179712; a whole code array alone would
-    # be 0.7 and 5.5 MB
-    small, large = _traced_peak(24), _traced_peak(48)
+    # 48^3 is 179712 events and 96^3 1419264; a whole code array alone
+    # would be 5.5 and 43.3 MB
+    small, large = _traced_peak(48), _traced_peak(96)
     assert small < 3 and large < 3
     assert large < 1.5 * small
+
+
+# execute translates the moves of a run's template when it can: the chunk
+# replay of the same rows as one literal run is the oracle
+
+
+def _runs(schedule):
+    """The schedule's runs as (template, (B, 3) moves), as _tiled takes them."""
+    return [(template, moves[:, :3].copy()) for template, _, moves in schedule._runs]
+
+
+def _assert_tiled_as_literal(schedule, S, chunks=(1, 5, 64)):
+    literal = Schedule(schedule.codes, schedule.dims)
+    for chunk in chunks:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(iomma.model, "_CHUNK", chunk)
+            expected = _executed(literal, S)
+            assert _executed(schedule, S) == expected
+    return expected
+
+
+@st.composite
+def _perturbed(draw):
+    """A preset or an element-streamed block at shapes with remainders,
+    sometimes with one move shifted, one template row's field shifted or
+    one template row dropped, and a capacity."""
+    dims = ProblemDims(*(draw(st.integers(2, 9)) for _ in range(3)))
+    if draw(st.booleans()):
+        schedule = build_schedule(draw(st.sampled_from(list(Algorithm))), dims, draw(st.integers(4, 40)))
+    else:
+        shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        schedule = blocked_schedule(draw(st.sampled_from(list(Matrix))), dims, shape, by_element=True)
+    # mostly room for any of them, at times too little
+    S = draw(st.one_of(st.just(64), st.integers(3, 40)))
+    runs = _runs(schedule)
+    how = draw(st.sampled_from(["none", "move", "move", "field", "drop"]))
+    if how == "move":
+        moves = runs[draw(st.integers(0, len(runs) - 1))][1]
+        moves[draw(st.integers(0, len(moves) - 1)), draw(st.integers(0, 2))] += draw(st.sampled_from([-2, -1, 1, 2]))
+    elif how != "none":
+        # every run of the chosen template takes the changed copy
+        old = runs[draw(st.integers(0, len(runs) - 1))][0]
+        row = draw(st.integers(0, len(old) - 1))
+        if how == "field":
+            # a coordinate field: an fma's i, j or p, another row's row or col
+            new = old.copy()
+            field = draw(st.integers(1 if new[row, 0] == OP_FMA else 2, 3))
+            new[row, field] += draw(st.sampled_from([-1, 1]))
+        else:
+            new = np.delete(old, row, axis=0)
+        runs = [(new if template is old else template, moves) for template, moves in runs]
+    return Schedule._tiled(runs, dims), S
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_perturbed())
+def test_translated_moves_match_the_literal_replay(case):
+    _assert_tiled_as_literal(*case)
+
+
+@pytest.mark.parametrize("case", [*Algorithm, *Matrix])
+def test_presets_and_element_blocks_translate_as_literal(case):
+    # a preset at S = 16, or a 2-by-3 element-streamed block, at a shape
+    # with remainder blocks; then one slot short of the peak
+    dims = ProblemDims(7, 5, 6)
+    if isinstance(case, Algorithm):
+        schedule = build_schedule(case, dims, 16)
+    else:
+        schedule = blocked_schedule(case, dims, (2, 3), by_element=True)
+    stats, output = _assert_tiled_as_literal(schedule, 64)
+    assert output == reference_gemm(*seeded_matrices(dims, 3)).tobytes()
+    assert _assert_tiled_as_literal(schedule, stats.peak_residency - 1)[0] is CapacityExceededError
+
+
+def _naive_step():
+    """The round trip of c(0,0)'s first fma: load its operands, run it,
+    store C and evict A and B."""
+    return naive_schedule(ProblemDims(1, 1, 1)).codes.copy()
+
+
+def _row(op, matrix, row, col):
+    return np.array([[op, MATRIX_CODE[matrix], row, col]])
+
+
+def test_run_entered_with_an_element_resident_is_replayed():
+    # the template ends empty after the first run, but B(1,1) stays
+    # resident across the second, so that run peaks at 4, not 3
+    dims = ProblemDims(2, 2, 2)
+    moves = np.array([(i, j, 0) for i in range(2) for j in range(2)] * 4)
+    one = np.zeros((1, 3), dtype=np.int64)
+    step = _naive_step()
+    runs = [(step, moves), (_row(OP_LOAD, Matrix.B, 1, 1), one), (step, moves), (_row(OP_EVICT, Matrix.B, 1, 1), one)]
+    stats = _assert_tiled_as_literal(Schedule._tiled(runs, dims), 4)[0]
+    assert stats.peak_residency == 4 and stats.fmas == 32
+    error = _assert_tiled_as_literal(Schedule._tiled(runs, dims), 3)
+    first = len(step) * len(moves) + 1
+    assert error == (CapacityExceededError, first + 2, f"event {first + 2}: load of C(0,0) exceeds capacity 3")
+    # a resident A(0,0) is loaded again by the second run's first move
+    runs[1] = (_row(OP_LOAD, Matrix.A, 0, 0), one)
+    assert _assert_tiled_as_literal(Schedule._tiled(runs, dims), 4)[:2] == (DoubleLoadError, first)
+
+
+def test_template_that_does_not_end_empty_is_replayed():
+    # each move leaves its B(0,j) resident, so occupancy climbs by one a move
+    dims = ProblemDims(1, 8, 1)
+    template = _naive_step()[:-1]
+    schedule = Schedule._tiled([(template, np.array([(0, j, 0) for j in range(8)]))], dims)
+    assert _assert_tiled_as_literal(schedule, 10)[0].peak_residency == 3 + 7
+    # the fifth move finds four B resident and fails loading its C
+    error = _assert_tiled_as_literal(schedule, 6)
+    assert error[:2] == (CapacityExceededError, 4 * len(template) + 2)
+
+
+@pytest.mark.parametrize("axis, value, row, message", [
+    (1, 3, 1, "B col 3 outside [0, 3)"),  # B(p,3), the move's first bad field
+    (0, -1, 0, "A row -1 outside [0, 3)"),  # A(-1,p)
+])
+def test_out_of_bounds_move_fails_at_its_first_bad_row(axis, value, row, message):
+    dims = ProblemDims(3, 3, 3)
+    moves = np.array([(i, j, p) for i in range(3) for j in range(3) for p in range(3)])
+    moves[17, axis] = value
+    schedule = Schedule._tiled([(_naive_step(), moves)], dims)
+    index = 17 * 7 + row
+    assert _assert_tiled_as_literal(schedule, 3) == (OutOfBoundsError, index, f"event {index}: {message}")
+
+
+@pytest.mark.parametrize("move, row, message", [
+    ((-1, 3, 0), 0, "C row -1 outside [0, 9)"),  # C(-1,3), the block's first row
+    ((7, 3, 0), 6, "C row 9 outside [0, 9)"),  # C(9,3), its first row with i = 2
+])
+def test_block_moved_past_an_edge_fails_at_its_first_bad_row(move, row, message):
+    # alg-c's 3-by-3 block of C, moved over a 3-by-3 grid of blocks
+    dims = ProblemDims(9, 9, 4)
+    ((template, moves),) = _runs(build_schedule(Algorithm.C, dims, 16))
+    moves[4] = move
+    index = 4 * len(template) + row
+    error = _assert_tiled_as_literal(Schedule._tiled([(template, moves)], dims), 16)
+    assert error == (OutOfBoundsError, index, f"event {index}: {message}")
+
+
+def test_template_that_stores_a_fails_where_the_literal_does():
+    dims = ProblemDims(4, 4, 4)
+    step = _naive_step()
+    step[5] = _row(OP_STORE, Matrix.A, 0, 0)
+    moves = np.array([(i, j, p) for i in range(4) for j in range(4) for p in range(4)])
+    runs = _runs(build_schedule(Algorithm.C, dims, 9)) + [(step, moves)]
+    schedule = Schedule._tiled(runs, dims)
+    error = _assert_tiled_as_literal(schedule, 9)
+    assert error[:2] == (StoreNonCError, len(schedule) - len(step) * len(moves) + 5)
+
+
+@pytest.mark.parametrize("alg", [Algorithm.A, Algorithm.B, Algorithm.C])
+def test_translation_replays_one_move_per_template(alg, monkeypatch):
+    # rows reaching the chunk replay: one move of each template, and the
+    # runs whose later moves hold less than a chunk
+    dims = ProblemDims(36, 36, 36)
+    schedule = build_schedule(alg, dims, 64)
+    replayed = []
+    original = iomma.memsim._replay
+
+    def counted(ops, *args):
+        replayed.append(len(ops))
+        return original(ops, *args)
+
+    monkeypatch.setattr(iomma.memsim, "_replay", counted)
+    result = execute(schedule, MemoryConfig(64), *seeded_matrices(dims, 1))
+    assert result.output_c.tobytes() == reference_gemm(*seeded_matrices(dims, 1)).tobytes()
+    templates = {id(template): len(template) for template, _, _ in schedule._runs}
+    short = sum(
+        len(template) * len(moves)
+        for template, _, moves in schedule._runs
+        if len(template) * (len(moves) - 1) < iomma.model._CHUNK
+    )
+    assert sum(replayed) <= sum(templates.values()) + short < len(schedule) / 4
