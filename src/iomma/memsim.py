@@ -130,6 +130,7 @@ _ILLEGAL = np.array([
     True, False, False,  # fma on an absent C
 ])
 _LEVEL_STEP = np.array([1, -1, -1, 0])  # occupancy change, by opcode
+_FAR = 1 << 62  # a bound no move reaches, on an axis that no template field reads
 
 
 class _TouchKeys:
@@ -157,42 +158,43 @@ class _Moves:
     """What every move of a template does that keeps its fields in bounds,
     from one replay of it that starts and ends with fast memory empty: that
     replay's ``counts``, and its peak, which the replay has already set. A
-    move d is in bounds when, on each axis the fields read, least <= d <
-    limit."""
+    move d is in bounds when least <= d < limit on every axis. ``fmas``
+    indexes the template's fma rows: an int32 each, a sixth of their ids."""
 
     def __init__(self, template, kinds, dims: ProblemDims, counts):
-        self.counts = counts
-        axes = model._MOVE_AXES[kinds]
-        self.read = [axis for axis in range(3) if (axes == axis).any()]
-        extent = np.array((dims.m, dims.n, dims.k))[self.read]
-        self.least = [-int(template[axes == axis].min()) for axis in self.read]
-        self.limit = extent - [int(template[axes == axis].max()) for axis in self.read]
+        self.template, self.dims, self.counts = template, dims, counts
+        # each axis's least and greatest field; slot 3 takes the fields that never move
+        axes, fields = model._MOVE_AXES.take(kinds, axis=0).ravel(), template.ravel()
+        least, most = np.full(4, _FAR), np.full(4, -_FAR)
+        np.minimum.at(least, axes, fields)
+        np.maximum.at(most, axes, fields)
+        self.least, self.limit = -least[:3], np.array((dims.m, dims.n, dims.k)) - most[:3]
+        self.fmas = np.flatnonzero(template[:, 0] == OP_FMA).astype(np.int32)
+        self.origin = np.array(fma_operand_ids(dims, 0, 0, 0))[:, None]
 
     def legal(self, moves) -> int:
         """How many of the padded moves come before the first out of bounds."""
-        steps = moves[:, self.read]
+        steps = moves[:, :3]
         bad = ((steps < self.least) | (steps >= self.limit)).any(axis=1)
         return int(bad.argmax()) if bad.any() else len(moves)
 
-
-def _moved_fmas(template, moves, values, dims: ProblemDims) -> None:
-    """Do the fmas of the template moved by each padded move, in event
-    order, a block of at most ``_CHUNK`` fmas, or one move's, at a time.
-    An operand id is linear in the fma's fields, so a move adds its own
-    ids, less each matrix's first id, to the template's."""
-    fmas = template[template[:, 0] == OP_FMA, 1:].T
-    if not fmas.size:
-        return
-    ids = np.array(fma_operand_ids(dims, *fmas))
-    firsts = np.array([first for _, _, first in layout(dims)])
-    offsets = np.array(fma_operand_ids(dims, *moves[:, :3].T)) - firsts[:, None]
-    step = max(1, model._CHUNK // ids.shape[1])
-    for first in range(0, len(moves), step):
-        xs, ys, zs = (ids[:, None, :] + offsets[:, first:first + step, None]).reshape(3, -1)
-        with np.errstate(over="ignore", invalid="ignore"):
+    def do_fmas(self, moves, values) -> None:
+        """Do the fmas of the template moved by each padded move, in event
+        order, a block of at most ``_CHUNK`` fmas, or one move's, at a time.
+        An operand id is linear in the fma's fields, so a move adds its own
+        ids, less those of the zero move, to the template's."""
+        if not len(self.fmas):
+            return
+        ids = np.array(fma_operand_ids(self.dims, *self.template.take(self.fmas, axis=0)[:, 1:].T))
+        offsets = np.array(fma_operand_ids(self.dims, *moves[:, :3].T)) - self.origin
+        step = max(1, model._CHUNK // len(self.fmas))
+        for first in range(0, len(moves), step):
+            xs, ys, zs = (ids[:, None, :] + offsets[:, first:first + step, None]).reshape(3, -1)
             np.add.at(values, zs, values[xs] * values[ys])
 
 
+# non-finite inputs give inf and nan silently, in the fmas of _replay and _Moves
+@np.errstate(over="ignore", invalid="ignore")
 def execute(
     schedule: Schedule, config: MemoryConfig, a, b, c_in
 ) -> ExecutionResult:
@@ -207,12 +209,12 @@ def execute(
     offending event's position (the schedule's length for a missing
     writeback), and its message starts with ``event <index>: ``.
 
-    Rows are replayed a chunk at a time, except moves of a run's template
-    that can be translated: once one move of the template, replayed from
-    empty fast memory, has left it empty again, each later move entered
-    with fast memory empty and keeping every field in bounds touches the
-    same elements shifted, so it adds that replay's counts and peak and
-    only its fmas are done. The chunk replay decides every error.
+    Rows are replayed a chunk at a time, except later moves of a template
+    with more than one move and at least a chunk of rows in the schedule:
+    once one move of it, replayed from empty fast memory, has left it empty,
+    each later move, in any run, entered empty and in bounds touches the same
+    elements shifted, so it adds that replay's counts and peak and only does
+    its fmas. The chunk replay decides every error.
     """
     dims = schedule.dims
     cap = config.S
@@ -246,15 +248,15 @@ def execute(
             counts += np.bincount(np.minimum(rows, 9), minlength=10)
             start += done
 
-    # A template's first move entered with fast memory empty is replayed;
-    # if that ends empty too, later moves entered empty and in bounds only
-    # do their fmas (see _Moves). Other rows, and runs too short to repay
-    # this, wait in pending to share chunks of the replay.
+    # each template's rows in the schedule; other rows wait in pending
+    rows_of = {}
+    for template, _, moves in schedule._runs:
+        rows_of[id(template)] = rows_of.get(id(template), 0) + len(template) * len(moves)
     facts = {}  # by template id, stable while the schedule holds its runs
     pending = []
     for run in schedule._runs:
         template, kinds, moves = run
-        if kinds is None or len(template) * (len(moves) - 1) < model._CHUNK:
+        if not len(template) < rows_of[id(template)] >= model._CHUNK:
             pending.append(run)
             continue
         replay(pending)
@@ -270,7 +272,7 @@ def execute(
         fact = facts[id(template)]
         legal = fact.legal(moves) if fact else 0
         if legal:
-            _moved_fmas(template, moves[:legal], values, dims)
+            fact.do_fmas(moves[:legal], values)
             counts += legal * fact.counts
             start += legal * len(template)
         if legal < len(moves):
@@ -388,10 +390,8 @@ def _replay(ops, xs, ys, zs, values, state, occupancy, peak, cap, keys):
         fmas = fmas[:np.searchsorted(fmas, done)]
     last = np.flatnonzero(last)
     state[ids[last]] = after[last]
-    # A and B never change, and add.at applies its updates in index order,
-    # which is event order; non-finite inputs give inf and nan silently
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(values, zs[fmas], values[xs[fmas]] * values[ys[fmas]])
+    # A and B never change, and add.at applies its updates in event order
+    np.add.at(values, zs[fmas], values[xs[fmas]] * values[ys[fmas]])
     return done, int(level[done - 1]), max(peak, int(level[:done].max()))
 
 

@@ -434,12 +434,9 @@ def test_template_that_stores_a_fails_where_the_literal_does():
     assert error[:2] == (StoreNonCError, len(schedule) - len(step) * len(moves) + 5)
 
 
-@pytest.mark.parametrize("alg", [Algorithm.A, Algorithm.B, Algorithm.C])
-def test_translation_replays_one_move_per_template(alg, monkeypatch):
-    # rows reaching the chunk replay: one move of each template, and the
-    # runs whose later moves hold less than a chunk
-    dims = ProblemDims(36, 36, 36)
-    schedule = build_schedule(alg, dims, 64)
+def _replayed_rows(schedule, S):
+    """How many rows reach the chunk replay in one execute at capacity S,
+    the rest being translated, and what _executed makes of it."""
     replayed = []
     original = iomma.memsim._replay
 
@@ -447,13 +444,93 @@ def test_translation_replays_one_move_per_template(alg, monkeypatch):
         replayed.append(len(ops))
         return original(ops, *args)
 
-    monkeypatch.setattr(iomma.memsim, "_replay", counted)
-    result = execute(schedule, MemoryConfig(64), *seeded_matrices(dims, 1))
-    assert result.output_c.tobytes() == reference_gemm(*seeded_matrices(dims, 1)).tobytes()
-    templates = {id(template): len(template) for template, _, _ in schedule._runs}
-    short = sum(
-        len(template) * len(moves)
-        for template, _, moves in schedule._runs
-        if len(template) * (len(moves) - 1) < iomma.model._CHUNK
-    )
-    assert sum(replayed) <= sum(templates.values()) + short < len(schedule) / 4
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iomma.memsim, "_replay", counted)
+        executed = _executed(schedule, S)
+    return sum(replayed), executed
+
+
+def _one_move_each(schedule):
+    """The rows of one move of each template."""
+    return sum({id(template): len(template) for template, _, _ in schedule._runs}.values())
+
+
+# every (i, j, p) of 2x2x3, p slowest: 84 rows of the step, more than the
+# largest chunk the oracle tries
+_STEP_MOVES = [(i, j, p) for p in range(3) for i in range(2) for j in range(2)]
+
+
+def _step_runs(moves):
+    """One-move runs of the naive step, one per (i, j, p) move."""
+    step = _naive_step()
+    return [(step, np.array([move])) for move in moves]
+
+
+def test_template_first_seen_in_a_one_move_run_translates_later_ones():
+    # alg-c's 3-by-1 edge block of C ends each row of blocks, a run of its own
+    dims = ProblemDims(9, 10, 4)
+    schedule = build_schedule(Algorithm.C, dims, 16)
+    assert [len(moves) for _, _, moves in schedule._runs] == [3, 1] * 3
+    stats = _assert_tiled_as_literal(schedule, 16)[0]
+    assert _assert_tiled_as_literal(schedule, stats.peak_residency - 1)[0] is CapacityExceededError
+    # at the default chunk neither template holds a chunk of rows, so every
+    # row is replayed; every chunk size in the oracle learns both
+    assert _replayed_rows(schedule, 16)[0] == len(schedule)
+    for chunk in (1, 5, 64):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(iomma.model, "_CHUNK", chunk)
+            assert _replayed_rows(schedule, 16) == (_one_move_each(schedule), _executed(schedule, 16))
+    # so do the naive step's one-move runs
+    schedule = Schedule._tiled(_step_runs([(i, j, 0) for i in range(3) for j in range(3)]), ProblemDims(3, 3, 1))
+    assert _assert_tiled_as_literal(schedule, 3)[0].fmas == 9
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iomma.model, "_CHUNK", 5)
+        assert _replayed_rows(schedule, 3)[0] == len(_naive_step())
+
+
+def test_one_move_run_entered_with_an_element_resident_is_replayed():
+    # the step's one-move runs with a run that loads B(1,1) and one that
+    # evicts it: the step's run between them finds it resident
+    dims = ProblemDims(2, 2, 3)
+    one = np.zeros((1, 3), dtype=np.int64)
+    runs = _step_runs(_STEP_MOVES)
+    runs[3:3] = [(_row(OP_LOAD, Matrix.B, 1, 1), one)]
+    runs[5:5] = [(_row(OP_EVICT, Matrix.B, 1, 1), one)]
+    assert _assert_tiled_as_literal(Schedule._tiled(runs, dims), 4)[0].peak_residency == 4
+    first = 3 * 7 + 1  # the fourth step's first row
+    error = (CapacityExceededError, first + 2, f"event {first + 2}: load of C(1,1) exceeds capacity 3")
+    assert _assert_tiled_as_literal(Schedule._tiled(runs, dims), 3) == error
+    # the fourth step loads B(0,1), which a resident B(0,1) makes a double load
+    runs[3] = (_row(OP_LOAD, Matrix.B, 0, 1), one)
+    error = (DoubleLoadError, first + 1, f"event {first + 1}: B(0,1) is already resident")
+    assert _assert_tiled_as_literal(Schedule._tiled(runs, dims), 4) == error
+
+
+@pytest.mark.parametrize("move, row, message", [
+    ((1, 2, 0), 1, "B col 2 outside [0, 2)"),  # B(0,2), the move's first bad field
+    ((-1, 0, 1), 0, "A row -1 outside [0, 2)"),  # A(-1,1)
+])
+def test_one_move_run_out_of_bounds_fails_at_its_first_bad_row(move, row, message):
+    moves = list(_STEP_MOVES)
+    moves[5] = move
+    schedule = Schedule._tiled(_step_runs(moves), ProblemDims(2, 2, 3))
+    index = 5 * 7 + row
+    assert _assert_tiled_as_literal(schedule, 3) == (OutOfBoundsError, index, f"event {index}: {message}")
+
+
+@pytest.mark.parametrize("alg, shape, S", [
+    pytest.param(Algorithm.A, (36, 36, 36), 64, id="alg-a"),
+    pytest.param(Algorithm.B, (36, 36, 36), 64, id="alg-b"),
+    pytest.param(Algorithm.C, (36, 36, 36), 64, id="alg-c"),
+    pytest.param(Algorithm.C, (35, 27, 31), 20, id="alg-c-35x27x31-S20"),
+    pytest.param(Algorithm.B, (34, 24, 30), 36, id="alg-b-34x24x30-S36"),
+    pytest.param(Algorithm.NAIVE, (18, 18, 18), 16, id="naive-18x18x18-S16"),
+])
+def test_translation_replays_one_move_per_template(alg, shape, S):
+    # perfbench's schedules: only the first move of each template reaches
+    # the chunk replay, the blocked ones' one-move edge runs included
+    dims = ProblemDims(*shape)
+    schedule = build_schedule(alg, dims, S)
+    rows, (_, output) = _replayed_rows(schedule, S)
+    assert output == reference_gemm(*seeded_matrices(dims, 3)).tobytes()
+    assert rows == _one_move_each(schedule) < len(schedule) / 10
