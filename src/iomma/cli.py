@@ -24,6 +24,7 @@ from .inputs import seeded_matrices
 from .memsim import (
     MemoryConfig,
     SimulationError,
+    decode_trace,
     dump_trace,
     execute,
     parse_trace,
@@ -273,8 +274,8 @@ def cmd_phases(ns: argparse.Namespace) -> dict | str:
     dims = _dims(ns)
     text = None
     if ns.trace_in:
-        with open(ns.trace_in) as handle:
-            text = handle.read()
+        with open(ns.trace_in, "rb") as handle:
+            text = decode_trace(handle.read())
         schedule = parse_trace(text, dims)
     else:
         schedule = build_schedule(ns.alg, dims, ns.S)

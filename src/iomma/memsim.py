@@ -494,6 +494,12 @@ _SPAN = 1 << 14  # characters matched per call; re keeps state per repetition
 # each letter becomes its code, and each break a space: numpy's whitespace
 # lacks \x1c-\x1e, \x85, \u2028 and \u2029
 _LETTER_CODES = str.maketrans("LSEFABC" + _BREAKS, "0123012" + " " * len(_BREAKS))
+# bytes of whole lines that _read_dumped reads at a time; its temporaries
+# take about 17 bytes per byte of a span
+_READ_SPAN = 1 << 14
+# the opcode of each ASCII byte that heads a line, and -1 for the rest
+_OPCODES = np.full(128, -1, dtype=np.int8)
+_OPCODES[list(b"LSEF")] = (OP_LOAD, OP_STORE, OP_EVICT, OP_FMA)
 
 
 def dump_trace(schedule: Schedule) -> str:
@@ -550,7 +556,15 @@ def parse_trace(text: str, dims: ProblemDims) -> Schedule:
     comment-only lines are skipped. Fields are separated by spaces or tabs,
     lines by any break str.splitlines() knows, and a final line without its
     break reads as if it had one.
+
+    A text of the lines dump_trace writes is read with numpy, a span of whole
+    lines at a time. Any other text, and every rejection, goes through one
+    regex of the grammar, a span of whole lines per call, then comment
+    stripping and ``np.fromstring``.
     """
+    codes = _read_dumped(text)
+    if codes is not None:
+        return Schedule._wrap(codes, dims)
     if text[-1:] not in _BREAKS:
         text += "\n"
     stop = _grammatical_end(text)
@@ -563,6 +577,91 @@ def parse_trace(text: str, dims: ProblemDims) -> Schedule:
         return Schedule._wrap(np.empty((0, 4), dtype=np.int64), dims)
     codes = np.fromstring(text.translate(_LETTER_CODES), dtype=np.int64, sep=" ")
     return Schedule._wrap(codes.reshape(-1, 4), dims)
+
+
+def _read_dumped(text: str) -> np.ndarray | None:
+    """The code rows of a text of lines exactly as dump_trace writes them
+    (_DUMPED: ASCII, single spaces, LF ends), or None for any other text.
+    Reads ``_READ_SPAN`` bytes of whole lines at a time into one array."""
+    if not text.endswith("\n") or not text.isascii():
+        return None
+    codes = np.empty((text.count("\n"), 4), dtype=np.int64)
+    row = start = 0
+    while start < len(text):
+        end = len(text)
+        if end - start > _READ_SPAN:
+            # a dumped line is far shorter than a span
+            end = text.rfind("\n", start, start + _READ_SPAN) + 1
+            if not end:
+                return None
+        data = np.frombuffer(text[start:end].encode("ascii"), dtype=np.uint8)
+        lines = _read_dumped_span(data, codes[row:].reshape(-1))
+        if lines is None:
+            return None
+        row += lines
+        start = end
+    return codes
+
+
+def _read_dumped_span(data: np.ndarray, out: np.ndarray) -> int | None:
+    """Read the bytes of whole ASCII lines, if each is a dumped line, into
+    the first four values of ``out`` per line and return how many lines
+    they are; else None.
+
+    A token is what lies between two separators, spaces and LFs, and a line
+    is four tokens, an LF ending the fourth. A line's first token is one of
+    LSEF; the second is one of ABC, except on an F line; every other token
+    is a number: an optional '-' and 1 to 18 digits. Tokens are checked one
+    by one, but bytes only by count: all digits belong to numbers, so the
+    number tokens hold nothing else when the digits fill them.
+    """
+    seps = np.flatnonzero(data <= ord(" "))
+    lines = len(seps) // 4
+    if len(seps) % 4:
+        return None
+    sep_bytes = data.take(seps)
+    if (sep_bytes[3::4] != ord("\n")).any() or np.count_nonzero(sep_bytes == ord(" ")) != 3 * lines:
+        return None
+    starts = np.empty_like(seps)
+    starts[0] = 0
+    np.add(seps[:-1], 1, out=starts[1:])
+    digits = seps - starts
+    first = data.take(starts)
+    del starts
+    negative = first == ord("-")
+    digits -= negative
+    ops = _OPCODES.take(first[0::4])
+    fma = ops == OP_FMA
+    matrices = first[1::4] - ord("A")
+    named = matrices < len(MATRICES)
+    if (ops < 0).any() or (digits[0::4] != 1).any() or (named == fma).any():
+        return None
+    if ((digits[1::4] != 1) & named).any() or ((digits - 1).view(np.uint64) >= 18).any():
+        return None
+    # a line's head and matrix letter each count as one digit
+    values = data - ord("0")
+    is_digit = values < 10
+    if np.count_nonzero(is_digit) != digits.sum() - 2 * lines + np.count_nonzero(fma):
+        return None
+    values *= is_digit
+    out = out[:4 * lines]
+    # each token's value, digit by digit from its last: one place past a
+    # token's first digit lies a separator or '-', which adds 0, but further
+    # on may lie the digits of the token before, which are masked
+    index = seps
+    index -= 1
+    out[:] = values.take(index)
+    step = np.empty_like(out)
+    for place in range(1, int(digits.max())):
+        index -= 1
+        np.multiply(values.take(index), 10 ** place, out=step, dtype=np.int64)
+        if place > 1:
+            step *= digits > place
+        out += step
+    np.negative(out, out=out, where=negative)
+    out[0::4] = ops
+    out[1::4] = np.where(fma, out[1::4], matrices)
+    return lines
 
 
 def _grammatical_end(text: str) -> int:
@@ -600,6 +699,19 @@ def _rejection(text: str, stop: int) -> str:
         bad = [token for token in coordinates if not re.fullmatch(_INT, token)]
         reason = f"coordinate {bad[0]} is not an integer of 1 to 18 decimal digits"
     return f"trace line {lineno}: {reason}"
+
+
+def decode_trace(data: bytes) -> str:
+    """The text of a trace file's bytes, read as UTF-8 with CRLF and CR
+    made LF, as text-mode open() makes them, so that a dumped trace saved
+    with either end is still read as one. Raises ValueError, naming the line
+    of the first byte that does not decode."""
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        lineno = 1 + len(_LINE_BREAK.findall(data[:exc.start].decode("utf-8")))
+        reason = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise ValueError(f"trace line {lineno}: {reason}") from None
 
 
 def trace_line(text: str, index: int) -> int:

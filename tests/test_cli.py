@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import iomma.cli as cli
+import iomma.memsim
 import iomma.phases
 import iomma.verify
 from iomma import (
@@ -482,6 +483,19 @@ def test_unknown_algorithm_error_names_the_accepted_ones(capsys, argv, name):
     assert err.endswith(f": expected one of {_ALG_CHOICES[1:-1]}, got {name}\n")
 
 
+def test_trace_file_line_ends_read_as_lf(tmp_path, capsys, monkeypatch):
+    # CRLF and CR ends become LF, so the dumped-line reader still takes the trace
+    trace = tmp_path / "t.txt"
+    dumped = dump_trace(build_schedule(Algorithm.C, ProblemDims(6, 6, 6), 16))
+    argv = ["phases", "-m", "6", "-n", "6", "-k", "6", "-S", "16", "--trace-in", str(trace)]
+    trace.write_text(dumped)
+    _, expected, _ = _run(capsys, *argv)
+    monkeypatch.setattr(iomma.memsim, "_grammatical_end", None)
+    for end in ("\r\n", "\r"):
+        trace.write_bytes(dumped.replace("\n", end).encode("ascii"))
+        assert _run(capsys, *argv) == (0, expected, "")
+
+
 def test_bad_trace_file_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("L A 0 0\nF 0 0 0\n")  # fma with b and c non-resident
@@ -510,6 +524,19 @@ def test_bad_trace_names_file_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: invalid trace: event 4: dirty C(0,0) still resident at end of schedule\n"
     )
+    # the file is UTF-8 whatever the locale, and a byte that does not decode
+    # is named by its line
+    trace.write_bytes("L A 0 0\n# caf\u00e9\nL B 0 0\nL C 0 0\nF 0 0 1\n".encode("utf-8"))
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: trace line 5: invalid trace: event 3: ")
+    trace.write_bytes(b"L A 0 0\nL B 0\xe9 0\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: trace line 2: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
+    )
+    trace.write_bytes(b"L A 0 0\r\n\rL B 0 0 # \xff\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: trace line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
 
 
 def test_phases_rejects_a_trace_that_overflows_S(tmp_path, capsys, monkeypatch):

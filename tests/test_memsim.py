@@ -8,6 +8,7 @@ import pkgutil
 import re
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -619,6 +620,8 @@ def test_long_trace_round_trip_across_match_spans():
     text = dump_trace(schedule)
     assert len(text) > 2 * iomma.memsim._SPAN
     assert parse_trace(text, dims) == schedule
+    # a header comment sends the whole text to the regex, span by span
+    assert parse_trace("# iomma 20 20 20 16\n" + text, dims) == schedule
     # a comment in the last span, after an event
     commented = text[:-1] + " # last\n"
     assert parse_trace(commented, dims) == schedule
@@ -658,9 +661,11 @@ def _assert_matched_once(monkeypatch, text, dims, schedule):
 
 @pytest.mark.parametrize("tail", ["", "# end\n", "\n  # iomma 20 20 20 16\n"])
 def test_canonical_lines_are_matched_once(monkeypatch, tail):
+    # a header comment keeps even the bare dump from the dumped-line reader
     dims = ProblemDims(20, 20, 20)
     schedule = build_schedule(Algorithm.C, dims, 16)
-    _assert_matched_once(monkeypatch, dump_trace(schedule) + tail, dims, schedule)
+    text = "# iomma 20 20 20 16\n" + dump_trace(schedule) + tail
+    _assert_matched_once(monkeypatch, text, dims, schedule)
 
 
 @pytest.mark.parametrize("newline", ["\r", "\r\n", " # note\n", "\t#\r\n"])
@@ -935,6 +940,141 @@ def test_grammar_rejects_where_line_reader_does(text):
     dims = ProblemDims(1, 1, 1)
     new = _rejected_line(lambda t: parse_trace(t, dims), text)
     assert new == _rejected_line(_line_reader_codes, text)
+
+
+def _read_outcome(parse, text):
+    """The codes a parser reads from a text, as lists, or its error message."""
+    try:
+        return np.asarray(parse(text)).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _regex_codes(text):
+    """parse_trace without its dumped-line reader: the grammar regex alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iomma.memsim, "_read_dumped", lambda text: None)
+        return parse_trace(text, ProblemDims(1, 1, 1)).codes
+
+
+# bytes that the dumped form holds, and bytes that it does not but that the
+# line reader and the grammar read alike: '#' starts a comment, a tab parts
+# fields, CR and VT end lines, and the rest are no part of any token
+_INSIDE = "LSEFABC0123456789- \n"
+_OUTSIDE = "X#\t\r\x0b\x00.a\xe9"
+
+
+@st.composite
+def _mutated_dump(draw):
+    """A dumped trace with up to three byte-level edits, which fall next to
+    a space or LF half of the time."""
+    coordinate = st.one_of(st.integers(-3, 40), st.integers(-(10**18) + 1, 10**18 - 1))
+    row = st.tuples(st.integers(0, 3), st.integers(0, 2), coordinate, coordinate, coordinate)
+    rows = draw(st.lists(row, max_size=12))
+    codes = [(op, i if op == OP_FMA else matrix, r, c) for op, matrix, i, r, c in rows]
+    text = dump_trace(Schedule(np.array(codes, dtype=np.int64).reshape(-1, 4), ProblemDims(1, 1, 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        if not text:
+            break
+        seps = [i for i, char in enumerate(text) if char in " \n"]
+        edges = sorted({i + side for i in seps for side in (0, 1)} - {len(text)})
+        at = draw(st.sampled_from(edges) if edges and draw(st.booleans()) else st.integers(0, len(text) - 1))
+        numbers = [match.start() for match in re.finditer(r"(?<= )-?[0-9]+", text)]
+        how = draw(st.sampled_from(
+            ["byte", "insert", "double", "drop", "move", "minus", "zero", "wide", "matrix", "end"]
+        ))
+        if how in ("byte", "insert"):
+            byte = draw(st.sampled_from(_INSIDE + _OUTSIDE))
+            text = text[:at] + byte + text[at + (how == "byte"):]
+        elif how in ("double", "drop"):
+            at = draw(st.sampled_from(seps))
+            text = text[:at] + (text[at] * 2 if how == "double" else "") + text[at + 1:]
+        elif how == "move" and "\n" in text[:-1]:
+            # a line break trades places with a space a token away
+            at = draw(st.sampled_from([i for i, char in enumerate(text[:-1]) if char == "\n"]))
+            spaces = [i for i in (text.rfind(" ", 0, at), text.find(" ", at)) if i >= 0]
+            if not spaces:
+                continue
+            space = draw(st.sampled_from(spaces))
+            text = text[:at] + " " + text[at + 1:]
+            text = text[:space] + "\n" + text[space + 1:]
+        elif how == "minus":
+            text = text[:at] + "-" + text[at:]
+        elif how == "zero" and numbers:
+            at = draw(st.sampled_from(numbers))
+            at += text[at] == "-"
+            text = text[:at] + "0" + text[at:]
+        elif how == "wide" and numbers:
+            at = draw(st.sampled_from(numbers))
+            end = re.match(r"-?[0-9]+", text[at:]).end() + at
+            digits = draw(st.sampled_from([18, 19]))
+            text = text[:at] + draw(st.sampled_from(["", "-"])) + "9" * digits + text[end:]
+        elif how == "matrix" and "F " in text:
+            at = draw(st.sampled_from([m.start() for m in re.finditer("F ", text)]))
+            text = text[:at + 2] + draw(st.sampled_from("ABC")) + " " + text[at + 2:]
+        elif how == "end":
+            text = text[:-1]
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=_mutated_dump(), span=st.integers(8, 80))
+def test_dumped_line_reader_matches_grammar_and_line_reader(text, span):
+    # small spans put line ends on and around every span edge
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iomma.memsim, "_READ_SPAN", span)
+        got = _read_outcome(lambda t: parse_trace(t, ProblemDims(1, 1, 1)).codes, text)
+    # the grammar alone reads the same codes, or rejects in the same words
+    assert got == _read_outcome(_regex_codes, text)
+    if not isinstance(got, str):
+        assert got == _line_reader_codes(text).tolist()
+        return
+    lineno = int(re.match(r"trace line (\d+): ", got).group(1))
+    try:
+        _line_reader_codes(text)
+    except ValueError as exc:
+        if str(exc).startswith(f"trace line {lineno}: "):
+            return
+    # int() reads 19 digits, which the grammar refuses
+    assert re.search("[0-9]{19}", text.splitlines()[lineno - 1]), (text, got)
+
+
+# one line each that breaks a single check of the dumped-line reader, and a
+# few that the grammar takes though they are not dumped lines
+_NEAR_DUMPED = [
+    "X A 0 0", "L0 A 0 0", "LL A 0 0", "- A 0 0", "L A0 0 0", "L AB 0 0", "L 0 0 0",
+    "F A 0 0", "F A 0 0 0", "L A 0 -", "L A 0 --1", "L A 0 1-", "L A 0 -1-", "L A 0 1A",
+    "L A " + "1" * 18 + " 0", "L A " + "1" * 19 + " 0", "F -" + "9" * 19 + " 0 0",
+    "L\rA 0 0", "L\x00A 0 0", "L\x0bA 0 0", "L\tA 0 0", "L A 0 0 ", " L A 0 0", "L  A 0 0",
+    "", "F", "L A", "L A 0", "L A 0 0 L\nA 0 0", "L A 0\n0 L A 0 0", "L A 0 0 # c", "L A 0 0\r",
+]
+
+
+@pytest.mark.parametrize("line", _NEAR_DUMPED)
+@pytest.mark.parametrize("span", [64, 1 << 14])
+@pytest.mark.parametrize("at", [50, None])
+def test_dumped_line_reader_declines_near_dumped_lines(line, span, at, monkeypatch):
+    # in the middle, or last, where a short line ends the last span
+    lines = dump_trace(build_schedule(Algorithm.C, ProblemDims(4, 4, 4), 16)).splitlines(keepends=True)
+    text = "".join(lines[:at]) + line + "\n" + "".join(lines[at:] if at else [])
+    monkeypatch.setattr(iomma.memsim, "_READ_SPAN", span)
+    got = _read_outcome(lambda t: parse_trace(t, ProblemDims(1, 1, 1)).codes, text)
+    assert got == _read_outcome(_regex_codes, text)
+
+
+def test_dumped_trace_reaches_neither_regex_nor_fromstring(monkeypatch):
+    dims = ProblemDims(20, 20, 20)
+    schedule = build_schedule(Algorithm.C, dims, 16)
+    text = dump_trace(schedule)
+    assert len(text) > 4 * iomma.memsim._READ_SPAN
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dumped trace took the regex path")
+
+    monkeypatch.setattr(iomma.memsim, "_LINES", SimpleNamespace(match=refuse))
+    monkeypatch.setattr(np, "fromstring", refuse)
+    _forbid_line_reader(monkeypatch)
+    assert parse_trace(text, dims) == schedule
 
 
 @pytest.mark.parametrize("field", ["+1", "1_0", "\u0661", "1234567890123456789"])

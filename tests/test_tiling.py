@@ -29,6 +29,7 @@ from iomma import (
     dump_trace,
     execute,
     naive_schedule,
+    parse_trace,
     partition_phases,
     reference_gemm,
     seeded_matrices,
@@ -283,6 +284,27 @@ def test_memory_stays_bounded_as_the_trace_grows():
     small, large = _traced_peak(48), _traced_peak(96)
     assert small < 3 and large < 3
     assert large < 1.5 * small
+
+
+def _parse_peak(n):
+    """tracemalloc's peak over parsing the dumped alg-c trace at n^3 with
+    S = 64, and the bytes of its codes."""
+    dims = ProblemDims(n, n, n)
+    text = dump_trace(build_schedule(Algorithm.C, dims, 64))
+    tracemalloc.start()
+    try:
+        schedule = parse_trace(text, dims)
+        return tracemalloc.get_traced_memory()[1], 32 * len(schedule)
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_memory_is_the_codes_and_a_span_budget():
+    # the texts are 1.8 and 14.7 MB: beside its codes, parse_trace holds
+    # one span's temporaries at a time, whatever the trace's length
+    for n in (48, 96):
+        peak, codes = _parse_peak(n)
+        assert peak - codes < 32 * iomma.memsim._READ_SPAN
 
 
 # execute translates the moves of a run's template when it can: the chunk
