@@ -30,6 +30,7 @@ from .memsim import (
     parse_trace,
     reference_gemm,
     trace_line,
+    write_trace,
 )
 from .model import ProblemDims
 from .phases import (
@@ -233,7 +234,7 @@ def cmd_simulate(ns: argparse.Namespace) -> dict:
     counts_match = predicted.matches(stats)
     if ns.trace_out:
         with open(ns.trace_out, "w", newline="\n") as handle:
-            handle.write(dump_trace(schedule))
+            write_trace(schedule, handle)
     return {
         "command": "simulate",
         "algorithm": ns.alg.value,
@@ -270,27 +271,36 @@ def cmd_bounds(ns: argparse.Namespace) -> dict:
     return asdict(BoundReport.compute(_dims(ns), ns.S, _phase_budget(ns)))
 
 
-def cmd_phases(ns: argparse.Namespace) -> dict | str:
-    dims = _dims(ns)
-    text = None
-    if ns.trace_in:
-        with open(ns.trace_in, "rb") as handle:
+def _read_phases(path: str, dims: ProblemDims, config: PhaseConfig, memory: MemoryConfig) -> list:
+    """The phases of a trace file that must fit in ``memory``. A file of
+    dump_trace's lines is parsed, replayed and split in one walk, a chunk
+    at a time. Any other file, and any failure, is read whole, then parsed,
+    replayed and split in turn, so that the error is the one its first
+    failing step names, and a broken rule names its file line too."""
+    with open(path, "rb") as handle:
+        try:
+            return partition_phases(parse_trace(handle, dims), config, memory)
+        except (ValueError, SimulationError):
+            handle.seek(0)
             text = decode_trace(handle.read())
-        schedule = parse_trace(text, dims)
-    else:
-        schedule = build_schedule(ns.alg, dims, ns.S)
-    M = _phase_budget(ns)
+    schedule = parse_trace(text, dims)
     try:
-        if text is not None:  # a read trace must fit in -S; it replays once
-            validate_trace(schedule, MemoryConfig(ns.S))
-        reports = partition_phases(schedule, PhaseConfig(M))
+        validate_trace(schedule, memory)
     except SimulationError as exc:
         # name the file line too; a missing writeback has no event to point at
-        where = ""
-        if text is not None and exc.index < len(schedule):
-            where = f"trace line {trace_line(text, exc.index)}: "
+        where = f"trace line {trace_line(text, exc.index)}: " if exc.index < len(schedule) else ""
         exc.args = (f"{where}invalid trace: {exc}",)
         raise
+    return partition_phases(schedule, config)
+
+
+def cmd_phases(ns: argparse.Namespace) -> dict | str:
+    dims = _dims(ns)
+    M = _phase_budget(ns)
+    if ns.trace_in:
+        reports = _read_phases(ns.trace_in, dims, PhaseConfig(M), MemoryConfig(ns.S))
+    else:
+        reports = partition_phases(build_schedule(ns.alg, dims, ns.S), PhaseConfig(M))
     if ns.out_format == "csv":
         return phases_to_csv(reports)
     return {

@@ -193,6 +193,48 @@ class _Moves:
             np.add.at(values, zs, values[xs] * values[ys])
 
 
+class _Replay:
+    """Replays code rows from empty fast memory a chunk at a time, carrying
+    the state, and counts them: ``feed`` each chunk in order, then
+    ``finish``. A broken rule raises its SimulationError, located at the
+    event's index. ``values`` holds every element's value, ids as in
+    layout(); the fmas update it."""
+
+    def __init__(self, dims: ProblemDims, cap: int, values, length: int):
+        self.dims, self.cap, self.values = dims, cap, values
+        # state per element id is 0 (absent), 1 (clean) or 2 (dirty)
+        self.state = np.zeros(len(values), dtype=np.int8)
+        self.occupancy = self.peak = self.start = 0
+        self.table = _event_table(dims)
+        self.keys = _TouchKeys(len(values), min(model._CHUNK, length))
+        # events by op * 3 + matrix, every fma in the last bin
+        self.counts = np.zeros(10, dtype=np.int64)
+
+    def feed(self, chunk) -> None:
+        ops, xs, ys, zs, rows = _operand_ids(chunk, self.dims, self.table)
+        done, self.occupancy, self.peak = _replay(
+            ops, xs, ys, zs, self.values, self.state, self.occupancy, self.peak, self.cap, self.keys)
+        if done < len(chunk):
+            error = _event_error(chunk[done].tolist(), self.dims, self.state, self.cap)
+            raise _locate(error, self.start + done)
+        self.counts += np.bincount(np.minimum(rows, 9), minlength=10)
+        self.start += done
+
+    def finish(self) -> IOStats:
+        """The counts, once no dirty C is left in fast memory."""
+        _, c_cols, c_off = layout(self.dims)[_C]
+        dirty = self.state[c_off:] == 2
+        if dirty.any():
+            row, col = divmod(int(dirty.argmax()), c_cols)
+            message = f"dirty C({row},{col}) still resident at end of schedule"
+            raise _locate(IncompleteWritebackError(message), self.start)
+        reads_a, reads_b, reads_c, *stores = self.counts[:6].tolist()
+        return IOStats(
+            reads=reads_a + reads_b + reads_c, writes=sum(stores), fmas=int(self.counts[9]),
+            peak_residency=self.peak, reads_a=reads_a, reads_b=reads_b, reads_c=reads_c,
+        )
+
+
 # non-finite inputs give inf and nan silently, in the fmas of _replay and _Moves
 @np.errstate(over="ignore", invalid="ignore")
 def execute(
@@ -217,36 +259,20 @@ def execute(
     its fmas. The chunk replay decides every error.
     """
     dims = schedule.dims
-    cap = config.S
     shapes = layout(dims)
     c_rows, c_cols, c_off = shapes[_C]
-    # state per element id is 0 (absent), 1 (clean) or 2 (dirty), and the
-    # ids follow layout(): A, then B, then C. One value per element serves as
-    # both copies: a fast copy differs from slow memory only while dirty,
-    # and a dirty slot cannot leave fast memory except by a store.
+    # one value per element serves as both copies: a fast copy differs from
+    # slow memory only while dirty, and a dirty slot cannot leave fast
+    # memory except by a store
     values = np.concatenate([
         _flat(mat, rows, cols, name)
         for (rows, cols, _), mat, name in zip(shapes, (a, b, c_in), ("a", "b", "c_in"))
     ])
-    state = np.zeros(len(values), dtype=np.int8)
-    occupancy = peak = start = 0
-    table = _event_table(dims)
-    keys = _TouchKeys(len(values), min(model._CHUNK, len(schedule)))
-    # events by op * 3 + matrix, every fma in the last bin
-    counts = np.zeros(10, dtype=np.int64)
+    replay = _Replay(dims, config.S, values, len(schedule))
 
-    def replay(runs):
-        """Replay the runs' rows chunk by chunk, carrying the state, and
-        count them."""
-        nonlocal occupancy, peak, start, counts
+    def flush(runs):
         for chunk in model._chunks(runs):
-            ops, xs, ys, zs, rows = _operand_ids(chunk, dims, table)
-            done, occupancy, peak = _replay(ops, xs, ys, zs, values, state, occupancy, peak, cap, keys)
-            if done < len(chunk):
-                error = _event_error(chunk[done].tolist(), dims, state, cap)
-                raise _locate(error, start + done)
-            counts += np.bincount(np.minimum(rows, 9), minlength=10)
-            start += done
+            replay.feed(chunk)
 
     # each template's rows in the schedule; other rows wait in pending
     rows_of = {}
@@ -259,37 +285,26 @@ def execute(
         if not len(template) < rows_of[id(template)] >= model._CHUNK:
             pending.append(run)
             continue
-        replay(pending)
+        flush(pending)
         pending = []
-        if occupancy:
+        if replay.occupancy:
             pending.append(run)
             continue
         if id(template) not in facts:
-            before = counts.copy()
-            replay([(template, kinds, moves[:1])])
-            facts[id(template)] = None if occupancy else _Moves(template, kinds, dims, counts - before)
+            before = replay.counts.copy()
+            flush([(template, kinds, moves[:1])])
+            facts[id(template)] = None if replay.occupancy else _Moves(template, kinds, dims, replay.counts - before)
             moves = moves[1:]
         fact = facts[id(template)]
         legal = fact.legal(moves) if fact else 0
         if legal:
             fact.do_fmas(moves[:legal], values)
-            counts += legal * fact.counts
-            start += legal * len(template)
+            replay.counts += legal * fact.counts
+            replay.start += legal * len(template)
         if legal < len(moves):
             pending.append((template, kinds, moves[legal:]))
-    replay(pending)
-
-    dirty = state[c_off:] == 2
-    if dirty.any():
-        row, col = divmod(int(dirty.argmax()), c_cols)
-        message = f"dirty C({row},{col}) still resident at end of schedule"
-        raise _locate(IncompleteWritebackError(message), start)
-
-    reads_a, reads_b, reads_c, *stores = counts[:6].tolist()
-    stats = IOStats(
-        reads=reads_a + reads_b + reads_c, writes=sum(stores), fmas=int(counts[9]),
-        peak_residency=peak, reads_a=reads_a, reads_b=reads_b, reads_c=reads_c,
-    )
+    flush(pending)
+    stats = replay.finish()
     output_c = values[c_off:].reshape(c_rows, c_cols).copy()
     schedule._mark_legal()
     return ExecutionResult(stats=stats, output_c=output_c)
@@ -494,11 +509,11 @@ _SPAN = 1 << 14  # characters matched per call; re keeps state per repetition
 # each letter becomes its code, and each break a space: numpy's whitespace
 # lacks \x1c-\x1e, \x85, \u2028 and \u2029
 _LETTER_CODES = str.maketrans("LSEFABC" + _BREAKS, "0123012" + " " * len(_BREAKS))
-# bytes of whole lines that _read_dumped reads at a time; its temporaries
-# take about 17 bytes per byte of a span
+# bytes that the dumped-line reader (tracefile._dumped_chunks) reads at a
+# time; its temporaries take about 17 bytes per byte of a span
 _READ_SPAN = 1 << 14
-# the opcode of each ASCII byte that heads a line, and -1 for the rest
-_OPCODES = np.full(128, -1, dtype=np.int8)
+# the opcode of each byte that heads a line, and -1 for the rest
+_OPCODES = np.full(256, -1, dtype=np.int8)
 _OPCODES[list(b"LSEF")] = (OP_LOAD, OP_STORE, OP_EVICT, OP_FMA)
 
 
@@ -508,6 +523,17 @@ def dump_trace(schedule: Schedule) -> str:
     Lines are ``L A i j`` / ``S C i j`` / ``E X i j`` / ``F i j p`` with a
     trailing newline; all-ASCII, LF line endings.
     """
+    return "".join(_chunk_texts(schedule))
+
+
+def write_trace(schedule: Schedule, handle) -> None:
+    """Write dump_trace()'s text to an open text file a chunk at a time."""
+    for text in _chunk_texts(schedule):
+        handle.write(text)
+
+
+def _chunk_texts(schedule: Schedule):
+    """The lines of each chunk of the schedule, as one string per chunk."""
     # When each value of the codes serves at least two lines, a line is
     # three words of one table over the values: a head ("L A " ... "E C ",
     # or "F i " for an fma), a coordinate and a space, and a coordinate and
@@ -530,27 +556,33 @@ def dump_trace(schedule: Schedule) -> str:
         )
         # the id of value v in a block is that block's offset + v
         offsets = np.arange(len(_HEADS), len(words), span) - lo
-    chunks = []
     for chunk in schedule.chunks():
         ops = chunk[:, 0]
         if table:
             ids = chunk[:, 1:] + offsets
             # a load, store or evict prints its head in place of its matrix code
             ids[:, 0] = np.where(ops == OP_FMA, ids[:, 0], ops * len(MATRICES) + chunk[:, 1])
-            chunks.append("".join(words[ids.ravel()].tolist()))
+            yield "".join(words[ids.ravel()].tolist())
         else:
             # a load, store or evict prints its matrix code as a letter; one
             # %-format of the chunk's patterns is about twice as fast as an
             # f-string per line
             fields = chunk[:, 1:].copy()
             fields[ops != OP_FMA, 0] += ord("A")
-            chunks.append("".join(_PATTERNS[ops].tolist()) % tuple(fields.ravel().tolist()))
-    return "".join(chunks)
+            yield "".join(_PATTERNS[ops].tolist()) % tuple(fields.ravel().tolist())
 
 
-def parse_trace(text: str, dims: ProblemDims) -> Schedule:
+def parse_trace(text, dims: ProblemDims) -> Schedule:
     """Inverse of dump_trace. Raises ValueError, naming the first line that
     is not in the trace grammar.
+
+    ``text`` may also be a file open for binary reading, taken as
+    decode_trace() of its bytes from where it stands. When those are ASCII
+    and end in LF but hold no CR, the schedule reads its rows from the file
+    on each walk, a span at a time, and counts them by the LFs; a walk
+    raises ValueError at a span that is not all dump_trace's lines. The file
+    must stay open and unchanged while the schedule is in use. Any other
+    file is read whole.
 
     A ``#`` starts a comment that runs to the end of the line; blank and
     comment-only lines are skipped. Fields are separated by spaces or tabs,
@@ -562,6 +594,13 @@ def parse_trace(text: str, dims: ProblemDims) -> Schedule:
     regex of the grammar, a span of whole lines per call, then comment
     stripping and ``np.fromstring``.
     """
+    if not isinstance(text, str):
+        from .tracefile import _DumpedFile
+
+        source = _DumpedFile(text)
+        if source.length is None:
+            return parse_trace(decode_trace(text.read()), dims)
+        return Schedule._wrap(source, dims)
     codes = _read_dumped(text)
     if codes is not None:
         return Schedule._wrap(codes, dims)
@@ -581,25 +620,18 @@ def parse_trace(text: str, dims: ProblemDims) -> Schedule:
 
 def _read_dumped(text: str) -> np.ndarray | None:
     """The code rows of a text of lines exactly as dump_trace writes them
-    (_DUMPED: ASCII, single spaces, LF ends), or None for any other text.
-    Reads ``_READ_SPAN`` bytes of whole lines at a time into one array."""
+    (_DUMPED: ASCII, single spaces, LF ends), or None for any other text,
+    read into one array."""
     if not text.endswith("\n") or not text.isascii():
         return None
     codes = np.empty((text.count("\n"), 4), dtype=np.int64)
-    row = start = 0
-    while start < len(text):
-        end = len(text)
-        if end - start > _READ_SPAN:
-            # a dumped line is far shorter than a span
-            end = text.rfind("\n", start, start + _READ_SPAN) + 1
-            if not end:
-                return None
-        data = np.frombuffer(text[start:end].encode("ascii"), dtype=np.uint8)
-        lines = _read_dumped_span(data, codes[row:].reshape(-1))
-        if lines is None:
-            return None
-        row += lines
-        start = end
+    from .tracefile import _dumped_chunks
+
+    try:
+        for _ in _dumped_chunks(lambda at, count: text[at:at + count].encode("ascii"), codes, len(codes)):
+            pass
+    except ValueError:
+        return None
     return codes
 
 
@@ -697,7 +729,7 @@ def _rejection(text: str, stop: int) -> str:
         # only on a coordinate
         coordinates = fields[1:] if kind == "F" else fields[2:]
         bad = [token for token in coordinates if not re.fullmatch(_INT, token)]
-        reason = f"coordinate {bad[0]} is not an integer of 1 to 18 decimal digits"
+        reason = f"coordinate {bad[0]!r} is not an integer of 1 to 18 decimal digits"
     return f"trace line {lineno}: {reason}"
 
 

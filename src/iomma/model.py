@@ -94,7 +94,8 @@ class Schedule:
     runs: a template block of rows and a (B, 3) array of (i, j, p) moves.
     The run's rows are the template moved by each offset in turn, each
     field adding the offset of the axis it reads (``_MOVE_AXES``). A literal
-    trace is one run with a single zero move.
+    trace is one run with a single zero move; its rows may instead be read
+    from a file on each walk (see ``memsim.parse_trace``).
 
     ``chunks()`` yields the rows a bounded block at a time; ``codes`` builds
     the whole (N, 4) array on each call. ``Schedule(codes, dims)`` takes a
@@ -130,8 +131,9 @@ class Schedule:
         self._adopt([_literal(codes)], dims)
 
     @classmethod
-    def _wrap(cls, codes: np.ndarray, dims: ProblemDims) -> "Schedule":
-        """Take over valid codes that nothing else holds, without a copy."""
+    def _wrap(cls, codes, dims: ProblemDims) -> "Schedule":
+        """Take over valid codes that nothing else holds, without a copy, or
+        a reader of them: a sized object whose ``chunks()`` yields them."""
         schedule = cls.__new__(cls)
         schedule._adopt([_literal(codes)], dims)
         return schedule
@@ -157,7 +159,8 @@ class Schedule:
         are dropped."""
         runs = tuple(run for run in runs if len(run[0]) and len(run[2]))
         for template, _, _ in runs:
-            template.flags.writeable = False
+            if isinstance(template, np.ndarray):  # not rows read from a file
+                template.flags.writeable = False
         object.__setattr__(self, "_runs", runs)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_length", sum(len(template) * len(moves) for template, _, moves in runs))
@@ -207,7 +210,8 @@ class Schedule:
         lo = hi = 0
         for template, kinds, moves in self._runs:
             if kinds is None:
-                lo, hi = min(lo, int(template.min())), max(hi, int(template.max()))
+                for chunk in self.chunks():
+                    lo, hi = min(lo, int(chunk.min())), max(hi, int(chunk.max()))
                 continue
             axes = _MOVE_AXES[kinds]
             lo = min(lo, int((template + moves.min(axis=0)[axes]).min()))
@@ -229,11 +233,15 @@ class Schedule:
 
 def _chunks(runs):
     """The rows of runs of (template, kinds, moves), as ``Schedule.chunks``
-    yields them: a literal run, which comes alone, as views of its codes,
-    and other runs moved into one reused buffer."""
+    yields them: a literal run, which comes alone, as views of its codes or
+    as its file reader yields them, and other runs moved into one reused
+    buffer."""
     size = _CHUNK
     if len(runs) == 1 and runs[0][1] is None:
         codes = runs[0][0]
+        if not isinstance(codes, np.ndarray):  # rows read from a file
+            yield from codes.chunks()
+            return
         for start in range(0, len(codes), size):
             yield codes[start:start + size]
         return

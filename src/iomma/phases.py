@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memsim import MemoryConfig, execute
+from .memsim import MemoryConfig, _Replay, execute
 from .model import (
     OP_FMA,
     OP_STORE,
@@ -75,16 +75,22 @@ def validate_trace(trace: Schedule, config: MemoryConfig) -> None:
     execute(trace, config, *zeros)
 
 
-def partition_phases(trace: Schedule, config: PhaseConfig) -> list[PhaseReport]:
+def partition_phases(
+    trace: Schedule, config: PhaseConfig, memory: MemoryConfig | None = None
+) -> list[PhaseReport]:
     """Split a valid trace at every M-th transfer and report each phase.
 
-    A trace execute() has not yet accepted first goes through validate_trace()
-    with room for every element, so the fast-memory size need not be known; a
-    broken rule raises execute()'s SimulationError. An empty trace yields no
-    phases. The trace is read a chunk at a time; the last phase a chunk
-    reaches stays open into the next. Counts come from one (phase, opcode)
-    table per chunk; resident_at_start is loads - stores - evicts summed over
-    the earlier phases.
+    A trace execute() has not yet accepted is checked by execute()'s rules
+    at memory's capacity or, by default, with room for every element, so
+    the fast-memory size need not be known; a broken rule raises execute()'s
+    SimulationError. A literal trace, such as a parsed one, is replayed in
+    the same walk that splits it; other schedules go through
+    validate_trace() first, since execute() moves a template's replay
+    instead of replaying each move. An empty trace yields no phases. The
+    trace is read a chunk at a time; the last phase a chunk reaches stays
+    open into the next. Counts come from one (phase, opcode) table per
+    chunk; resident_at_start is loads - stores - evicts summed over the
+    earlier phases.
     """
     M = config.M
     dims = trace.dims
@@ -92,10 +98,13 @@ def partition_phases(trace: Schedule, config: PhaseConfig) -> list[PhaseReport]:
     # first ids of A, B and C, then size
     shapes = layout(dims)
     size = sum(rows * cols for rows, cols, _ in shapes)
+    replay = None
     if not trace._legal:  # set by a successful execute(); a Schedule cannot change
-        validate_trace(trace, MemoryConfig(size))
-    if not len(trace):
-        return []
+        memory = memory or MemoryConfig(size)
+        if any(kinds is not None for _, kinds, _ in trace._runs):
+            validate_trace(trace, memory)
+        else:
+            replay = _Replay(dims, memory.S, np.zeros(size), len(trace))
     bounds = np.array([first for *_, first in shapes] + [size])
     # per chunk, its first phase and a row per phase it reaches: loads,
     # stores, evicts, fmas, then the distinct A, B and C elements its fmas use
@@ -104,6 +113,8 @@ def partition_phases(trace: Schedule, config: PhaseConfig) -> list[PhaseReport]:
     # the open phase an element was last counted in, or -1
     counted = np.full(size, -1, dtype=np.int64)
     for chunk in trace.chunks():
+        if replay:
+            replay.feed(chunk)
         ops = chunk[:, 0]
         # an event belongs to the phase of the latest transfer at or before
         # it, and events before the first transfer to phase 0; the transfers
@@ -138,6 +149,11 @@ def partition_phases(trace: Schedule, config: PhaseConfig) -> list[PhaseReport]:
         if start < len(trace):  # the last phase may stay open
             counted[keys[edges[-1, 0]:] - (count - 1) * size] = last
         parts.append((first, table))
+    if replay:
+        replay.finish()
+        trace._mark_legal()
+    if not parts:
+        return []
     if len(parts) > 1:
         table = np.zeros((last + 1, 7), dtype=np.int64)
         for first, part in parts:

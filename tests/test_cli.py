@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, wire formats, determinism, and the verify
 suite's failure reporting."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -539,19 +540,45 @@ def test_bad_trace_names_file_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: trace line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
 
 
+def test_bad_coordinate_is_quoted_on_stderr(tmp_path, capsys):
+    # a control byte in a coordinate reaches the terminal escaped
+    trace = tmp_path / "t.txt"
+    trace.write_bytes(b"L A 0 0\x00\n")
+    argv = ["phases", "-m", "1", "-n", "1", "-k", "1", "-S", "4", "--trace-in", str(trace)]
+    assert _run(capsys, *argv) == (
+        1, "", "error: trace line 1: coordinate '0\\x00' is not an integer of 1 to 18 decimal digits\n"
+    )
+
+
 def test_phases_rejects_a_trace_that_overflows_S(tmp_path, capsys, monkeypatch):
     # alg-c 6^3 at S=16 peaks at 15 resident elements; at -S 4 its fifth
-    # load, event 4 on line 5, overflows. The trace replays once only.
+    # load, event 4 on line 5, overflows. On success the file's lines are
+    # parsed once and its events replayed once, in partition_phases' one
+    # walk, and execute never runs; a failure is read again whole and
+    # replayed by execute, whose error names the line.
     trace = tmp_path / "t.txt"
     trace.write_text(dump_trace(build_schedule(Algorithm.C, ProblemDims(6, 6, 6), 16)))
-    calls = []
-    real = iomma.phases.execute
-    monkeypatch.setattr(iomma.phases, "execute", lambda *args: calls.append(1) or real(*args))
-    for S, code in (("4", 1), ("15", 0)):
-        calls.clear()
+    events = trace.read_text().count("\n")
+    counts = collections.Counter()
+    parse_span, feed, real = iomma.memsim._read_dumped_span, iomma.memsim._Replay.feed, iomma.phases.execute
+
+    def counted_parse(data, out):
+        lines = parse_span(data, out)
+        counts["parsed"] += lines or 0
+        return lines
+
+    def counted_feed(replay, chunk):
+        counts["fed"] += len(chunk)
+        return feed(replay, chunk)
+
+    monkeypatch.setattr(iomma.memsim, "_read_dumped_span", counted_parse)
+    monkeypatch.setattr(iomma.memsim._Replay, "feed", counted_feed)
+    monkeypatch.setattr(iomma.phases, "execute", lambda *args: counts.update(["execute"]) or real(*args))
+    for S, code, twice in (("4", 1, 2), ("15", 0, 1)):
+        counts.clear()
         assert main(["phases", "-m", "6", "-n", "6", "-k", "6", "-S", S,
                      "--trace-in", str(trace), "--format", "json"]) == code
-        assert len(calls) == 1
+        assert [counts[name] for name in ("parsed", "fed", "execute")] == [twice * events] * 2 + [twice - 1]
     out, err = capsys.readouterr()
     assert err == (
         "error: trace line 5: invalid trace: event 4: load of C(1,1) exceeds capacity 4\n"

@@ -1,7 +1,9 @@
 """Simulator semantics: residency, dirty accounting, the error taxonomy,
 and the trace wire format."""
 
+import contextlib
 import importlib
+import io
 import itertools
 import math
 import pkgutil
@@ -40,7 +42,9 @@ from iomma import (
     reference_gemm,
     seeded_matrices,
 )
-from iomma.memsim import trace_line
+from iomma.cli import main
+from iomma.memsim import decode_trace, trace_line, write_trace
+from iomma.phases import PhaseConfig, partition_phases, phases_to_csv, validate_trace
 from iomma.model import _CHUNK, MATRICES, MATRIX_CODE, OP_EVICT, OP_FMA, OP_LOAD, OP_STORE, layout
 
 A = Matrix.A
@@ -105,6 +109,17 @@ def test_double_load_rejected():
     with pytest.raises(DoubleLoadError) as exc:
         _run("L A 0 0\nL A 0 0\n", dims, 4, a, b, c)
     _assert_at(exc, 1)
+
+
+def test_reload_of_a_dirty_element_rejected():
+    # every other double load here reloads a clean element; this one
+    # reloads C while its fma's update is unwritten
+    dims = ProblemDims(1, 1, 1)
+    trace = "L A 0 0\nL B 0 0\nL C 0 0\nF 0 0 0\nL C 0 0\nS C 0 0\nE A 0 0\nE B 0 0\n"
+    with pytest.raises(DoubleLoadError) as exc:
+        _run(trace, dims, 4, *seeded_matrices(dims, 1))
+    _assert_at(exc, 4)
+    assert str(exc.value) == "event 4: C(0,0) is already resident"
 
 
 def test_capacity_enforced():
@@ -744,7 +759,7 @@ def test_regexes_compile_before_python_3_11():
 
 
 def test_parse_trace_rejects_coordinates_beyond_64_bits():
-    with pytest.raises(ValueError, match="trace line 2: coordinate 99999999999999999999"):
+    with pytest.raises(ValueError, match="trace line 2: coordinate '99999999999999999999' is not"):
         parse_trace("L A 0 0\nL A 99999999999999999999 0\n", ProblemDims(1, 1, 1))
 
 
@@ -965,14 +980,17 @@ _OUTSIDE = "X#\t\r\x0b\x00.a\xe9"
 
 
 @st.composite
-def _mutated_dump(draw):
+def _mutated_dump(draw, dumps=()):
     """A dumped trace with up to three byte-level edits, which fall next to
-    a space or LF half of the time."""
+    a space or LF half of the time: one of ``dumps`` half the time, if
+    given, else the dump of random rows."""
     coordinate = st.one_of(st.integers(-3, 40), st.integers(-(10**18) + 1, 10**18 - 1))
     row = st.tuples(st.integers(0, 3), st.integers(0, 2), coordinate, coordinate, coordinate)
     rows = draw(st.lists(row, max_size=12))
     codes = [(op, i if op == OP_FMA else matrix, r, c) for op, matrix, i, r, c in rows]
     text = dump_trace(Schedule(np.array(codes, dtype=np.int64).reshape(-1, 4), ProblemDims(1, 1, 1)))
+    if dumps and draw(st.booleans()):
+        text = draw(st.sampled_from(dumps))
     for _ in range(draw(st.integers(0, 3))):
         if not text:
             break
@@ -1090,3 +1108,141 @@ def test_grammar_rejects_what_only_int_and_split_let_through(field):
 def test_every_rejection_names_its_line(line):
     with pytest.raises(ValueError, match=r"^trace line \d+: "):
         parse_trace("L A 0 0\n" + line + "\n", ProblemDims(1, 1, 1))
+
+
+def test_rejection_quotes_a_bad_coordinate():
+    # a control byte is shown escaped, as in a bad event or matrix letter
+    with pytest.raises(ValueError) as exc:
+        parse_trace("L A 0 0\x00\n", ProblemDims(1, 1, 1))
+    assert str(exc.value) == "trace line 1: coordinate '0\\x00' is not an integer of 1 to 18 decimal digits"
+
+
+# phases --trace-in streams a file of dumped lines through one walk; it must
+# read every file as the whole-text steps do, in every output and error
+_STREAM_DIMS = ProblemDims(2, 3, 2)
+_STREAM_DUMPS = [
+    dump_trace(build_schedule(algorithm, _STREAM_DIMS, S))
+    for algorithm, S in ((Algorithm.C, 9), (Algorithm.NAIVE, 4), (Algorithm.B, 16))
+]
+
+
+def _whole_text_phases(data: bytes, S: int):
+    """phases --trace-in's exit code, stdout and stderr by the whole-text
+    steps: decode_trace, parse_trace of the text, validate_trace, then
+    partition_phases."""
+    try:
+        text = decode_trace(data)
+        schedule = parse_trace(text, _STREAM_DIMS)
+    except ValueError as exc:
+        return 1, "", f"error: {exc}\n"
+    try:
+        validate_trace(schedule, MemoryConfig(S))
+    except SimulationError as exc:
+        where = f"trace line {trace_line(text, exc.index)}: " if exc.index < len(schedule) else ""
+        return 1, "", f"error: {where}invalid trace: {exc}\n"
+    return 0, phases_to_csv(partition_phases(schedule, PhaseConfig(2 * S))), ""
+
+
+def _streamed_phases(path: Path, data: bytes, S: int):
+    """The exit code, stdout and stderr of phases --trace-in on the bytes."""
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    dims = ["-m", "2", "-n", "3", "-k", "2", "-S", str(S)]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["phases", *dims, "--trace-in", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=_mutated_dump(_STREAM_DUMPS),
+    S=st.sampled_from([4, 9, 16]),
+    span=st.sampled_from([8, 9, 24, 64, 1 << 14]),
+    chunk=st.sampled_from([1, 3, 4096]),
+)
+def test_streamed_phases_match_the_whole_text_steps(tmp_path_factory, text, S, span, chunk):
+    # an 8-byte span holds one line at most; small chunks put span and
+    # chunk edges inside the trace
+    data = text.encode("utf-8")
+    path = tmp_path_factory.mktemp("trace") / "t.txt"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iomma.memsim, "_READ_SPAN", span)
+        patch.setattr(iomma.model, "_CHUNK", chunk)
+        assert _streamed_phases(path, data, S) == _whole_text_phases(data, S)
+
+
+# files the streamed reader declines or gives up on; the last breaks a rule
+# in its first span at S=4, where its fifth load overflows, and the grammar
+# on its last line
+_NAMED_FILES = {
+    "crlf": _STREAM_DUMPS[0].replace("\n", "\r\n").encode(),
+    "cr": _STREAM_DUMPS[0].replace("\n", "\r").encode(),
+    "no-final-lf": _STREAM_DUMPS[0][:-1].encode(),
+    "empty": b"",
+    "comment-only": b"# no events\n",
+    "utf-8-letter-in-a-dumped-line": _STREAM_DUMPS[0].replace("L A 0 0", "L A 0 \u00e90", 1).encode(),
+    "non-utf-8-byte-in-a-dumped-line": _STREAM_DUMPS[0].encode().replace(b"L A 0 0", b"L A 0 \xe90", 1),
+    "non-ascii-head": _STREAM_DUMPS[0].replace("L A 0 0", "\u00c9 A 0 0", 1).encode(),
+    "rule-error-before-a-grammar-error": (_STREAM_DUMPS[0] + "L A 0 0x\n").encode(),
+}
+
+
+@pytest.mark.parametrize("name", list(_NAMED_FILES))
+@pytest.mark.parametrize("span", [8, 64, 1 << 14])
+def test_streamed_phases_match_the_whole_text_steps_on_named_files(tmp_path, name, span, monkeypatch):
+    data = _NAMED_FILES[name]
+    monkeypatch.setattr(iomma.memsim, "_READ_SPAN", span)
+    for S in (4, 9):
+        got = _streamed_phases(tmp_path / "t.txt", data, S)
+        assert got == _whole_text_phases(data, S)
+    if name == "rule-error-before-a-grammar-error":
+        lines = data.count(b"\n")
+        assert len(data) > 2 * 64 and got[2].startswith(f"error: trace line {lines}: coordinate '0x' ")
+    elif name in ("crlf", "cr", "no-final-lf"):
+        assert got[0] == 0
+
+
+def test_dumped_trace_file_streams_without_its_text(tmp_path, monkeypatch):
+    # a dumped file is never decoded, parsed as text or replayed by execute
+    dims = ProblemDims(20, 20, 20)
+    schedule = build_schedule(Algorithm.C, dims, 16)
+    path = tmp_path / "t.txt"
+    with open(path, "w") as handle:
+        write_trace(schedule, handle)
+    assert path.read_text() == dump_trace(schedule)
+    expected = partition_phases(schedule, PhaseConfig(32))
+    for name in ("decode_trace", "_read_dumped", "_grammatical_end"):
+        monkeypatch.setattr(iomma.memsim, name, None)
+    monkeypatch.setattr(iomma.phases, "execute", None)
+    for chunk in (5, 4096):
+        monkeypatch.setattr(iomma.model, "_CHUNK", chunk)
+        with open(path, "rb") as handle:
+            streamed = parse_trace(handle, dims)
+            assert len(streamed) == len(schedule)
+            assert streamed == schedule
+            sizes = [len(rows) for rows in streamed.chunks()]
+            assert set(sizes[:-1]) == {chunk} and 0 < sizes[-1] <= chunk
+            # two walks of one file, interleaved chunk by chunk
+            handle.seek(0)
+            assert parse_trace(handle, dims) == streamed
+            assert partition_phases(streamed, PhaseConfig(32), MemoryConfig(16)) == expected
+
+
+def test_file_read_whole_unless_dumped_lines(tmp_path):
+    # a file of other lines is read as decode_trace of its bytes; one that
+    # passes the quick check but is not all dumped lines fails its walk
+    dims = ProblemDims(1, 1, 1)
+    path = tmp_path / "t.txt"
+    other_files = (b"", b"L A 0 0\r\nE A 0 0\r\n", b"L A 0 0\n# c\xc3\xa9\nE A 0 0\n", b"L A 0 0", b"L A 0 0\nE A 0 0")
+    for data in other_files:
+        path.write_bytes(data)
+        with open(path, "rb") as handle:
+            assert parse_trace(handle, dims) == parse_trace(decode_trace(data), dims)
+    # the reader takes a byte past ASCII for no opcode
+    out = np.empty(8, dtype=np.int64)
+    assert iomma.memsim._read_dumped_span(np.frombuffer(b"\xe9 A 0 0\n", np.uint8), out) is None
+    path.write_bytes(b"L A 0 0\n# c\nE A 0 0\n")
+    with open(path, "rb") as handle:
+        schedule = parse_trace(handle, dims)
+        with pytest.raises(ValueError, match="^trace line 1 or one after it is not as dump_trace writes it$"):
+            schedule.codes

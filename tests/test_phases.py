@@ -211,6 +211,19 @@ def _counting_execute(monkeypatch):
     return calls
 
 
+def _counting_replays(monkeypatch):
+    """Record the capacity of every replay partition_phases starts."""
+    calls = []
+    real = iomma.phases._Replay
+
+    def counted(dims, cap, values, length):
+        calls.append(cap)
+        return real(dims, cap, values, length)
+
+    monkeypatch.setattr(iomma.phases, "_Replay", counted)
+    return calls
+
+
 def test_executed_schedule_is_not_validated_again(monkeypatch):
     dims = ProblemDims(5, 4, 3)
     executed = build_schedule(Algorithm.C, dims, 9)
@@ -228,12 +241,13 @@ def test_invalid_trace_rejected_on_every_call(monkeypatch):
     trace = parse_trace("L C 0 0\nL A 5 0\n", dims)
     with pytest.raises(OutOfBoundsError):
         execute(trace, MemoryConfig(4), *seeded_matrices(dims, 1))
-    calls = _counting_execute(monkeypatch)
+    calls = _counting_replays(monkeypatch)
     for M in (4, 4, 8):
         with pytest.raises(OutOfBoundsError) as exc:
             partition_phases(trace, PhaseConfig(M))
         assert exc.value.index == 1
-    assert len(calls) == 3
+    # one replay per call, with room for all three elements
+    assert calls == [3] * 3
 
 
 @st.composite

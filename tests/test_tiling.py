@@ -35,6 +35,7 @@ from iomma import (
     seeded_matrices,
 )
 from iomma.algorithms import blocked_schedule
+from iomma.memsim import write_trace
 from iomma.model import MATRIX_CODE, OP_EVICT, OP_FMA, OP_LOAD, OP_STORE, OPERAND_AXES, layout
 
 # The whole-array builders the runs replaced, kept as the oracle: each event
@@ -286,6 +287,41 @@ def test_memory_stays_bounded_as_the_trace_grows():
     assert large < 1.5 * small
 
 
+def _streamed_peaks(n, tmp_path):
+    """tracemalloc's peaks over write_trace of alg-c at n^3 with S = 64,
+    and over parse_trace of that file and partition_phases of what it
+    reads at that S, in MB."""
+    dims = ProblemDims(n, n, n)
+    schedule = build_schedule(Algorithm.C, dims, 64)
+    path = tmp_path / f"{n}.txt"
+    peaks = []
+    with open(path, "w") as handle:
+        tracemalloc.start()
+        try:
+            write_trace(schedule, handle)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as handle:
+            partition_phases(parse_trace(handle, dims), PhaseConfig(128), MemoryConfig(64))
+        peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+def test_trace_files_are_written_and_read_in_bounded_memory(tmp_path):
+    # the 96^3 file is 14.7 MB and its codes would be 43.3 MB; write_trace
+    # holds a chunk's text, and the streamed read a span and a chunk
+    (write_small, read_small), (write_large, read_large) = (_streamed_peaks(n, tmp_path) for n in (48, 96))
+    assert write_small < 1 and write_large < 1
+    assert write_large < 1.5 * write_small
+    assert read_small < 3 and read_large < 3
+    assert read_large < 1.5 * read_small
+
+
 def _parse_peak(n):
     """tracemalloc's peak over parsing the dumped alg-c trace at n^3 with
     S = 64, and the bytes of its codes."""
@@ -405,6 +441,19 @@ def test_run_entered_with_an_element_resident_is_replayed():
     # a resident A(0,0) is loaded again by the second run's first move
     runs[1] = (_row(OP_LOAD, Matrix.A, 0, 0), one)
     assert _assert_tiled_as_literal(Schedule._tiled(runs, dims), 4)[:2] == (DoubleLoadError, first)
+
+
+def test_later_move_that_reloads_a_dirty_c_fails_at_its_index():
+    # A(0,0) and B(0,0) stay loaded while a template that loads C(0,0) and
+    # updates it moves twice in place: the second move reloads C while it
+    # is dirty, at event 4
+    dims = ProblemDims(1, 1, 1)
+    one = np.zeros((1, 3), dtype=np.int64)
+    load_ab = np.concatenate([_row(OP_LOAD, Matrix.A, 0, 0), _row(OP_LOAD, Matrix.B, 0, 0)])
+    update = np.concatenate([_row(OP_LOAD, Matrix.C, 0, 0), [[OP_FMA, 0, 0, 0]]])
+    runs = [(load_ab, one), (update, np.zeros((2, 3), dtype=np.int64)), (_naive_step()[-3:], one)]
+    error = (DoubleLoadError, 4, "event 4: C(0,0) is already resident")
+    assert _assert_tiled_as_literal(Schedule._tiled(runs, dims), 4) == error
 
 
 def test_template_that_does_not_end_empty_is_replayed():
