@@ -42,7 +42,6 @@ from .phases import (
     phase_efficiency,
     phase_row,
     phases_to_csv,
-    validate_trace,
 )
 
 _DEFAULT_SEED = 42
@@ -272,26 +271,25 @@ def cmd_bounds(ns: argparse.Namespace) -> dict:
 
 
 def _read_phases(path: str, dims: ProblemDims, config: PhaseConfig, memory: MemoryConfig) -> list:
-    """The phases of a trace file that must fit in ``memory``. A file of
-    dump_trace's lines is parsed, replayed and split in one walk, a chunk
-    at a time. Any other file, and any failure, is read whole, then parsed,
-    replayed and split in turn, so that the error is the one its first
-    failing step names, and a broken rule names its file line too."""
+    """The phases of a trace file that must fit in ``memory``. parse_trace
+    reads a file of dump_trace's lines a span at a time, and partition_phases
+    replays and splits it in one walk. A broken rule names its file line
+    too, from the text read whole then, or first if the file cannot seek."""
     with open(path, "rb") as handle:
+        text = None if handle.seekable() else decode_trace(handle.read())
+        schedule = parse_trace(handle if text is None else text, dims)
         try:
-            return partition_phases(parse_trace(handle, dims), config, memory)
-        except (ValueError, SimulationError):
-            handle.seek(0)
-            text = decode_trace(handle.read())
-    schedule = parse_trace(text, dims)
-    try:
-        validate_trace(schedule, memory)
-    except SimulationError as exc:
-        # name the file line too; a missing writeback has no event to point at
-        where = f"trace line {trace_line(text, exc.index)}: " if exc.index < len(schedule) else ""
-        exc.args = (f"{where}invalid trace: {exc}",)
-        raise
-    return partition_phases(schedule, config)
+            return partition_phases(schedule, config, memory)
+        except SimulationError as exc:
+            # name the file line too; a missing writeback has no event to point at
+            where = ""
+            if exc.index < len(schedule):
+                if text is None:
+                    handle.seek(0)
+                    text = decode_trace(handle.read())
+                where = f"trace line {trace_line(text, exc.index)}: "
+            exc.args = (f"{where}invalid trace: {exc}",)
+            raise
 
 
 def cmd_phases(ns: argparse.Namespace) -> dict | str:

@@ -210,7 +210,9 @@ class _Replay:
         # events by op * 3 + matrix, every fma in the last bin
         self.counts = np.zeros(10, dtype=np.int64)
 
-    def feed(self, chunk) -> None:
+    def feed(self, chunk):
+        """Replay the chunk; return its opcodes and element ids, as
+        _operand_ids() gives them."""
         ops, xs, ys, zs, rows = _operand_ids(chunk, self.dims, self.table)
         done, self.occupancy, self.peak = _replay(
             ops, xs, ys, zs, self.values, self.state, self.occupancy, self.peak, self.cap, self.keys)
@@ -219,6 +221,7 @@ class _Replay:
             raise _locate(error, self.start + done)
         self.counts += np.bincount(np.minimum(rows, 9), minlength=10)
         self.start += done
+        return ops, xs, ys, zs
 
     def finish(self) -> IOStats:
         """The counts, once no dirty C is left in fast memory."""
@@ -509,12 +512,6 @@ _SPAN = 1 << 14  # characters matched per call; re keeps state per repetition
 # each letter becomes its code, and each break a space: numpy's whitespace
 # lacks \x1c-\x1e, \x85, \u2028 and \u2029
 _LETTER_CODES = str.maketrans("LSEFABC" + _BREAKS, "0123012" + " " * len(_BREAKS))
-# bytes that the dumped-line reader (tracefile._dumped_chunks) reads at a
-# time; its temporaries take about 17 bytes per byte of a span
-_READ_SPAN = 1 << 14
-# the opcode of each byte that heads a line, and -1 for the rest
-_OPCODES = np.full(256, -1, dtype=np.int8)
-_OPCODES[list(b"LSEF")] = (OP_LOAD, OP_STORE, OP_EVICT, OP_FMA)
 
 
 def dump_trace(schedule: Schedule) -> str:
@@ -577,12 +574,12 @@ def parse_trace(text, dims: ProblemDims) -> Schedule:
     is not in the trace grammar.
 
     ``text`` may also be a file open for binary reading, taken as
-    decode_trace() of its bytes from where it stands. When those are ASCII
-    and end in LF but hold no CR, the schedule reads its rows from the file
-    on each walk, a span at a time, and counts them by the LFs; a walk
-    raises ValueError at a span that is not all dump_trace's lines. The file
-    must stay open and unchanged while the schedule is in use. Any other
-    file is read whole.
+    decode_trace() of its bytes from where it stands. When those are all
+    dump_trace's lines, which a first pass checks and counts a span at a
+    time, the schedule reads its rows from the file on each walk, a span at
+    a time into one buffer; the file must stay open and unchanged while the
+    schedule is in use. Any other file is read whole, as is one that cannot
+    seek, such as a pipe.
 
     A ``#`` starts a comment that runs to the end of the line; blank and
     comment-only lines are skipped. Fields are separated by spaces or tabs,
@@ -590,18 +587,18 @@ def parse_trace(text, dims: ProblemDims) -> Schedule:
     break reads as if it had one.
 
     A text of the lines dump_trace writes is read with numpy, a span of whole
-    lines at a time. Any other text, and every rejection, goes through one
-    regex of the grammar, a span of whole lines per call, then comment
-    stripping and ``np.fromstring``.
+    lines at a time (see ``iomma.tracefile``). Any other text, and every
+    rejection, goes through one regex of the grammar, a span of whole lines
+    per call, then comment stripping and ``np.fromstring``.
     """
-    if not isinstance(text, str):
-        from .tracefile import _DumpedFile
+    from . import tracefile
 
-        source = _DumpedFile(text)
-        if source.length is None:
+    if not isinstance(text, str):
+        rows = tracefile.file_rows(text)
+        if rows is None:
             return parse_trace(decode_trace(text.read()), dims)
-        return Schedule._wrap(source, dims)
-    codes = _read_dumped(text)
+        return Schedule._wrap(rows, dims)
+    codes = tracefile.text_codes(text)
     if codes is not None:
         return Schedule._wrap(codes, dims)
     if text[-1:] not in _BREAKS:
@@ -616,84 +613,6 @@ def parse_trace(text, dims: ProblemDims) -> Schedule:
         return Schedule._wrap(np.empty((0, 4), dtype=np.int64), dims)
     codes = np.fromstring(text.translate(_LETTER_CODES), dtype=np.int64, sep=" ")
     return Schedule._wrap(codes.reshape(-1, 4), dims)
-
-
-def _read_dumped(text: str) -> np.ndarray | None:
-    """The code rows of a text of lines exactly as dump_trace writes them
-    (_DUMPED: ASCII, single spaces, LF ends), or None for any other text,
-    read into one array."""
-    if not text.endswith("\n") or not text.isascii():
-        return None
-    codes = np.empty((text.count("\n"), 4), dtype=np.int64)
-    from .tracefile import _dumped_chunks
-
-    try:
-        for _ in _dumped_chunks(lambda at, count: text[at:at + count].encode("ascii"), codes, len(codes)):
-            pass
-    except ValueError:
-        return None
-    return codes
-
-
-def _read_dumped_span(data: np.ndarray, out: np.ndarray) -> int | None:
-    """Read the bytes of whole ASCII lines, if each is a dumped line, into
-    the first four values of ``out`` per line and return how many lines
-    they are; else None.
-
-    A token is what lies between two separators, spaces and LFs, and a line
-    is four tokens, an LF ending the fourth. A line's first token is one of
-    LSEF; the second is one of ABC, except on an F line; every other token
-    is a number: an optional '-' and 1 to 18 digits. Tokens are checked one
-    by one, but bytes only by count: all digits belong to numbers, so the
-    number tokens hold nothing else when the digits fill them.
-    """
-    seps = np.flatnonzero(data <= ord(" "))
-    lines = len(seps) // 4
-    if len(seps) % 4:
-        return None
-    sep_bytes = data.take(seps)
-    if (sep_bytes[3::4] != ord("\n")).any() or np.count_nonzero(sep_bytes == ord(" ")) != 3 * lines:
-        return None
-    starts = np.empty_like(seps)
-    starts[0] = 0
-    np.add(seps[:-1], 1, out=starts[1:])
-    digits = seps - starts
-    first = data.take(starts)
-    del starts
-    negative = first == ord("-")
-    digits -= negative
-    ops = _OPCODES.take(first[0::4])
-    fma = ops == OP_FMA
-    matrices = first[1::4] - ord("A")
-    named = matrices < len(MATRICES)
-    if (ops < 0).any() or (digits[0::4] != 1).any() or (named == fma).any():
-        return None
-    if ((digits[1::4] != 1) & named).any() or ((digits - 1).view(np.uint64) >= 18).any():
-        return None
-    # a line's head and matrix letter each count as one digit
-    values = data - ord("0")
-    is_digit = values < 10
-    if np.count_nonzero(is_digit) != digits.sum() - 2 * lines + np.count_nonzero(fma):
-        return None
-    values *= is_digit
-    out = out[:4 * lines]
-    # each token's value, digit by digit from its last: one place past a
-    # token's first digit lies a separator or '-', which adds 0, but further
-    # on may lie the digits of the token before, which are masked
-    index = seps
-    index -= 1
-    out[:] = values.take(index)
-    step = np.empty_like(out)
-    for place in range(1, int(digits.max())):
-        index -= 1
-        np.multiply(values.take(index), 10 ** place, out=step, dtype=np.int64)
-        if place > 1:
-            step *= digits > place
-        out += step
-    np.negative(out, out=out, where=negative)
-    out[0::4] = ops
-    out[1::4] = np.where(fma, out[1::4], matrices)
-    return lines
 
 
 def _grammatical_end(text: str) -> int:

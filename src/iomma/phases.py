@@ -114,8 +114,14 @@ def partition_phases(
     counted = np.full(size, -1, dtype=np.int64)
     for chunk in trace.chunks():
         if replay:
-            replay.feed(chunk)
-        ops = chunk[:, 0]
+            # the replay's element ids serve the footprints too
+            ops, *ids = replay.feed(chunk)
+            fma = ops == OP_FMA
+            ids = [column[fma] for column in ids]
+        else:
+            ops = chunk[:, 0]
+            fma = ops == OP_FMA
+            ids = fma_operand_ids(dims, *chunk[fma, 1:].T)
         # an event belongs to the phase of the latest transfer at or before
         # it, and events before the first transfer to phase 0; the transfers
         # are ops <= OP_STORE because loads and stores are opcodes 0 and 1
@@ -131,8 +137,7 @@ def partition_phases(
         table[:, :4] = np.bincount(phase * 4 + ops, minlength=4 * count).reshape(count, 4)
         # one key per (phase, element) pair of the chunk's fmas, sorted and
         # distinct, and where each phase's A, B and C keys start and end
-        fma = ops == OP_FMA
-        keys = np.stack(fma_operand_ids(dims, *chunk[fma, 1:].T))
+        keys = np.stack(ids)
         keys += phase[fma] * size
         keys = np.sort(keys, axis=None)
         distinct = np.empty(len(keys), dtype=bool)

@@ -5,7 +5,9 @@ import collections
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 import iomma.cli as cli
 import iomma.memsim
 import iomma.phases
+import iomma.tracefile
 import iomma.verify
 from iomma import (
     Algorithm,
@@ -552,38 +555,56 @@ def test_bad_coordinate_is_quoted_on_stderr(tmp_path, capsys):
 
 def test_phases_rejects_a_trace_that_overflows_S(tmp_path, capsys, monkeypatch):
     # alg-c 6^3 at S=16 peaks at 15 resident elements; at -S 4 its fifth
-    # load, event 4 on line 5, overflows. On success the file's lines are
-    # parsed once and its events replayed once, in partition_phases' one
-    # walk, and execute never runs; a failure is read again whole and
-    # replayed by execute, whose error names the line.
+    # load, event 4 on line 5, overflows. The file's lines are checked once
+    # and read once, and its events replayed once, in partition_phases' one
+    # walk; execute never runs, and a failure is not replayed again.
     trace = tmp_path / "t.txt"
     trace.write_text(dump_trace(build_schedule(Algorithm.C, ProblemDims(6, 6, 6), 16)))
     events = trace.read_text().count("\n")
     counts = collections.Counter()
-    parse_span, feed, real = iomma.memsim._read_dumped_span, iomma.memsim._Replay.feed, iomma.phases.execute
+    read_span, feed, real = iomma.tracefile._read_span, iomma.memsim._Replay.feed, iomma.phases.execute
 
-    def counted_parse(data, out):
-        lines = parse_span(data, out)
-        counts["parsed"] += lines or 0
+    def counted_read(data, out=None, checked=False):
+        lines = read_span(data, out, checked)
+        counts["read" if checked else "checked"] += lines or 0
         return lines
 
     def counted_feed(replay, chunk):
         counts["fed"] += len(chunk)
         return feed(replay, chunk)
 
-    monkeypatch.setattr(iomma.memsim, "_read_dumped_span", counted_parse)
+    monkeypatch.setattr(iomma.tracefile, "_read_span", counted_read)
     monkeypatch.setattr(iomma.memsim._Replay, "feed", counted_feed)
     monkeypatch.setattr(iomma.phases, "execute", lambda *args: counts.update(["execute"]) or real(*args))
-    for S, code, twice in (("4", 1, 2), ("15", 0, 1)):
+    for S, code in (("4", 1), ("15", 0)):
         counts.clear()
         assert main(["phases", "-m", "6", "-n", "6", "-k", "6", "-S", S,
                      "--trace-in", str(trace), "--format", "json"]) == code
-        assert [counts[name] for name in ("parsed", "fed", "execute")] == [twice * events] * 2 + [twice - 1]
+        assert [counts[name] for name in ("checked", "read", "fed", "execute")] == [events] * 3 + [0]
     out, err = capsys.readouterr()
     assert err == (
         "error: trace line 5: invalid trace: event 4: load of C(1,1) exceeds capacity 4\n"
     )
     assert json.loads(out)["capacity_ok"] is True
+
+
+def test_phases_reads_a_trace_from_a_pipe(tmp_path, capsys):
+    # a FIFO cannot seek: it is read whole, with the same output and errors
+    dims = ["-m", "6", "-n", "6", "-k", "6"]
+    text = dump_trace(build_schedule(Algorithm.C, ProblemDims(6, 6, 6), 16))
+    trace = tmp_path / "t.txt"
+    trace.write_text(text)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for S in ("15", "4"):
+        expected = _run(capsys, "phases", *dims, "-S", S, "--trace-in", str(trace))
+        writer = threading.Thread(target=fifo.write_text, args=(text,))
+        writer.start()
+        try:
+            assert _run(capsys, "phases", *dims, "-S", S, "--trace-in", str(fifo)) == expected
+        finally:
+            writer.join()
+    assert expected[0] == 1 and expected[2].startswith("error: trace line 5: ")
 
 
 def test_verify_quick_passes(capsys):

@@ -6,6 +6,7 @@ import importlib
 import io
 import itertools
 import math
+import os
 import pkgutil
 import re
 import warnings
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import iomma
+import iomma.tracefile
 from iomma import (
     Algorithm,
     CapacityExceededError,
@@ -968,7 +970,7 @@ def _read_outcome(parse, text):
 def _regex_codes(text):
     """parse_trace without its dumped-line reader: the grammar regex alone."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(iomma.memsim, "_read_dumped", lambda text: None)
+        patch.setattr(iomma.tracefile, "text_codes", lambda text: None)
         return parse_trace(text, ProblemDims(1, 1, 1)).codes
 
 
@@ -1040,7 +1042,7 @@ def _mutated_dump(draw, dumps=()):
 def test_dumped_line_reader_matches_grammar_and_line_reader(text, span):
     # small spans put line ends on and around every span edge
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(iomma.memsim, "_READ_SPAN", span)
+        patch.setattr(iomma.tracefile, "_READ_SPAN", span)
         got = _read_outcome(lambda t: parse_trace(t, ProblemDims(1, 1, 1)).codes, text)
     # the grammar alone reads the same codes, or rejects in the same words
     assert got == _read_outcome(_regex_codes, text)
@@ -1075,7 +1077,7 @@ def test_dumped_line_reader_declines_near_dumped_lines(line, span, at, monkeypat
     # in the middle, or last, where a short line ends the last span
     lines = dump_trace(build_schedule(Algorithm.C, ProblemDims(4, 4, 4), 16)).splitlines(keepends=True)
     text = "".join(lines[:at]) + line + "\n" + "".join(lines[at:] if at else [])
-    monkeypatch.setattr(iomma.memsim, "_READ_SPAN", span)
+    monkeypatch.setattr(iomma.tracefile, "_READ_SPAN", span)
     got = _read_outcome(lambda t: parse_trace(t, ProblemDims(1, 1, 1)).codes, text)
     assert got == _read_outcome(_regex_codes, text)
 
@@ -1084,7 +1086,7 @@ def test_dumped_trace_reaches_neither_regex_nor_fromstring(monkeypatch):
     dims = ProblemDims(20, 20, 20)
     schedule = build_schedule(Algorithm.C, dims, 16)
     text = dump_trace(schedule)
-    assert len(text) > 4 * iomma.memsim._READ_SPAN
+    assert len(text) > 4 * iomma.tracefile._READ_SPAN
 
     def refuse(*args, **kwargs):
         raise AssertionError("a dumped trace took the regex path")
@@ -1166,7 +1168,7 @@ def test_streamed_phases_match_the_whole_text_steps(tmp_path_factory, text, S, s
     data = text.encode("utf-8")
     path = tmp_path_factory.mktemp("trace") / "t.txt"
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(iomma.memsim, "_READ_SPAN", span)
+        patch.setattr(iomma.tracefile, "_READ_SPAN", span)
         patch.setattr(iomma.model, "_CHUNK", chunk)
         assert _streamed_phases(path, data, S) == _whole_text_phases(data, S)
 
@@ -1191,7 +1193,7 @@ _NAMED_FILES = {
 @pytest.mark.parametrize("span", [8, 64, 1 << 14])
 def test_streamed_phases_match_the_whole_text_steps_on_named_files(tmp_path, name, span, monkeypatch):
     data = _NAMED_FILES[name]
-    monkeypatch.setattr(iomma.memsim, "_READ_SPAN", span)
+    monkeypatch.setattr(iomma.tracefile, "_READ_SPAN", span)
     for S in (4, 9):
         got = _streamed_phases(tmp_path / "t.txt", data, S)
         assert got == _whole_text_phases(data, S)
@@ -1211,8 +1213,9 @@ def test_dumped_trace_file_streams_without_its_text(tmp_path, monkeypatch):
         write_trace(schedule, handle)
     assert path.read_text() == dump_trace(schedule)
     expected = partition_phases(schedule, PhaseConfig(32))
-    for name in ("decode_trace", "_read_dumped", "_grammatical_end"):
+    for name in ("decode_trace", "_grammatical_end"):
         monkeypatch.setattr(iomma.memsim, name, None)
+    monkeypatch.setattr(iomma.tracefile, "text_codes", None)
     monkeypatch.setattr(iomma.phases, "execute", None)
     for chunk in (5, 4096):
         monkeypatch.setattr(iomma.model, "_CHUNK", chunk)
@@ -1228,21 +1231,73 @@ def test_dumped_trace_file_streams_without_its_text(tmp_path, monkeypatch):
             assert partition_phases(streamed, PhaseConfig(32), MemoryConfig(16)) == expected
 
 
-def test_file_read_whole_unless_dumped_lines(tmp_path):
-    # a file of other lines is read as decode_trace of its bytes; one that
-    # passes the quick check but is not all dumped lines fails its walk
+# files that are not all dumped lines: empty, CRLF, a comment, a tab, a
+# blank line, no final LF, a grammar error on line 2, a byte not UTF-8
+_OTHER_FILES = [
+    b"", b"L A 0 0\r\nE A 0 0\r\n", b"L A 0 0\n# c\xc3\xa9\nE A 0 0\n", b"L A 0 0\n# c\nE A 0 0\n",
+    b"L\tA 0 0\nE A 0 0\n", b"L A 0 0\n\nE A 0 0\n", b"L A 0 0\nE A 0 0", b"L A 0 0\nE A 0 0x\n",
+    b"L A 0 0\nE A 0 \xe9\n",
+]
+
+
+def _file_outcome(handle, dims):
+    """parse_trace of an open file as (length, codes), or its error message."""
+    try:
+        schedule = parse_trace(handle, dims)
+    except ValueError as exc:
+        return str(exc)
+    return len(schedule), schedule.codes.tolist()
+
+
+def _text_outcome(data, dims):
+    """The same for decode_trace then parse_trace of a file's bytes."""
+    try:
+        schedule = parse_trace(decode_trace(data), dims)
+    except ValueError as exc:
+        return str(exc)
+    return len(schedule), schedule.codes.tolist()
+
+
+@pytest.mark.parametrize("data", _OTHER_FILES)
+def test_file_read_whole_unless_dumped_lines(tmp_path, data):
+    # parse_trace of such a file returns what its text gives, or raises
+    # what its text raises: never a schedule that miscounts or fails a walk
     dims = ProblemDims(1, 1, 1)
     path = tmp_path / "t.txt"
-    other_files = (b"", b"L A 0 0\r\nE A 0 0\r\n", b"L A 0 0\n# c\xc3\xa9\nE A 0 0\n", b"L A 0 0", b"L A 0 0\nE A 0 0")
-    for data in other_files:
-        path.write_bytes(data)
-        with open(path, "rb") as handle:
-            assert parse_trace(handle, dims) == parse_trace(decode_trace(data), dims)
+    path.write_bytes(data)
+    with open(path, "rb") as handle:
+        assert _file_outcome(handle, dims) == _text_outcome(data, dims)
+    # a pipe cannot seek back, so it is read whole
+    read, write = os.pipe()
+    with open(read, "rb") as handle:
+        with open(write, "wb") as writer:
+            writer.write(data)
+        assert not handle.seekable()
+        assert _file_outcome(handle, dims) == _text_outcome(data, dims)
+
+
+def test_dumped_file_parses_from_where_it_stands(tmp_path, monkeypatch):
+    # a file's first lines may be read before parse_trace, which checks the
+    # rest, leaves the file where it stood and reads only the rest on a walk
+    dims = ProblemDims(1, 1, 1)
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"# header\nL A 0 0\nE A 0 0\n")
+    monkeypatch.setattr(iomma.tracefile, "_READ_SPAN", 8)
+    with open(path, "rb") as handle:
+        handle.readline()
+        schedule = parse_trace(handle, dims)
+        assert handle.tell() == len(b"# header\n")
+        assert len(schedule) == 2 and schedule == parse_trace("L A 0 0\nE A 0 0\n", dims)
     # the reader takes a byte past ASCII for no opcode
-    out = np.empty(8, dtype=np.int64)
-    assert iomma.memsim._read_dumped_span(np.frombuffer(b"\xe9 A 0 0\n", np.uint8), out) is None
-    path.write_bytes(b"L A 0 0\n# c\nE A 0 0\n")
+    assert iomma.tracefile._read_span(np.frombuffer(b"\xe9 A 0 0\n", np.uint8)) is None
+
+
+def test_walk_of_a_changed_dumped_file_raises(tmp_path):
+    dims = ProblemDims(1, 1, 1)
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"L A 0 0\nE A 0 0\n")
     with open(path, "rb") as handle:
         schedule = parse_trace(handle, dims)
-        with pytest.raises(ValueError, match="^trace line 1 or one after it is not as dump_trace writes it$"):
+        path.write_bytes(b"L A 0 0\n")
+        with pytest.raises(ValueError, match="^the trace file changed while it was read$"):
             schedule.codes

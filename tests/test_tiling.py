@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import iomma.memsim
 import iomma.model
+import iomma.tracefile
 from iomma import (
     Algorithm,
     CapacityExceededError,
@@ -340,7 +341,7 @@ def test_parse_memory_is_the_codes_and_a_span_budget():
     # one span's temporaries at a time, whatever the trace's length
     for n in (48, 96):
         peak, codes = _parse_peak(n)
-        assert peak - codes < 32 * iomma.memsim._READ_SPAN
+        assert peak - codes < 32 * iomma.tracefile._READ_SPAN
 
 
 # execute translates the moves of a run's template when it can: the chunk

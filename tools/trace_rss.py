@@ -1,12 +1,12 @@
 """Peak memory and wall time of the two trace commands at one size.
 
-    python3 tools/trace_rss.py --n 120 -S 64 --alg alg-c [--src DIR] [--repeat 3]
+    python3 tools/trace_rss.py --n 120 [--src DIR] [--repeat 3]
 
 Runs ``iomma simulate`` without a trace, ``simulate --trace-out`` and
-``phases --trace-in`` on an n x n x n problem, each in a fresh interpreter,
-and prints each command's VmHWM (peak resident set, from the process's own
-status file, Linux only) and the wall time of its ``main()`` call, the
-import excluded. With ``--repeat`` each figure is the median over that many
+``phases --trace-in`` for alg-c at S=64 on an n x n x n problem, each in a
+fresh interpreter, and prints each command's VmHWM (peak resident set, from
+the process's own status file, Linux only) and the wall time of its
+``main()`` call, the import excluded. With ``--repeat`` each figure is the median over that many
 fresh processes. ``--src`` names the ``src`` directory to import ``iomma``
 from; by default, the one beside this script. Uses only the standard library
 and ``iomma``.
@@ -22,6 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+_ALG, _S = "alg-c", 64
 # run in the child: one CLI command, then its own figures as JSON on stderr
 _CHILD = """
 import json, sys, time
@@ -50,17 +51,15 @@ def _measure(src: Path, argv: list[str]) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=120, help="m = n = k")
-    parser.add_argument("-S", type=int, default=64)
-    parser.add_argument("--alg", default="alg-c")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
     parser.add_argument("--repeat", type=int, default=1)
     args = parser.parse_args()
-    dims = ["-m", str(args.n), "-n", str(args.n), "-k", str(args.n), "-S", str(args.S)]
+    dims = ["-m", str(args.n), "-n", str(args.n), "-k", str(args.n), "-S", str(_S)]
     with tempfile.TemporaryDirectory() as work:
         trace = str(Path(work) / "trace.txt")
         commands = {
-            "simulate": ["simulate", *dims, "--alg", args.alg, "-o", str(Path(work) / "s.json")],
-            "simulate --trace-out": ["simulate", *dims, "--alg", args.alg, "--trace-out", trace,
+            "simulate": ["simulate", *dims, "--alg", _ALG, "-o", str(Path(work) / "s.json")],
+            "simulate --trace-out": ["simulate", *dims, "--alg", _ALG, "--trace-out", trace,
                                      "-o", str(Path(work) / "t.json")],
             "phases --trace-in": ["phases", *dims, "--trace-in", trace, "-o", str(Path(work) / "p.csv")],
         }
@@ -69,7 +68,7 @@ def main() -> None:
             for name, argv in commands.items():
                 runs[name].append(_measure(args.src, argv))
         events = Path(trace).read_bytes().count(b"\n")
-    print(f"{args.alg} {args.n}^3 S={args.S}: {events} events, src {args.src}")
+    print(f"{_ALG} {args.n}^3 S={_S}: {events} events, src {args.src}")
     print(f"{'command':24s} {'VmHWM MB':>9s} {'wall s':>8s}")
     for name, figures in runs.items():
         rss = statistics.median(f["vmhwm_mb"] for f in figures)
