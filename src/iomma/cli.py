@@ -11,38 +11,57 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import itertools
 import json
 import re
 import sys
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
 from .algorithms import Algorithm, build_schedule, predicted_io
 from .bounds import DEFAULT_NODE_BUDGET, BoundReport, lower_bound_final, tiny_optimal_schedule
 from .goto import DEFAULT_SUBOPTIMAL_THRESHOLD, GotoParams, goto_report
-from .inputs import seeded_matrices
-from .memsim import (
-    MemoryConfig,
-    SimulationError,
-    decode_trace,
-    dump_trace,
-    execute,
-    parse_trace,
-    reference_gemm,
-    trace_line,
-    write_trace,
-)
-from .model import ProblemDims
-from .phases import (
-    PHASE_COLUMNS,
-    PhaseConfig,
-    check_capacity,
-    check_loomis_whitney,
-    partition_phases,
-    phase_efficiency,
-    phase_row,
-    phases_to_csv,
-)
+from .model import ProblemDims, SimulationError
+
+if TYPE_CHECKING:
+    from .memsim import MemoryConfig
+    from .phases import PhaseConfig
+
+# The layers each command uses beyond the parser's: main() imports them
+# before it parses the command, and no other command loads them.
+_COMMAND_LAYERS = {
+    "simulate": ("inputs", "memsim"),
+    "phases": ("memsim", "phases"),
+    "brute-force": ("memsim",),
+}
+
+
+def _deferred(layer: str, name: str):
+    """A stand-in for ``name`` of the module ``layer``, which looks the name
+    up on its first call and then calls straight through.
+
+    The commands call these through this module's globals, where perfbench
+    wraps them, so each stays a plain function of this module.
+    """
+    target = None
+
+    def call(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(importlib.import_module(f".{layer}", __package__), name)
+        return target(*args, **kwargs)
+
+    return call
+
+
+seeded_matrices = _deferred("inputs", "seeded_matrices")
+execute = _deferred("memsim", "execute")
+reference_gemm = _deferred("memsim", "reference_gemm")
+dump_trace = _deferred("memsim", "dump_trace")
+parse_trace = _deferred("memsim", "parse_trace")
+partition_phases = _deferred("phases", "partition_phases")
+phases_to_csv = _deferred("phases", "phases_to_csv")
 
 _DEFAULT_SEED = 42
 
@@ -222,6 +241,8 @@ def _write(ns: argparse.Namespace, report: dict | str) -> None:
 
 
 def cmd_simulate(ns: argparse.Namespace) -> dict:
+    from .memsim import MemoryConfig, write_trace
+
     dims = _dims(ns)
     schedule = build_schedule(ns.alg, dims, ns.S)
     a, b, c = seeded_matrices(dims, ns.seed)
@@ -274,7 +295,10 @@ def _read_phases(path: str, dims: ProblemDims, config: PhaseConfig, memory: Memo
     """The phases of a trace file that must fit in ``memory``. parse_trace
     reads a file of dump_trace's lines a span at a time, and partition_phases
     replays and splits it in one walk. A broken rule names its file line
-    too, from the text read whole then, or first if the file cannot seek."""
+    too: in such a file each line is an event, and any other file's text is
+    read whole then, or first if the file cannot seek."""
+    from .memsim import decode_trace, trace_line
+
     with open(path, "rb") as handle:
         text = None if handle.seekable() else decode_trace(handle.read())
         schedule = parse_trace(handle if text is None else text, dims)
@@ -284,15 +308,29 @@ def _read_phases(path: str, dims: ProblemDims, config: PhaseConfig, memory: Memo
             # name the file line too; a missing writeback has no event to point at
             where = ""
             if exc.index < len(schedule):
-                if text is None:
-                    handle.seek(0)
-                    text = decode_trace(handle.read())
-                where = f"trace line {trace_line(text, exc.index)}: "
+                if schedule._file_lines:
+                    line = exc.index + 1
+                else:
+                    if text is None:
+                        handle.seek(0)
+                        text = decode_trace(handle.read())
+                    line = trace_line(text, exc.index)
+                where = f"trace line {line}: "
             exc.args = (f"{where}invalid trace: {exc}",)
             raise
 
 
 def cmd_phases(ns: argparse.Namespace) -> dict | str:
+    from .memsim import MemoryConfig
+    from .phases import (
+        PHASE_COLUMNS,
+        PhaseConfig,
+        check_capacity,
+        check_loomis_whitney,
+        phase_efficiency,
+        phase_row,
+    )
+
     dims = _dims(ns)
     M = _phase_budget(ns)
     if ns.trace_in:
@@ -412,6 +450,12 @@ _REPORTS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # The command is the first argument, as the parser takes no option before
+    # it. Its layers load first, so the memory a compile peaks at is free
+    # again before the parser is built and the command starts.
+    for layer in _COMMAND_LAYERS.get(argv[0] if argv else None, ()):
+        importlib.import_module(f".{layer}", __package__)
     try:
         ns = build_parser().parse_args(argv)
     except SystemExit as exc:

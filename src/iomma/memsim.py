@@ -31,17 +31,11 @@ from .model import (
     Matrix,
     ProblemDims,
     Schedule,
+    SimulationError,
     _check_positive,
     fma_operand_ids,
     layout,
 )
-
-
-class SimulationError(Exception):
-    """Base class for schedule-execution failures. ``index`` is the position
-    of the offending event in the schedule; see execute()."""
-
-    index: int | None = None
 
 
 class OutOfBoundsError(SimulationError, ValueError):

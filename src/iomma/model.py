@@ -3,7 +3,9 @@
 Everything downstream (the simulator, the schedule generators, the phase
 analyzer) speaks in these types: a problem shape and its operand map, the
 opcodes and matrix codes of a trace's rows, and the schedule that holds a
-trace as runs of those integer codes and yields them a chunk at a time.
+trace as runs of those integer codes and yields them a chunk at a time;
+and the base of the simulator's errors, which code that never runs a
+schedule can catch without loading the simulator.
 """
 
 from __future__ import annotations
@@ -180,6 +182,12 @@ class Schedule:
     def __len__(self) -> int:
         return self._length
 
+    @property
+    def _file_lines(self) -> bool:
+        """Whether the rows are read from a file on each walk, one event per
+        line from where parse_trace found the file (see memsim.parse_trace)."""
+        return len(self._runs) == 1 and not isinstance(self._runs[0][0], np.ndarray)
+
     def chunks(self):
         """Yield the code rows in order as read-only (rows, 4) arrays, every
         one but the last of exactly ``_CHUNK`` rows, read when the first is
@@ -337,6 +345,14 @@ class IOStats:
     @property
     def io_total(self) -> int:
         return self.reads + self.writes
+
+
+class SimulationError(Exception):
+    """Base class for schedule-execution failures. ``index`` is the position
+    of the offending event in the schedule; see memsim.execute(), which
+    raises its subclasses."""
+
+    index: int | None = None
 
 
 def fma_count(dims: ProblemDims) -> int:

@@ -6,9 +6,9 @@ each token from the next, and an LF ends the line. A number is an optional
 '-' and 1 to 18 digits. memsim.parse_trace reads such lines here and every
 other text through its grammar regex, which names the line it rejects.
 
-memsim imports this module on use only: every command compiles memsim.py,
-whose size sets part of each command's peak memory, and only a parse needs
-the code here.
+memsim imports this module on use only: every command that runs a schedule
+compiles memsim.py, whose size sets part of its peak memory, and only a
+parse needs the code here.
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,7 @@ from iomma import (
     MemoryConfig,
     PredictedIO,
     ProblemDims,
+    SimulationError,
     build_schedule,
     dump_trace,
     execute,
@@ -30,6 +34,7 @@ from iomma import (
     seeded_matrices,
 )
 from iomma.cli import main
+from iomma.memsim import decode_trace, trace_line, write_trace
 from iomma.phases import PhaseConfig, partition_phases
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "cli_golden"
@@ -605,6 +610,180 @@ def test_phases_reads_a_trace_from_a_pipe(tmp_path, capsys):
         finally:
             writer.join()
     assert expected[0] == 1 and expected[2].startswith("error: trace line 5: ")
+
+
+def _broken_dumps():
+    """alg-c 6^3 at S=16 dumped, with a dumped line that breaks a rule put
+    first, in the middle and last: an evict of a non-resident element, a
+    load out of bounds and the evict again, after everything has left."""
+    lines = dump_trace(build_schedule(Algorithm.C, ProblemDims(6, 6, 6), 16)).splitlines(keepends=True)
+    middle = len(lines) // 2
+    return {
+        "first": "".join(["E A 0 0\n", *lines]),
+        "middle": "".join([*lines[:middle], "L A 9 0\n", *lines[middle:]]),
+        "last": "".join([*lines, "E A 0 0\n"]),
+    }
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_streamed_rule_error_names_the_line_trace_line_gives(tmp_path, capsys, monkeypatch, where):
+    # a file of dumped lines is read as it streams, one event per line, so
+    # its broken rule is named without reading the file's text
+    text = _broken_dumps()[where]
+    trace = tmp_path / "t.txt"
+    trace.write_text(text)
+    dims = ProblemDims(6, 6, 6)
+    with pytest.raises(SimulationError) as rejected:
+        partition_phases(parse_trace(text, dims), PhaseConfig(32), MemoryConfig(16))
+    index = rejected.value.index
+    assert index == {"first": 0, "middle": text.count("\n") // 2, "last": text.count("\n") - 1}[where]
+    expected = f"error: trace line {trace_line(text, index)}: invalid trace: {rejected.value}\n"
+
+    def unread(*args):
+        raise AssertionError("the trace file's text was read")
+
+    monkeypatch.setattr(iomma.memsim, "decode_trace", unread)
+    monkeypatch.setattr(iomma.memsim, "trace_line", unread)
+    argv = ["phases", "-m", "6", "-n", "6", "-k", "6", "-S", "16", "--trace-in", str(trace)]
+    assert _run(capsys, *argv) == (1, "", expected)
+
+
+def _phases_peak(path: Path, n: int, S: int) -> tuple[int, float]:
+    """The exit code of phases --trace-in on a file of alg-c at n^3, and
+    tracemalloc's peak over that main() call, in MB."""
+    argv = ["phases", "-m", str(n), "-n", str(n), "-k", str(n), "-S", str(S),
+            "--trace-in", str(path), "-o", os.devnull]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_rule_error_in_a_trace_file_is_named_in_bounded_memory(tmp_path, capsys):
+    # test_tiling's guard bounds the streamed read of these files: under
+    # 3 MB, and at 96^3 (14.7 MB of text) under 1.5x its peak at 48^3. A
+    # broken rule, whether at event 4 (-S 4) or at the last event, stays
+    # within them
+    cli.build_parser()
+    paths = {}
+    for n in (48, 96):
+        paths[n] = tmp_path / f"{n}.txt"
+        with open(paths[n], "w") as handle:
+            write_trace(build_schedule(Algorithm.C, ProblemDims(n, n, n), 64), handle)
+    code, small = _phases_peak(paths[48], 48, 64)
+    assert code == 0 and small < 3
+    with open(paths[96], "a") as handle:
+        handle.write("E A 0 0\n")
+    for S in (4, 64):
+        code, peak = _phases_peak(paths[96], 96, S)
+        assert code == 1
+        assert peak < 3 and peak < 1.5 * small, (S, peak, small)
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error: trace line 5: invalid trace: event 4: load of C(0,4) exceeds capacity 4",
+        "error: trace line 1419265: invalid trace: event 1419264: evict of non-resident A(0,0)",
+    ]
+
+
+# run in a fresh interpreter: import iomma, then iomma.cli, then one CLI
+# command after another; print the iomma modules loaded after each step,
+# and those loaded when each command's first call into a layer came
+_LOADED = """
+import json, sys
+
+def loaded():
+    return sorted(name[len("iomma."):] for name in sys.modules if name.startswith("iomma."))
+
+steps = {}
+import iomma
+steps["import iomma"] = loaded()
+import iomma.cli as cli
+steps["import iomma.cli"] = loaded()
+at_work = {}
+for name in ("build_schedule", "parse_trace", "tiny_optimal_schedule"):
+    def first_call(*args, real=getattr(cli, name), name=name):
+        at_work.setdefault(name, loaded())
+        return real(*args)
+    setattr(cli, name, first_call)
+codes = {}
+for argv in json.loads(sys.argv[1]):
+    codes[argv[0]] = cli.main(argv)
+    steps[argv[0]] = loaded()
+print(json.dumps({"steps": steps, "at_work": at_work, "codes": codes}))
+"""
+
+
+def _loaded(tmp_path, *argvs):
+    """What _LOADED reports, and the stderr of its commands."""
+    src = Path(iomma.cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argvs)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1]), done.stderr
+
+
+_PARSER_LAYERS = ["algorithms", "bounds", "cli", "goto", "model"]
+
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    out = ["-o", os.devnull]
+    sweep = ["sweep", "--sizes", "8,16", "--capacities", "9", *out]
+    bounds = ["bounds", *_DIMS_6, *out]
+    report, _ = _loaded(tmp_path, sweep, bounds)
+    assert report["steps"] == {
+        "import iomma": [],
+        "import iomma.cli": _PARSER_LAYERS,
+        "sweep": _PARSER_LAYERS,
+        "bounds": _PARSER_LAYERS,
+    }
+    trace = str(tmp_path / "t.txt")
+    layers = {
+        ("simulate", *_DIMS_6, "--alg", "alg-c", "--trace-out", trace, *out): ["inputs", "memsim"],
+        ("phases", *_DIMS_6, "--alg", "alg-c", *out): ["memsim", "phases"],
+        ("phases", *_DIMS_6, "--trace-in", trace, *out): ["memsim", "phases", "tracefile"],
+        ("brute-force", "-m", "2", "-n", "2", "-k", "1", "-S", "4", *out): ["memsim"],
+    }
+    for argv, loaded in layers.items():
+        report, _ = _loaded(tmp_path, list(argv))
+        assert report["codes"] == {argv[0]: 0}
+        assert report["steps"][argv[0]] == sorted(_PARSER_LAYERS + loaded), argv
+        # the command's layers were loaded before its first call into one
+        (first_loaded,) = report["at_work"].values()
+        assert set(loaded) - {"tracefile"} <= set(first_loaded), argv
+
+
+def test_simulation_error_exits_1_in_a_fresh_interpreter(tmp_path):
+    trace = tmp_path / "t.txt"
+    trace.write_text(dump_trace(build_schedule(Algorithm.C, ProblemDims(6, 6, 6), 16)))
+    report, err = _loaded(tmp_path, ["phases", "-m", "6", "-n", "6", "-k", "6", "-S", "4",
+                                     "--trace-in", str(trace)])
+    assert report["codes"] == {"phases": 1}
+    assert err == "error: trace line 5: invalid trace: event 4: load of C(1,1) exceeds capacity 4\n"
+
+
+@pytest.mark.parametrize("error", [RuntimeError, SimulationError])
+def test_only_expected_errors_become_exit_1(tmp_path, capsys, monkeypatch, error):
+    # a layer's SimulationError, ValueError or OSError is an exit 1 with its
+    # message; any other exception is a bug and propagates out of main
+    def broken(*args):
+        raise error("broken layer")
+
+    monkeypatch.setattr(iomma.memsim, "write_trace", broken)
+    monkeypatch.setattr(iomma.tracefile, "file_rows", broken)
+    trace = tmp_path / "t.txt"
+    trace.write_text("L A 0 0\nE A 0 0\n")
+    argvs = [
+        ["simulate", *_DIMS_6, "--alg", "alg-c", "--trace-out", str(tmp_path / "out.txt")],
+        ["phases", "-m", "1", "-n", "1", "-k", "1", "-S", "4", "--trace-in", str(trace)],
+    ]
+    for argv in argvs:
+        if error is RuntimeError:
+            with pytest.raises(RuntimeError, match="broken layer"):
+                main(argv)
+        else:
+            assert _run(capsys, *argv) == (1, "", "error: broken layer\n")
 
 
 def test_verify_quick_passes(capsys):

@@ -2,6 +2,7 @@
 
 Bounds are checked by execute(), the one home of the model's rules."""
 
+import importlib
 import re
 
 import pytest
@@ -62,8 +63,23 @@ def test_positive_integer_check_everywhere(entry, value):
 
 def test_every_exported_name_resolves():
     assert len(set(iomma.__all__)) == len(iomma.__all__)
+    assert sorted(iomma._HOMES) == iomma.__all__
+    listed = dir(iomma)
     for name in iomma.__all__:
         assert hasattr(iomma, name), name
+        # the package's name is the home module's object, and a function's
+        # or class's home is where it is defined
+        home = importlib.import_module(f"iomma.{iomma._HOMES[name]}")
+        value = getattr(iomma, name)
+        assert value is getattr(home, name), name
+        if callable(value):
+            assert value.__module__ == home.__name__, name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="^module 'iomma' has no attribute 'no_such_name'$"):
+        iomma.no_such_name
+    star = {}
+    exec("from iomma import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == iomma.__all__
 
 
 def test_fma_count():
