@@ -360,45 +360,46 @@ def cmd_goto(ns: argparse.Namespace) -> dict:
     return {"dims": asdict(dims), "params": asdict(params), **asdict(report)}
 
 
-def _sweep_points(ns: argparse.Namespace) -> list[tuple[Algorithm, int, int, int, int]]:
+def _sweep_shapes(ns: argparse.Namespace) -> list[tuple[int, int, int]]:
+    """The (m, n, k) shapes of a sweep, from --sizes or from all three lists."""
     lists = (ns.m_list, ns.n_list, ns.k_list)
     given = sum(lst is not None for lst in lists)
     if ns.sizes is not None and given:
         raise ValueError("pass either --sizes or --m-list/--n-list/--k-list, not both")
     if ns.sizes is not None:
-        shapes = [(s, s, s) for s in ns.sizes]
-    elif given == 3:
-        shapes = list(itertools.product(*lists))
-    elif given:
+        return [(s, s, s) for s in ns.sizes]
+    if given == 3:
+        return list(itertools.product(*lists))
+    if given:
         raise ValueError("--m-list, --n-list and --k-list must be given together")
-    else:
-        raise ValueError("sweep needs --sizes or --m-list/--n-list/--k-list")
-    points = [
-        (alg, m, n, k, S)
-        for alg in ns.algs
-        for (m, n, k) in shapes
-        for S in ns.capacities
-    ]
-    points.sort(key=lambda t: (t[0].value, t[1], t[2], t[3], t[4]))
-    return points
-
-
-def _sweep_row(point: tuple[Algorithm, int, int, int, int]) -> str:
-    alg, m, n, k, S = point
-    dims = ProblemDims(m, n, k)
-    predicted = predicted_io(alg, dims, S)
-    lb = lower_bound_final(dims, S)
-    io_total = predicted.io_total
-    ratio = io_total / lb if lb > 0 else None
-    return (
-        f"{alg.value},{m},{n},{k},{S},{predicted.reads},{predicted.writes},"
-        f"{io_total},{lb!r},{'' if ratio is None else repr(ratio)}"
-    )
+    raise ValueError("sweep needs --sizes or --m-list/--n-list/--k-list")
 
 
 def cmd_sweep(ns: argparse.Namespace) -> str:
-    rows = [_sweep_row(p) for p in _sweep_points(ns)]
-    return "\n".join([SWEEP_CSV_HEADER] + rows) + "\n"
+    """One CSV row per (algorithm, shape, S) point, a repeated value's points
+    once per repeat, in (algorithm name, m, n, k, S) order; the first point
+    whose predicted_io raises names the error. Each shape's dims and each
+    (shape, S) bound are built at the first point that needs them."""
+    shapes = _sweep_shapes(ns)
+    # Algorithm is a str enum, so its members sort as their values
+    points = sorted((alg, shape, S) for alg in ns.algs for shape in shapes for S in ns.capacities)
+    dims_of: dict[tuple[int, int, int], ProblemDims] = {}
+    bound_of: dict[tuple[tuple[int, int, int], int], float] = {}
+    rows = [SWEEP_CSV_HEADER]
+    for alg, shape, S in points:
+        dims = dims_of.get(shape)
+        if dims is None:
+            dims = dims_of[shape] = ProblemDims(*shape)
+        predicted = predicted_io(alg, dims, S)
+        lb = bound_of.get((shape, S))
+        if lb is None:
+            lb = bound_of[shape, S] = lower_bound_final(dims, S)
+        io_total = predicted.io_total
+        ratio = repr(io_total / lb) if lb > 0 else ""
+        m, n, k = shape
+        rows.append(f"{alg.value},{m},{n},{k},{S},{predicted.reads},{predicted.writes},"
+                    f"{io_total},{lb!r},{ratio}")
+    return "\n".join(rows) + "\n"
 
 
 def cmd_brute_force(ns: argparse.Namespace) -> dict:
@@ -465,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify(ns)
         report = _REPORTS[ns.command](ns)
         _write(ns, report)
-    except (ValueError, OSError, SimulationError) as exc:
+    except (ValueError, OverflowError, OSError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # simulate's is the one report with a verdict: a mismatch exits 2

@@ -2,8 +2,11 @@
 suite's failure reporting."""
 
 import collections
+import contextlib
 import dataclasses
 import hashlib
+import io
+import itertools
 import json
 import os
 import re
@@ -14,7 +17,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import iomma.algorithms
+import iomma.bounds
 import iomma.cli as cli
 import iomma.memsim
 import iomma.phases
@@ -49,6 +56,8 @@ _GOTO_96 = ["-m", "96", "-n", "96", "-k", "96", "--n-c", "48", "--k-c", "12",
 # dataclasses, so any drift in key order, float text or CSV flattening fails.
 # The two simulate files were re-recorded when the per-operand reads joined
 # the report; test_simulate_keeps_every_earlier_key pins the rest of them.
+# sweep_repeats.csv was recorded before sweep built each shape's dims and
+# each (shape, S) bound once; it pins the rows of repeated values.
 GOLDEN = {
     "simulate.json": ["simulate", *_DIMS_6, "--alg", "alg-c"],
     "simulate.csv": ["simulate", *_DIMS_6, "--alg", "alg-c", "--format", "csv"],
@@ -67,6 +76,8 @@ GOLDEN = {
                         "--capacities", "16,64"],
     "sweep_lists.csv": ["sweep", "--algs", "naive", "--m-list", "4,8", "--n-list", "4",
                         "--k-list", "2,4", "--capacities", "9"],
+    "sweep_repeats.csv": ["sweep", "--algs", "alg-c,naive,alg-c", "--sizes", "60,5,60",
+                          "--capacities", "16,9,16"],
     "brute_force.json": ["brute-force", "-m", "2", "-n", "2", "-k", "1", "-S", "4"],
 }
 
@@ -312,6 +323,116 @@ def test_sweep_naive_ratio_flat_near_8(capsys):
     ratios = [float(line.split(",")[9]) for line in out.splitlines()[1:]]
     assert ratios[0] > ratios[1] > ratios[2] > 8.0
     assert ratios[0] < 8.01
+
+
+# The sweep before it built each shape's dims and each (shape, S) bound once:
+# every point sorted, then each row from its own dims and bound.
+def _oracle_sweep_points(ns):
+    lists = (ns.m_list, ns.n_list, ns.k_list)
+    listed = sum(lst is not None for lst in lists)
+    if ns.sizes is not None and listed:
+        raise ValueError("pass either --sizes or --m-list/--n-list/--k-list, not both")
+    if ns.sizes is not None:
+        shapes = [(s, s, s) for s in ns.sizes]
+    elif listed == 3:
+        shapes = list(itertools.product(*lists))
+    elif listed:
+        raise ValueError("--m-list, --n-list and --k-list must be given together")
+    else:
+        raise ValueError("sweep needs --sizes or --m-list/--n-list/--k-list")
+    points = [(alg, m, n, k, S) for alg in ns.algs for (m, n, k) in shapes for S in ns.capacities]
+    points.sort(key=lambda t: (t[0].value, t[1], t[2], t[3], t[4]))
+    return points
+
+
+def _oracle_sweep_row(point):
+    alg, m, n, k, S = point
+    dims = ProblemDims(m, n, k)
+    predicted = iomma.algorithms.predicted_io(alg, dims, S)
+    lb = iomma.bounds.lower_bound_final(dims, S)
+    io_total = predicted.io_total
+    ratio = io_total / lb if lb > 0 else None
+    return (
+        f"{alg.value},{m},{n},{k},{S},{predicted.reads},{predicted.writes},"
+        f"{io_total},{lb!r},{'' if ratio is None else repr(ratio)}"
+    )
+
+
+def _oracle_sweep(argv):
+    """The earlier sweep's exit code, stdout and stderr."""
+    ns = cli.build_parser().parse_args(argv)
+    try:
+        rows = [_oracle_sweep_row(point) for point in _oracle_sweep_points(ns)]
+    except ValueError as exc:
+        return 1, "", f"error: {exc}\n"
+    return 0, "\n".join([cli.SWEEP_CSV_HEADER] + rows) + "\n", ""
+
+
+def _run_captured(argv):
+    """main's exit code, stdout and stderr, without a pytest fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_LISTS = ("--m-list", "--n-list", "--k-list")
+# small values repeat often; capacities 1 to 3 are below the blocked presets' least S
+_SWEEP_VALUES = st.lists(st.integers(1, 9) | st.sampled_from([30, 60, 97]), max_size=4)
+_SWEEP_CAPACITIES = st.lists(st.integers(1, 3) | st.integers(4, 100), max_size=4)
+
+
+def _csv_list(values):
+    return ",".join(map(str, values))
+
+
+@st.composite
+def _sweep_argvs(draw):
+    """A sweep over drawn, often repeated and unsorted values; now and then
+    with the shape flags refused, as both forms or lists missing."""
+    argv = ["sweep"]
+    if draw(st.booleans()):  # else the default, every algorithm
+        algs = draw(st.lists(st.sampled_from(list(Algorithm)), max_size=5))
+        argv += ["--algs", ",".join(alg.value for alg in algs)]
+    flags = draw(st.sampled_from(
+        [("--sizes",)] * 3 + [_LISTS] * 3 + [("--sizes", *_LISTS), _LISTS[:2], ()]
+    ))
+    for flag in flags:
+        argv += [flag, _csv_list(draw(_SWEEP_VALUES))]
+    return argv + ["--capacities", _csv_list(draw(_SWEEP_CAPACITIES))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_sweep_argvs())
+# a loop over shapes first names naive's error, not alg-a's
+@example(argv=["sweep", "--m-list", "9,3", "--n-list", "4,4", "--k-list", "7",
+               "--capacities", "2,100"])
+# nested loops over the sorted values put the repeats' rows out of order
+@example(argv=GOLDEN["sweep_repeats.csv"])
+def test_sweep_matches_the_earlier_sweep(argv):
+    assert _run_captured(argv) == _oracle_sweep(argv)
+
+
+_HUGE = "1" + "0" * 120  # 10**120, past a float's range
+_HUGE_DIMS = ["-m", _HUGE, "-n", _HUGE, "-k", _HUGE]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--sizes", _HUGE, "--capacities", "16"],
+        # mnk = 10**309
+        ["sweep", "--algs", "naive", "--sizes", "1" + "0" * 103, "--capacities", "16"],
+        ["predict", *_HUGE_DIMS, "-S", "16", "--alg", "alg-c"],
+        ["bounds", *_HUGE_DIMS, "-S", "16"],
+        ["goto", *_HUGE_DIMS, *_GOTO_96[6:]],
+    ],
+)
+def test_sizes_past_a_float_are_an_error_not_a_traceback(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_output_file(tmp_path, capsys):

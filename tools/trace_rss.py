@@ -7,9 +7,10 @@ Runs ``iomma simulate`` without a trace, ``simulate --trace-out`` and
 ``phases --trace-in`` on that trace at S=4, where the fifth load breaks the
 capacity rule and the command exits 1. Each runs in a fresh interpreter.
 The tool prints each command's VmHWM (peak resident set, from the process's
-own status file, Linux only) and the wall time of its ``main()`` call: the
-import of ``iomma.cli`` is excluded, and the import of the layers that
-``main()`` loads for the command is included. With ``--repeat`` each figure
+own status file, Linux only), and the wall time and minor page faults
+(``getrusage``'s ``ru_minflt``) of its ``main()`` call: the import of
+``iomma.cli`` is excluded, and the import of the layers that ``main()``
+loads for the command is included. With ``--repeat`` each figure
 is the median over that many fresh processes. ``--src`` names the ``src``
 directory to import ``iomma`` from; by default, the one beside this script.
 Uses only the standard library and ``iomma``.
@@ -28,15 +29,18 @@ from pathlib import Path
 _ALG, _S = "alg-c", 64
 # run in the child: one CLI command, then its own figures as JSON on stderr
 _CHILD = """
-import json, sys, time
+import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from iomma.cli import main
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 start = time.perf_counter()
 code = main(sys.argv[2:])
 wall = time.perf_counter() - start
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 with open("/proc/self/status") as status:
     kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-print(json.dumps({"code": code, "vmhwm_mb": kb / 1024, "wall_s": wall}), file=sys.stderr)
+print(json.dumps({"code": code, "vmhwm_mb": kb / 1024, "wall_s": wall, "minflt": faults}),
+      file=sys.stderr)
 """
 
 
@@ -77,11 +81,11 @@ def main() -> None:
                 runs[name].append(_measure(args.src, argv, code))
         events = Path(trace).read_bytes().count(b"\n")
     print(f"{_ALG} {args.n}^3 S={_S}: {events} events, src {args.src}")
-    print(f"{'command':24s} {'VmHWM MB':>9s} {'wall s':>8s}")
+    print(f"{'command':24s} {'VmHWM MB':>9s} {'wall s':>8s} {'minflt':>8s}")
     for name, figures in runs.items():
-        rss = statistics.median(f["vmhwm_mb"] for f in figures)
-        wall = statistics.median(f["wall_s"] for f in figures)
-        print(f"{name:24s} {rss:9.1f} {wall:8.3f}")
+        rss, wall, faults = (statistics.median(f[key] for f in figures)
+                             for key in ("vmhwm_mb", "wall_s", "minflt"))
+        print(f"{name:24s} {rss:9.1f} {wall:8.3f} {faults:8.0f}")
 
 
 if __name__ == "__main__":
