@@ -63,9 +63,7 @@ _LAYERS = {
         "ShapeMismatchError",
         "StoreNonCError",
         "StoreNonResidentError",
-        "dump_trace",
         "execute",
-        "parse_trace",
         "reference_gemm",
     ),
     "model": (
@@ -87,6 +85,7 @@ _LAYERS = {
         "phase_efficiency",
         "phases_to_csv",
     ),
+    "tracefile": ("dump_trace", "parse_trace"),
 }
 _HOMES = {name: layer for layer, names in _LAYERS.items() for name in names}
 

@@ -149,6 +149,8 @@ class PredictedIO:
 # runs do (model._moved): loop steps and block offsets add to the fields
 # that read an axis.
 _AXES = dict(zip(Matrix, OPERAND_AXES))
+# the largest extent or element count whose code fields and element ids fit
+_INT64_MAX = int(np.iinfo(np.int64).max)
 # per resident matrix, each streamed operand's index in Matrix order, the
 # resident axis it lacks, and that axis's place in the block shape
 _STREAMED = {
@@ -339,8 +341,15 @@ def blocked_reads(
 
 
 def build_schedule(algorithm: Algorithm, dims: ProblemDims, S: int) -> Schedule:
-    """Build the named schedule at capacity S, as its preset gives it."""
+    """Build the named schedule at capacity S, as its preset gives it.
+
+    Raises ValueError, before it builds anything, for dims whose extents or
+    element count do not fit the int64 code rows."""
     resident, shape = _preset(algorithm, S)
+    m, n, k = dims.m, dims.n, dims.k
+    if max(m, n, k, m * k + k * n + m * n) > _INT64_MAX:
+        raise ValueError(f"m={m}, n={n}, k={k} do not fit int64 code rows: "
+                         f"each extent and m*k + k*n + m*n must be at most 2**63 - 1")
     if resident is None:
         return naive_schedule(dims)
     return blocked_schedule(resident, dims, shape)

@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 _COMMAND_LAYERS = {
     "simulate": ("inputs", "memsim"),
     "phases": ("memsim", "phases"),
-    "brute-force": ("memsim",),
+    "brute-force": ("tracefile",),
 }
 
 
@@ -58,8 +58,8 @@ def _deferred(layer: str, name: str):
 seeded_matrices = _deferred("inputs", "seeded_matrices")
 execute = _deferred("memsim", "execute")
 reference_gemm = _deferred("memsim", "reference_gemm")
-dump_trace = _deferred("memsim", "dump_trace")
-parse_trace = _deferred("memsim", "parse_trace")
+dump_trace = _deferred("tracefile", "dump_trace")
+parse_trace = _deferred("tracefile", "parse_trace")
 partition_phases = _deferred("phases", "partition_phases")
 phases_to_csv = _deferred("phases", "phases_to_csv")
 
@@ -241,7 +241,7 @@ def _write(ns: argparse.Namespace, report: dict | str) -> None:
 
 
 def cmd_simulate(ns: argparse.Namespace) -> dict:
-    from .memsim import MemoryConfig, write_trace
+    from .memsim import MemoryConfig
 
     dims = _dims(ns)
     schedule = build_schedule(ns.alg, dims, ns.S)
@@ -253,6 +253,8 @@ def cmd_simulate(ns: argparse.Namespace) -> dict:
     stats = result.stats
     counts_match = predicted.matches(stats)
     if ns.trace_out:
+        from .tracefile import write_trace
+
         with open(ns.trace_out, "w", newline="\n") as handle:
             write_trace(schedule, handle)
     return {
@@ -292,16 +294,16 @@ def cmd_bounds(ns: argparse.Namespace) -> dict:
 
 
 def _read_phases(path: str, dims: ProblemDims, config: PhaseConfig, memory: MemoryConfig) -> list:
-    """The phases of a trace file that must fit in ``memory``. parse_trace
-    reads a file of dump_trace's lines a span at a time, and partition_phases
-    replays and splits it in one walk. A broken rule names its file line
-    too: in such a file each line is an event, and any other file's text is
-    read whole then, or first if the file cannot seek."""
-    from .memsim import decode_trace, trace_line
+    """The phases of a trace file, or pipe, that must fit in ``memory``.
+    parse_trace checks a file of dump_trace's lines a span at a time, and
+    partition_phases reads, replays and splits it in one walk. A broken rule
+    names its file line too: in such a file event i is on line i + 1, and
+    any other file's text is read again to find it."""
+    from .tracefile import decode_trace, seekable, trace_line
 
-    with open(path, "rb") as handle:
-        text = None if handle.seekable() else decode_trace(handle.read())
-        schedule = parse_trace(handle if text is None else text, dims)
+    with open(path, "rb") as opened:
+        handle = seekable(opened)
+        schedule = parse_trace(handle, dims)
         try:
             return partition_phases(schedule, config, memory)
         except SimulationError as exc:
@@ -311,10 +313,8 @@ def _read_phases(path: str, dims: ProblemDims, config: PhaseConfig, memory: Memo
                 if schedule._file_lines:
                     line = exc.index + 1
                 else:
-                    if text is None:
-                        handle.seek(0)
-                        text = decode_trace(handle.read())
-                    line = trace_line(text, exc.index)
+                    handle.seek(0)
+                    line = trace_line(decode_trace(handle.read()), exc.index)
                 where = f"trace line {line}: "
             exc.args = (f"{where}invalid trace: {exc}",)
             raise

@@ -8,13 +8,14 @@ that all accumulated C values reach slow memory before the schedule ends.
 A scalar slot is the unit of accounting: no cache lines, no replacement
 policy. Eviction of clean data is explicit and free; writing back a dirty
 C element costs one write.
+
+This module is the simulator alone: ``execute``, its rules and errors, and
+``reference_gemm``. The trace's text format lives in ``iomma.tracefile``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -479,193 +480,10 @@ def reference_gemm(a, b, c_in) -> np.ndarray:
     return out
 
 
-# the head word of a load, store or evict line, one per (opcode, matrix) pair
-_HEADS = tuple(f"{letter} {matrix.value} " for letter in "LSE" for matrix in MATRICES)
-# the %-format pattern of a line, by opcode; a load's, store's or evict's %c
-# takes its matrix code + ord("A"), the code point of its letter
-_PATTERNS = np.array([f"{letter} %c %d %d\n" for letter in "LSE"] + ["F %d %d %d\n"], dtype=object)
-# every character str.splitlines() ends a line at; "\r\n" is one break
-_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-_BREAK = f"(?:\r\n|[{_BREAKS}])"
-_LINE_BREAK = re.compile(_BREAK)
-_COMMENT = f"#[^{_BREAKS}]*"
-_INT = "-?[0-9]{1,18}"  # a coordinate, short enough for int64
-# one line exactly as dump_trace writes it
-_DUMPED = f"(?:[LSE] [ABC]|F {_INT}) {_INT} {_INT}\n"
-# any line: an optional event with spaces or tabs around its fields, an
-# optional comment and any line break
-_ANY = (
-    f"[ \t]*(?:(?:[LSE][ \t]+[ABC]|F[ \t]+{_INT})[ \t]+{_INT}[ \t]+{_INT}[ \t]*)?"
-    f"(?:{_COMMENT})?{_BREAK}"
-)
-# the trace grammar. Runs of dumped lines repeat in a loop of their own,
-# which is as fast as matching dumped lines alone. Once comments are gone, a
-# text of such lines reads as numbers when each letter becomes its code.
-_LINES = re.compile(f"(?:{_DUMPED})*(?:{_ANY}(?:{_DUMPED})*)*")
-_SPAN = 1 << 14  # characters matched per call; re keeps state per repetition
-# each letter becomes its code, and each break a space: numpy's whitespace
-# lacks \x1c-\x1e, \x85, \u2028 and \u2029
-_LETTER_CODES = str.maketrans("LSEFABC" + _BREAKS, "0123012" + " " * len(_BREAKS))
-
-
-def dump_trace(schedule: Schedule) -> str:
-    """Render a schedule in the line-per-event wire format.
-
-    Lines are ``L A i j`` / ``S C i j`` / ``E X i j`` / ``F i j p`` with a
-    trailing newline; all-ASCII, LF line endings.
-    """
-    return "".join(_chunk_texts(schedule))
-
-
-def write_trace(schedule: Schedule, handle) -> None:
-    """Write dump_trace()'s text to an open text file a chunk at a time."""
-    for text in _chunk_texts(schedule):
-        handle.write(text)
-
-
-def _chunk_texts(schedule: Schedule):
-    """The lines of each chunk of the schedule, as one string per chunk."""
-    # When each value of the codes serves at least two lines, a line is
-    # three words of one table over the values: a head ("L A " ... "E C ",
-    # or "F i " for an fma), a coordinate and a space, and a coordinate and
-    # a newline, each row numbered by value - lo. A table word used about
-    # once costs more than formatting the line, so other traces fill each
-    # line's pattern. The span covers opcodes and matrix codes too, which
-    # the schedule's runs give without a pass over the rows, and zero, so
-    # table ids cannot overflow.
-    lo, hi = schedule._value_range()
-    span = hi - lo + 1
-    table = 2 * span <= len(schedule)
-    if table:
-        values = range(lo, hi + 1)
-        words = np.array(
-            _HEADS
-            + tuple(f"F {value} " for value in values)
-            + tuple(f"{value} " for value in values)
-            + tuple(f"{value}\n" for value in values),
-            dtype=object,
-        )
-        # the id of value v in a block is that block's offset + v
-        offsets = np.arange(len(_HEADS), len(words), span) - lo
-    for chunk in schedule.chunks():
-        ops = chunk[:, 0]
-        if table:
-            ids = chunk[:, 1:] + offsets
-            # a load, store or evict prints its head in place of its matrix code
-            ids[:, 0] = np.where(ops == OP_FMA, ids[:, 0], ops * len(MATRICES) + chunk[:, 1])
-            yield "".join(words[ids.ravel()].tolist())
-        else:
-            # a load, store or evict prints its matrix code as a letter; one
-            # %-format of the chunk's patterns is about twice as fast as an
-            # f-string per line
-            fields = chunk[:, 1:].copy()
-            fields[ops != OP_FMA, 0] += ord("A")
-            yield "".join(_PATTERNS[ops].tolist()) % tuple(fields.ravel().tolist())
-
-
 def parse_trace(text, dims: ProblemDims) -> Schedule:
-    """Inverse of dump_trace. Raises ValueError, naming the first line that
-    is not in the trace grammar.
+    """``tracefile.parse_trace``, for callers that import it from here, as
+    perfbench's brute-force gate does; imported on call, so that running
+    schedules never loads the trace text code."""
+    from .tracefile import parse_trace
 
-    ``text`` may also be a file open for binary reading, taken as
-    decode_trace() of its bytes from where it stands. When those are all
-    dump_trace's lines, which a first pass checks and counts a span at a
-    time, the schedule reads its rows from the file on each walk, a span at
-    a time into one buffer; the file must stay open and unchanged while the
-    schedule is in use. Any other file is read whole, as is one that cannot
-    seek, such as a pipe.
-
-    A ``#`` starts a comment that runs to the end of the line; blank and
-    comment-only lines are skipped. Fields are separated by spaces or tabs,
-    lines by any break str.splitlines() knows, and a final line without its
-    break reads as if it had one.
-
-    A text of the lines dump_trace writes is read with numpy, a span of whole
-    lines at a time (see ``iomma.tracefile``). Any other text, and every
-    rejection, goes through one regex of the grammar, a span of whole lines
-    per call, then comment stripping and ``np.fromstring``.
-    """
-    from . import tracefile
-
-    if not isinstance(text, str):
-        rows = tracefile.file_rows(text)
-        if rows is None:
-            return parse_trace(decode_trace(text.read()), dims)
-        return Schedule._wrap(rows, dims)
-    codes = tracefile.text_codes(text)
-    if codes is not None:
-        return Schedule._wrap(codes, dims)
-    if text[-1:] not in _BREAKS:
-        text += "\n"
-    stop = _grammatical_end(text)
-    if stop < len(text):
-        raise ValueError(_rejection(text, stop))
-    if "#" in text:
-        text = re.sub(_COMMENT, "", text)
-    if not any(letter in text for letter in "LSEF"):
-        # numpy reads a text of whitespace alone as [0]
-        return Schedule._wrap(np.empty((0, 4), dtype=np.int64), dims)
-    codes = np.fromstring(text.translate(_LETTER_CODES), dtype=np.int64, sep=" ")
-    return Schedule._wrap(codes.reshape(-1, 4), dims)
-
-
-def _grammatical_end(text: str) -> int:
-    """Where the run of grammatical lines at the start of the text ends,
-    matched a span of whole lines at a time so the regex engine's memory
-    stays small."""
-    start = 0
-    while start < len(text):
-        cut = _LINE_BREAK.search(text, start + _SPAN)
-        end = cut.end() if cut else len(text)
-        stop = _LINES.match(text, start, end).end()
-        if stop < end:
-            return stop
-        start = end
-    return start
-
-
-def _rejection(text: str, stop: int) -> str:
-    """Why the line that starts at ``stop`` is not in the trace grammar,
-    prefixed with its 1-based line number."""
-    lineno = 1 + sum(1 for _ in _LINE_BREAK.finditer(text, 0, stop))
-    line = text[stop:_LINE_BREAK.search(text, stop).start()]
-    fields = [field for field in line.partition("#")[0].replace("\t", " ").split(" ") if field]
-    kind = fields[0]
-    if kind not in ("L", "S", "E", "F"):
-        reason = f"unknown event letter {kind!r}"
-    elif len(fields) != 4:
-        reason = "expected 'F i j p'" if kind == "F" else f"expected '{kind} X row col'"
-    elif kind != "F" and fields[1] not in ("A", "B", "C"):
-        reason = f"unknown matrix letter {fields[1]!r}"
-    else:
-        # a line with the right letters and field count fails the grammar
-        # only on a coordinate
-        coordinates = fields[1:] if kind == "F" else fields[2:]
-        bad = [token for token in coordinates if not re.fullmatch(_INT, token)]
-        reason = f"coordinate {bad[0]!r} is not an integer of 1 to 18 decimal digits"
-    return f"trace line {lineno}: {reason}"
-
-
-def decode_trace(data: bytes) -> str:
-    """The text of a trace file's bytes, read as UTF-8 with CRLF and CR
-    made LF, as text-mode open() makes them, so that a dumped trace saved
-    with either end is still read as one. Raises ValueError, naming the line
-    of the first byte that does not decode."""
-    try:
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    except UnicodeDecodeError as exc:
-        lineno = 1 + len(_LINE_BREAK.findall(data[:exc.start].decode("utf-8")))
-        reason = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
-        raise ValueError(f"trace line {lineno}: {reason}") from None
-
-
-def trace_line(text: str, index: int) -> int:
-    """1-based line of the trace text that parse_trace() read event ``index`` from:
-    an event's line starts with L, S, E or F after spaces and tabs. Raises
-    IndexError if the text holds no such event."""
-    if index >= 0:
-        lines = enumerate(_LINE_BREAK.split(text), start=1)
-        events = (n for n, line in lines if line.lstrip(" \t").startswith(("L", "S", "E", "F")))
-        for lineno in itertools.islice(events, index, None):
-            return lineno
-    raise IndexError(f"trace has no event {index}")
+    return parse_trace(text, dims)

@@ -97,7 +97,7 @@ class Schedule:
     The run's rows are the template moved by each offset in turn, each
     field adding the offset of the axis it reads (``_MOVE_AXES``). A literal
     trace is one run with a single zero move; its rows may instead be read
-    from a file on each walk (see ``memsim.parse_trace``).
+    from dumped lines on each walk (see ``tracefile.parse_trace``).
 
     ``chunks()`` yields the rows a bounded block at a time; ``codes`` builds
     the whole (N, 4) array on each call. ``Schedule(codes, dims)`` takes a
@@ -161,7 +161,7 @@ class Schedule:
         are dropped."""
         runs = tuple(run for run in runs if len(run[0]) and len(run[2]))
         for template, _, _ in runs:
-            if isinstance(template, np.ndarray):  # not rows read from a file
+            if isinstance(template, np.ndarray):  # not rows read from dumped lines
                 template.flags.writeable = False
         object.__setattr__(self, "_runs", runs)
         object.__setattr__(self, "dims", dims)
@@ -184,8 +184,9 @@ class Schedule:
 
     @property
     def _file_lines(self) -> bool:
-        """Whether the rows are read from a file on each walk, one event per
-        line from where parse_trace found the file (see memsim.parse_trace)."""
+        """Whether the rows are read from dumped lines on each walk, one
+        event per line from where parse_trace found them (see
+        tracefile.parse_trace)."""
         return len(self._runs) == 1 and not isinstance(self._runs[0][0], np.ndarray)
 
     def chunks(self):
@@ -247,7 +248,7 @@ def _chunks(runs):
     size = _CHUNK
     if len(runs) == 1 and runs[0][1] is None:
         codes = runs[0][0]
-        if not isinstance(codes, np.ndarray):  # rows read from a file
+        if not isinstance(codes, np.ndarray):  # rows read from dumped lines
             yield from codes.chunks()
             return
         for start in range(0, len(codes), size):

@@ -10,6 +10,7 @@ import itertools
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import threading
@@ -41,7 +42,7 @@ from iomma import (
     seeded_matrices,
 )
 from iomma.cli import main
-from iomma.memsim import decode_trace, trace_line, write_trace
+from iomma.tracefile import decode_trace, trace_line, write_trace
 from iomma.phases import PhaseConfig, partition_phases
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "cli_golden"
@@ -435,6 +436,36 @@ def test_sizes_past_a_float_are_an_error_not_a_traceback(capsys, argv):
     assert "Traceback" not in err
 
 
+def _limit_address_space():
+    # a command that builds the schedule anyway fails fast, not by exhausting memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--alg", "alg-c"],
+        ["simulate", "--alg", "naive"],
+        ["phases", "--alg", "alg-c"],
+    ],
+)
+def test_sizes_past_int64_are_refused_before_a_schedule_is_built(tmp_path, argv):
+    src = Path(iomma.cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "iomma.cli", *argv, *_HUGE_DIMS, "-S", "16"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (f"error: m={_HUGE}, n={_HUGE}, k={_HUGE} do not fit int64 code rows: "
+                           "each extent and m*k + k*n + m*n must be at most 2**63 - 1\n")
+
+
+@pytest.mark.parametrize("dims", [(2**63, 1, 1), (1, 2**62, 2), (2**31, 2**31, 2**31)])
+def test_build_schedule_refuses_element_counts_past_int64(dims):
+    with pytest.raises(ValueError, match="do not fit int64 code rows"):
+        build_schedule(Algorithm.C, ProblemDims(*dims), 16)
+
+
 def test_output_file(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, out, _ = _run(
@@ -620,7 +651,7 @@ def test_trace_file_line_ends_read_as_lf(tmp_path, capsys, monkeypatch):
     argv = ["phases", "-m", "6", "-n", "6", "-k", "6", "-S", "16", "--trace-in", str(trace)]
     trace.write_text(dumped)
     _, expected, _ = _run(capsys, *argv)
-    monkeypatch.setattr(iomma.memsim, "_grammatical_end", None)
+    monkeypatch.setattr(iomma.tracefile, "_grammatical_end", None)
     for end in ("\r\n", "\r"):
         trace.write_bytes(dumped.replace("\n", end).encode("ascii"))
         assert _run(capsys, *argv) == (0, expected, "")
@@ -690,9 +721,9 @@ def test_phases_rejects_a_trace_that_overflows_S(tmp_path, capsys, monkeypatch):
     counts = collections.Counter()
     read_span, feed, real = iomma.tracefile._read_span, iomma.memsim._Replay.feed, iomma.phases.execute
 
-    def counted_read(data, out=None, checked=False):
-        lines = read_span(data, out, checked)
-        counts["read" if checked else "checked"] += lines or 0
+    def counted_read(data, out=None):
+        lines = read_span(data, out)
+        counts["checked" if out is None else "read"] += lines or 0
         return lines
 
     def counted_feed(replay, chunk):
@@ -715,22 +746,34 @@ def test_phases_rejects_a_trace_that_overflows_S(tmp_path, capsys, monkeypatch):
 
 
 def test_phases_reads_a_trace_from_a_pipe(tmp_path, capsys):
-    # a FIFO cannot seek: it is read whole, with the same output and errors
+    # a FIFO cannot seek: it is held as bytes, then read as a file is, with
+    # the same output and errors. Its dumped lines name a broken rule's line
+    # without a search of the text; a header comment sends it to the grammar,
+    # and the line is found in the held bytes
     dims = ["-m", "6", "-n", "6", "-k", "6"]
-    text = dump_trace(build_schedule(Algorithm.C, ProblemDims(6, 6, 6), 16))
+    dumped = dump_trace(build_schedule(Algorithm.C, ProblemDims(6, 6, 6), 16))
     trace = tmp_path / "t.txt"
-    trace.write_text(text)
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    for S in ("15", "4"):
-        expected = _run(capsys, "phases", *dims, "-S", S, "--trace-in", str(trace))
-        writer = threading.Thread(target=fifo.write_text, args=(text,))
-        writer.start()
-        try:
-            assert _run(capsys, "phases", *dims, "-S", S, "--trace-in", str(fifo)) == expected
-        finally:
-            writer.join()
-    assert expected[0] == 1 and expected[2].startswith("error: trace line 5: ")
+
+    def unread(*args):
+        raise AssertionError("the dumped trace's text was searched")
+
+    for text, line in ((dumped, 5), ("# header\n" + dumped, 6)):
+        trace.write_text(text)
+        with pytest.MonkeyPatch.context() as patch:
+            if text is dumped:
+                patch.setattr(iomma.tracefile, "decode_trace", unread)
+                patch.setattr(iomma.tracefile, "trace_line", unread)
+            for S in ("15", "4"):
+                expected = _run(capsys, "phases", *dims, "-S", S, "--trace-in", str(trace))
+                writer = threading.Thread(target=fifo.write_text, args=(text,))
+                writer.start()
+                try:
+                    assert _run(capsys, "phases", *dims, "-S", S, "--trace-in", str(fifo)) == expected
+                finally:
+                    writer.join()
+        assert expected[0] == 1 and expected[2].startswith(f"error: trace line {line}: ")
 
 
 def _broken_dumps():
@@ -763,8 +806,8 @@ def test_streamed_rule_error_names_the_line_trace_line_gives(tmp_path, capsys, m
     def unread(*args):
         raise AssertionError("the trace file's text was read")
 
-    monkeypatch.setattr(iomma.memsim, "decode_trace", unread)
-    monkeypatch.setattr(iomma.memsim, "trace_line", unread)
+    monkeypatch.setattr(iomma.tracefile, "decode_trace", unread)
+    monkeypatch.setattr(iomma.tracefile, "trace_line", unread)
     argv = ["phases", "-m", "6", "-n", "6", "-k", "6", "-S", "16", "--trace-in", str(trace)]
     assert _run(capsys, *argv) == (1, "", expected)
 
@@ -861,10 +904,11 @@ def test_each_command_loads_only_its_layers(tmp_path):
     }
     trace = str(tmp_path / "t.txt")
     layers = {
-        ("simulate", *_DIMS_6, "--alg", "alg-c", "--trace-out", trace, *out): ["inputs", "memsim"],
+        ("simulate", *_DIMS_6, "--alg", "alg-c", *out): ["inputs", "memsim"],
+        ("simulate", *_DIMS_6, "--alg", "alg-c", "--trace-out", trace, *out): ["inputs", "memsim", "tracefile"],
         ("phases", *_DIMS_6, "--alg", "alg-c", *out): ["memsim", "phases"],
         ("phases", *_DIMS_6, "--trace-in", trace, *out): ["memsim", "phases", "tracefile"],
-        ("brute-force", "-m", "2", "-n", "2", "-k", "1", "-S", "4", *out): ["memsim"],
+        ("brute-force", "-m", "2", "-n", "2", "-k", "1", "-S", "4", *out): ["tracefile"],
     }
     for argv, loaded in layers.items():
         report, _ = _loaded(tmp_path, list(argv))
@@ -891,7 +935,7 @@ def test_only_expected_errors_become_exit_1(tmp_path, capsys, monkeypatch, error
     def broken(*args):
         raise error("broken layer")
 
-    monkeypatch.setattr(iomma.memsim, "write_trace", broken)
+    monkeypatch.setattr(iomma.tracefile, "write_trace", broken)
     monkeypatch.setattr(iomma.tracefile, "file_rows", broken)
     trace = tmp_path / "t.txt"
     trace.write_text("L A 0 0\nE A 0 0\n")

@@ -45,7 +45,7 @@ from iomma import (
     seeded_matrices,
 )
 from iomma.cli import main
-from iomma.memsim import decode_trace, trace_line, write_trace
+from iomma.tracefile import decode_trace, trace_line, write_trace
 from iomma.phases import PhaseConfig, partition_phases, phases_to_csv, validate_trace
 from iomma.model import _CHUNK, MATRICES, MATRIX_CODE, OP_EVICT, OP_FMA, OP_LOAD, OP_STORE, layout
 
@@ -635,7 +635,7 @@ def test_long_trace_round_trip_across_match_spans():
     dims = ProblemDims(20, 20, 20)
     schedule = build_schedule(Algorithm.C, dims, 16)
     text = dump_trace(schedule)
-    assert len(text) > 2 * iomma.memsim._SPAN
+    assert len(text) > 2 * iomma.tracefile._SPAN
     assert parse_trace(text, dims) == schedule
     # a header comment sends the whole text to the regex, span by span
     assert parse_trace("# iomma 20 20 20 16\n" + text, dims) == schedule
@@ -661,19 +661,19 @@ class _SpanCounter:
 def _forbid_line_reader(monkeypatch):
     """Accepted traces never reach the per-line code, which only explains
     rejections."""
-    monkeypatch.setattr(iomma.memsim, "_rejection", None)
+    monkeypatch.setattr(iomma.tracefile, "_rejection", None)
 
 
 def _assert_matched_once(monkeypatch, text, dims, schedule):
-    assert len(text) > 2 * iomma.memsim._SPAN
-    counter = _SpanCounter(iomma.memsim._LINES)
-    monkeypatch.setattr(iomma.memsim, "_LINES", counter)
+    assert len(text) > 2 * iomma.tracefile._SPAN
+    counter = _SpanCounter(iomma.tracefile._LINES)
+    monkeypatch.setattr(iomma.tracefile, "_LINES", counter)
     _forbid_line_reader(monkeypatch)
     assert parse_trace(text, dims) == schedule
     assert counter.chars == len(text)
     # spans end at the first line break of any kind past _SPAN characters,
     # so the regex engine's memory stays bounded
-    assert counter.longest < 2 * iomma.memsim._SPAN
+    assert counter.longest < 2 * iomma.tracefile._SPAN
 
 
 @pytest.mark.parametrize("tail", ["", "# end\n", "\n  # iomma 20 20 20 16\n"])
@@ -970,7 +970,7 @@ def _read_outcome(parse, text):
 def _regex_codes(text):
     """parse_trace without its dumped-line reader: the grammar regex alone."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(iomma.tracefile, "text_codes", lambda text: None)
+        patch.setattr(iomma.tracefile, "file_rows", lambda handle: None)
         return parse_trace(text, ProblemDims(1, 1, 1)).codes
 
 
@@ -1082,6 +1082,19 @@ def test_dumped_line_reader_declines_near_dumped_lines(line, span, at, monkeypat
     assert got == _read_outcome(_regex_codes, text)
 
 
+def test_memsim_forwards_parse_trace_and_holds_no_trace_text_code():
+    # callers that import parse_trace from memsim parse as tracefile does
+    memsim = importlib.import_module("iomma.memsim")
+    dims = ProblemDims(6, 6, 6)
+    text = dump_trace(build_schedule(Algorithm.C, dims, 16))
+    for text in (text, "# header\n" + text):
+        assert memsim.parse_trace(text, dims) == parse_trace(text, dims)
+    with pytest.raises(ValueError, match="^trace line 2: unknown event letter 'X'$"):
+        memsim.parse_trace("L A 0 0\nX A 0 0\n", dims)
+    for name in ("dump_trace", "write_trace", "decode_trace", "trace_line", "re", "tracefile"):
+        assert not hasattr(memsim, name), name
+
+
 def test_dumped_trace_reaches_neither_regex_nor_fromstring(monkeypatch):
     dims = ProblemDims(20, 20, 20)
     schedule = build_schedule(Algorithm.C, dims, 16)
@@ -1091,7 +1104,7 @@ def test_dumped_trace_reaches_neither_regex_nor_fromstring(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a dumped trace took the regex path")
 
-    monkeypatch.setattr(iomma.memsim, "_LINES", SimpleNamespace(match=refuse))
+    monkeypatch.setattr(iomma.tracefile, "_LINES", SimpleNamespace(match=refuse))
     monkeypatch.setattr(np, "fromstring", refuse)
     _forbid_line_reader(monkeypatch)
     assert parse_trace(text, dims) == schedule
@@ -1214,8 +1227,7 @@ def test_dumped_trace_file_streams_without_its_text(tmp_path, monkeypatch):
     assert path.read_text() == dump_trace(schedule)
     expected = partition_phases(schedule, PhaseConfig(32))
     for name in ("decode_trace", "_grammatical_end"):
-        monkeypatch.setattr(iomma.memsim, name, None)
-    monkeypatch.setattr(iomma.tracefile, "text_codes", None)
+        monkeypatch.setattr(iomma.tracefile, name, None)
     monkeypatch.setattr(iomma.phases, "execute", None)
     for chunk in (5, 4096):
         monkeypatch.setattr(iomma.model, "_CHUNK", chunk)

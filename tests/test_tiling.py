@@ -3,6 +3,8 @@ builders, equality read chunk by chunk, and memory that stays bounded as
 the trace grows."""
 
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -36,7 +38,7 @@ from iomma import (
     seeded_matrices,
 )
 from iomma.algorithms import blocked_schedule
-from iomma.memsim import write_trace
+from iomma.tracefile import write_trace
 from iomma.model import MATRIX_CODE, OP_EVICT, OP_FMA, OP_LOAD, OP_STORE, OPERAND_AXES, layout
 
 # The whole-array builders the runs replaced, kept as the oracle: each event
@@ -323,25 +325,52 @@ def test_trace_files_are_written_and_read_in_bounded_memory(tmp_path):
     assert read_large < 1.5 * read_small
 
 
+def test_a_piped_trace_is_read_in_its_bytes_and_the_file_bound(tmp_path):
+    # a pipe is held as bytes once, then read as a file is: beside its 14.7
+    # MB, the read peaks within the 3 MB that the file's read above keeps to
+    dims = ProblemDims(96, 96, 96)
+    data = dump_trace(build_schedule(Algorithm.C, dims, 64)).encode()
+    read, write = os.pipe()
+
+    def feed():
+        with open(write, "wb") as writer:
+            writer.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    tracemalloc.start()
+    try:
+        with open(read, "rb") as handle:
+            assert not handle.seekable()
+            partition_phases(parse_trace(handle, dims), PhaseConfig(128), MemoryConfig(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        writer.join()
+    assert peak < len(data) + 3 * 2**20
+
+
 def _parse_peak(n):
     """tracemalloc's peak over parsing the dumped alg-c trace at n^3 with
-    S = 64, and the bytes of its codes."""
+    S = 64, and the bytes of its text and of its codes."""
     dims = ProblemDims(n, n, n)
     text = dump_trace(build_schedule(Algorithm.C, dims, 64))
     tracemalloc.start()
     try:
         schedule = parse_trace(text, dims)
-        return tracemalloc.get_traced_memory()[1], 32 * len(schedule)
+        return tracemalloc.get_traced_memory()[1], len(text), 32 * len(schedule)
     finally:
         tracemalloc.stop()
 
 
 def test_parse_memory_is_the_codes_and_a_span_budget():
-    # the texts are 1.8 and 14.7 MB: beside its codes, parse_trace holds
-    # one span's temporaries at a time, whatever the trace's length
+    # the texts are 1.8 and 14.7 MB: parse_trace holds their bytes, which
+    # are less than their codes, and one span's temporaries at a time,
+    # whatever the trace's length
     for n in (48, 96):
-        peak, codes = _parse_peak(n)
+        peak, text, codes = _parse_peak(n)
         assert peak - codes < 32 * iomma.tracefile._READ_SPAN
+        assert peak - text < 32 * iomma.tracefile._READ_SPAN
 
 
 # execute translates the moves of a run's template when it can: the chunk
