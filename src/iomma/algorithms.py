@@ -343,13 +343,14 @@ def blocked_reads(
 def build_schedule(algorithm: Algorithm, dims: ProblemDims, S: int) -> Schedule:
     """Build the named schedule at capacity S, as its preset gives it.
 
-    Raises ValueError, before it builds anything, for dims whose extents or
-    element count do not fit the int64 code rows."""
+    Raises ValueError, before it builds anything, for dims whose element
+    count does not fit the int64 code rows; every extent is at least 1, so
+    the count bounds each extent too."""
     resident, shape = _preset(algorithm, S)
     m, n, k = dims.m, dims.n, dims.k
-    if max(m, n, k, m * k + k * n + m * n) > _INT64_MAX:
+    if m * k + k * n + m * n > _INT64_MAX:
         raise ValueError(f"m={m}, n={n}, k={k} do not fit int64 code rows: "
-                         f"each extent and m*k + k*n + m*n must be at most 2**63 - 1")
+                         f"the element count m*k + k*n + m*n must be at most 2**63 - 1")
     if resident is None:
         return naive_schedule(dims)
     return blocked_schedule(resident, dims, shape)

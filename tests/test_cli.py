@@ -451,13 +451,15 @@ def _limit_address_space():
 )
 def test_sizes_past_int64_are_refused_before_a_schedule_is_built(tmp_path, argv):
     src = Path(iomma.cli.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+           # one BLAS thread, so importing numpy's per-thread buffers stays far below the cap
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     done = subprocess.run([sys.executable, "-m", "iomma.cli", *argv, *_HUGE_DIMS, "-S", "16"],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
                           preexec_fn=_limit_address_space)
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == (f"error: m={_HUGE}, n={_HUGE}, k={_HUGE} do not fit int64 code rows: "
-                           "each extent and m*k + k*n + m*n must be at most 2**63 - 1\n")
+                           "the element count m*k + k*n + m*n must be at most 2**63 - 1\n")
 
 
 @pytest.mark.parametrize("dims", [(2**63, 1, 1), (1, 2**62, 2), (2**31, 2**31, 2**31)])

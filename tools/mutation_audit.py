@@ -1,9 +1,9 @@
 """Mutation audit of the dumped-line reader's check pass.
 
-    python3 tools/mutation_audit.py [--rev HEAD] [--only NAME ...] [--work DIR]
+    python3 tools/mutation_audit.py [--work DIR]
 
 Each mutation is one source substitution in ``src/iomma/tracefile.py``,
-applied to a fresh ``git archive`` copy of the revision. The script runs
+applied to a fresh ``git archive`` copy of HEAD. The script runs
 the Tier-1 suite on each copy with ``-x`` and only
 ``test_criterion_10_goto_model`` deselected (its known failure would stop
 the run before any other test), and prints a table: the mutation, killed
@@ -79,9 +79,9 @@ MUTATIONS = {
 }
 
 
-def _copy(rev: str, root: Path, into: Path) -> None:
-    """Extract the revision's tree into ``into``."""
-    archive = subprocess.run(["git", "-C", str(root), "archive", rev], capture_output=True, check=True)
+def _copy(root: Path, into: Path) -> None:
+    """Extract HEAD's tree into ``into``."""
+    archive = subprocess.run(["git", "-C", str(root), "archive", "HEAD"], capture_output=True, check=True)
     into.mkdir(parents=True)
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
 
@@ -99,12 +99,12 @@ def _first_failure(output: str) -> str:
     return match.group(1) if match else "-"
 
 
-def run(name: str, rev: str, root: Path, work: Path) -> tuple[str, str, float]:
+def run(name: str, root: Path, work: Path) -> tuple[str, str, float]:
     """Killed or survived, the first failing test and the wall time in s of
     one mutation's Tier-1 run."""
     source, substitute = MUTATIONS[name]
     copy = work / re.sub(r"\W+", "-", name)
-    _copy(rev, root, copy)
+    _copy(root, copy)
     try:
         _mutate(copy / _TARGET, source, substitute)
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
@@ -123,16 +123,13 @@ def run(name: str, rev: str, root: Path, work: Path) -> tuple[str, str, float]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rev", default="HEAD", help="the git revision to copy")
-    parser.add_argument("--only", nargs="+", choices=sorted(MUTATIONS), help="run these mutations only")
     parser.add_argument("--work", type=Path, help="where the copies go")
     args = parser.parse_args()
     root = Path(__file__).resolve().parent.parent
-    names = args.only or list(MUTATIONS)
     with tempfile.TemporaryDirectory(dir=args.work) as work:
         print(f"{'mutation':30s} {'verdict':9s} {'wall s':>7s}  first failing test")
-        for name in names:
-            verdict, failure, wall = run(name, args.rev, root, Path(work))
+        for name in MUTATIONS:
+            verdict, failure, wall = run(name, root, Path(work))
             print(f"{name:30s} {verdict:9s} {wall:7.1f}  {failure}", flush=True)
 
 
