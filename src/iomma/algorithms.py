@@ -18,8 +18,6 @@ from enum import Enum
 from functools import partial
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .model import (
     MATRIX_CODE,
     OP_EVICT,
@@ -33,6 +31,7 @@ from .model import (
     Schedule,
     _check_positive,
     _moved,
+    np,
 )
 
 if TYPE_CHECKING:
@@ -150,7 +149,7 @@ class PredictedIO:
 # that read an axis.
 _AXES = dict(zip(Matrix, OPERAND_AXES))
 # the largest extent or element count whose code fields and element ids fit
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = 2**63 - 1
 # per resident matrix, each streamed operand's index in Matrix order, the
 # resident axis it lacks, and that axis's place in the block shape
 _STREAMED = {

@@ -13,8 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algorithms import cheapest_runnable
 from .model import (
     OP_EVICT,
@@ -27,6 +25,7 @@ from .model import (
     fma_count,
     fma_operand_ids,
     layout,
+    np,
 )
 
 _THREE_ROOT_THREE = 3.0 * math.sqrt(3.0)

@@ -29,11 +29,14 @@ if TYPE_CHECKING:
     from .phases import PhaseConfig
 
 # The layers each command uses beyond the parser's: main() imports them
-# before it parses the command, and no other command loads them.
+# before it parses the command, and no other command loads them. They are
+# the ones that import numpy, so it too loads before the parser is built; the
+# parser's layers take a lazy numpy that the closed forms never run.
 _COMMAND_LAYERS = {
     "simulate": ("inputs", "memsim"),
     "phases": ("memsim", "phases"),
     "brute-force": ("tracefile",),
+    "verify": ("verify",),
 }
 
 
@@ -199,6 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dims(ns: argparse.Namespace) -> ProblemDims:
     return ProblemDims(ns.m, ns.n, ns.k)
+
+
+def _point(ns: argparse.Namespace) -> str:
+    """"m=…, n=…, k=…, S=…: ", the point an error names, from a command's
+    flags (S where it has one); "" for a command without dims."""
+    values = ", ".join(f"{name}={getattr(ns, name)}" for name in ("m", "n", "k", "S") if hasattr(ns, name))
+    return f"{values}: " if values else ""
 
 
 def _phase_budget(ns: argparse.Namespace) -> int:
@@ -379,7 +389,8 @@ def cmd_sweep(ns: argparse.Namespace) -> str:
     """One CSV row per (algorithm, shape, S) point, a repeated value's points
     once per repeat, in (algorithm name, m, n, k, S) order; the first point
     whose predicted_io raises names the error. Each shape's dims and each
-    (shape, S) bound are built at the first point that needs them."""
+    (shape, S) bound are built at the first point that needs them. An
+    OverflowError names its point."""
     shapes = _sweep_shapes(ns)
     # Algorithm is a str enum, so its members sort as their values
     points = sorted((alg, shape, S) for alg in ns.algs for shape in shapes for S in ns.capacities)
@@ -387,16 +398,19 @@ def cmd_sweep(ns: argparse.Namespace) -> str:
     bound_of: dict[tuple[tuple[int, int, int], int], float] = {}
     rows = [SWEEP_CSV_HEADER]
     for alg, shape, S in points:
+        m, n, k = shape
         dims = dims_of.get(shape)
         if dims is None:
             dims = dims_of[shape] = ProblemDims(*shape)
-        predicted = predicted_io(alg, dims, S)
-        lb = bound_of.get((shape, S))
-        if lb is None:
-            lb = bound_of[shape, S] = lower_bound_final(dims, S)
-        io_total = predicted.io_total
-        ratio = repr(io_total / lb) if lb > 0 else ""
-        m, n, k = shape
+        try:
+            predicted = predicted_io(alg, dims, S)
+            lb = bound_of.get((shape, S))
+            if lb is None:
+                lb = bound_of[shape, S] = lower_bound_final(dims, S)
+            io_total = predicted.io_total
+            ratio = repr(io_total / lb) if lb > 0 else ""
+        except OverflowError as exc:  # past a float's range
+            raise OverflowError(f"m={m}, n={n}, k={k}, S={S}: {exc}") from None
         rows.append(f"{alg.value},{m},{n},{k},{S},{predicted.reads},{predicted.writes},"
                     f"{io_total},{lb!r},{ratio}")
     return "\n".join(rows) + "\n"
@@ -466,8 +480,13 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify(ns)
         report = _REPORTS[ns.command](ns)
         _write(ns, report)
-    except (ValueError, OverflowError, OSError, SimulationError) as exc:
+    except (ValueError, OSError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (OverflowError, MemoryError) as exc:
+        # a closed form past a float's range, or an array past memory: name
+        # the point, which sweep's errors carry themselves
+        print(f"error: {_point(ns)}{str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     # simulate's is the one report with a verdict: a mismatch exits 2
     return 2 if isinstance(report, dict) and report.get("match") is False else 0

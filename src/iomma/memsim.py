@@ -159,7 +159,7 @@ class _Moves:
     def __init__(self, template, kinds, dims: ProblemDims, counts):
         self.template, self.dims, self.counts = template, dims, counts
         # each axis's least and greatest field; slot 3 takes the fields that never move
-        axes, fields = model._MOVE_AXES.take(kinds, axis=0).ravel(), template.ravel()
+        axes, fields = model._move_axes().take(kinds, axis=0).ravel(), template.ravel()
         least, most = np.full(4, _FAR), np.full(4, -_FAR)
         np.minimum.at(least, axes, fields)
         np.maximum.at(most, axes, fields)

@@ -11,11 +11,32 @@ schedule can catch without loading the simulator.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
+
+def _numpy():
+    """numpy as this process has it, or a module that imports numpy at its
+    first attribute access (the lazy-import recipe of ``importlib.util``).
+
+    model, algorithms and bounds take ``np`` from here, so a process that
+    evaluates only closed forms never runs numpy; a layer that imports numpy
+    itself, or any use of ``np``, loads it into this same module object.
+    """
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _numpy()
 
 
 def _check_positive(**named: int) -> None:
@@ -79,12 +100,19 @@ OP_LOAD, OP_STORE, OP_EVICT, OP_FMA = 0, 1, 2, 3
 MATRICES = tuple(Matrix)
 MATRIX_CODE = {matrix: code for code, matrix in enumerate(MATRICES)}
 _CHUNK = 1 << 12  # code rows handled per step; bounds each step's temporary arrays
-# Per row kind (a load's, store's or evict's matrix code, or 3 for an fma)
-# and code field, the axis (i, j, p = 0, 1, 2) whose offset the field adds
-# when a run moves its template, or 3 for none: the opcode and the matrix
-# never move, a row and col move with the axes OPERAND_AXES gives them, and
-# an fma's fields are its i, j and p.
-_MOVE_AXES = np.array([(3, 3, row, col) for row, col in OPERAND_AXES] + [(3, 0, 1, 2)])
+
+
+@functools.cache
+def _move_axes() -> np.ndarray:
+    """Per row kind (a load's, store's or evict's matrix code, or 3 for an
+    fma) and code field, the axis (i, j, p = 0, 1, 2) whose offset the field
+    adds when a run moves its template, or 3 for none: the opcode and the
+    matrix never move, a row and col move with the axes OPERAND_AXES gives
+    them, and an fma's fields are its i, j and p. Built on first use, so
+    importing this module runs no numpy; read-only, as it is shared."""
+    axes = np.array([(3, 3, row, col) for row, col in OPERAND_AXES] + [(3, 0, 1, 2)])
+    axes.flags.writeable = False
+    return axes
 
 
 class Schedule:
@@ -95,7 +123,7 @@ class Schedule:
     fma uses the three fields for i, j and p. A schedule holds its rows as
     runs: a template block of rows and a (B, 3) array of (i, j, p) moves.
     The run's rows are the template moved by each offset in turn, each
-    field adding the offset of the axis it reads (``_MOVE_AXES``). A literal
+    field adding the offset of the axis it reads (``_move_axes``). A literal
     trace is one run with a single zero move; its rows may instead be read
     from dumped lines on each walk (see ``tracefile.parse_trace``).
 
@@ -156,7 +184,7 @@ class Schedule:
 
     def _adopt(self, runs: list, dims: ProblemDims) -> None:
         """Hold runs of (template, kinds, moves): each row's kind indexes
-        ``_MOVE_AXES``, and each move has a fourth, zero field. A literal run,
+        ``_move_axes()``, and each move has a fourth, zero field. A literal run,
         which has no kinds and one zero move, comes alone. Runs without rows
         are dropped."""
         runs = tuple(run for run in runs if len(run[0]) and len(run[2]))
@@ -222,7 +250,7 @@ class Schedule:
                 for chunk in self.chunks():
                     lo, hi = min(lo, int(chunk.min())), max(hi, int(chunk.max()))
                 continue
-            axes = _MOVE_AXES[kinds]
+            axes = _move_axes()[kinds]
             lo = min(lo, int((template + moves.min(axis=0)[axes]).min()))
             hi = max(hi, int((template + moves.max(axis=0)[axes]).max()))
         return lo, hi
@@ -297,7 +325,7 @@ def _padded(moves: np.ndarray) -> np.ndarray:
 def _move(template: np.ndarray, kinds: np.ndarray, moves: np.ndarray, out: np.ndarray) -> None:
     """Write the template moved by each padded move into out, shaped
     (moves, template rows, 4)."""
-    moves.take(_MOVE_AXES, axis=1).take(kinds, axis=1, out=out, mode="clip")
+    moves.take(_move_axes(), axis=1).take(kinds, axis=1, out=out, mode="clip")
     out += template
 
 

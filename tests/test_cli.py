@@ -416,29 +416,42 @@ def test_sweep_matches_the_earlier_sweep(argv):
 
 _HUGE = "1" + "0" * 120  # 10**120, past a float's range
 _HUGE_DIMS = ["-m", _HUGE, "-n", _HUGE, "-k", _HUGE]
+_HUGE_POINT = f"m={_HUGE}, n={_HUGE}, k={_HUGE}"
+_CUBE_ROOT_1E309 = "1" + "0" * 103
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, point",
     [
-        ["sweep", "--sizes", _HUGE, "--capacities", "16"],
-        # mnk = 10**309
-        ["sweep", "--algs", "naive", "--sizes", "1" + "0" * 103, "--capacities", "16"],
-        ["predict", *_HUGE_DIMS, "-S", "16", "--alg", "alg-c"],
-        ["bounds", *_HUGE_DIMS, "-S", "16"],
-        ["goto", *_HUGE_DIMS, *_GOTO_96[6:]],
+        (["sweep", "--sizes", _HUGE, "--capacities", "16"], f"{_HUGE_POINT}, S=16"),
+        # mnk = 10**309; the last point is the failing one
+        (["sweep", "--algs", "naive", "--sizes", f"2,{_CUBE_ROOT_1E309}", "--capacities", "16"],
+         f"m={_CUBE_ROOT_1E309}, n={_CUBE_ROOT_1E309}, k={_CUBE_ROOT_1E309}, S=16"),
+        (["predict", *_HUGE_DIMS, "-S", "16", "--alg", "alg-c"], f"{_HUGE_POINT}, S=16"),
+        (["bounds", *_HUGE_DIMS, "-S", "16"], f"{_HUGE_POINT}, S=16"),
+        (["goto", *_HUGE_DIMS, *_GOTO_96[6:]], _HUGE_POINT),
     ],
 )
-def test_sizes_past_a_float_are_an_error_not_a_traceback(capsys, argv):
+def test_sizes_past_a_float_are_an_error_not_a_traceback(capsys, argv, point):
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {point}: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
 def _limit_address_space():
     # a command that builds the schedule anyway fails fast, not by exhausting memory
     resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+
+def _capped(tmp_path, argv: list[str]) -> subprocess.CompletedProcess:
+    """The CLI run on argv in a fresh interpreter under a 2 GiB address space."""
+    src = Path(iomma.cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+           # one BLAS thread, so importing numpy's per-thread buffers stays far below the cap
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "iomma.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
 
 
 @pytest.mark.parametrize(
@@ -450,16 +463,28 @@ def _limit_address_space():
     ],
 )
 def test_sizes_past_int64_are_refused_before_a_schedule_is_built(tmp_path, argv):
-    src = Path(iomma.cli.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
-           # one BLAS thread, so importing numpy's per-thread buffers stays far below the cap
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-m", "iomma.cli", *argv, *_HUGE_DIMS, "-S", "16"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-                          preexec_fn=_limit_address_space)
+    done = _capped(tmp_path, [*argv, *_HUGE_DIMS, "-S", "16"])
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == (f"error: m={_HUGE}, n={_HUGE}, k={_HUGE} do not fit int64 code rows: "
                            "the element count m*k + k*n + m*n must be at most 2**63 - 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # partition_phases' element state: 3 * 10**10 floats
+        ["phases", "--trace-in", "t.txt"],
+        # naive's fma loop: 10**15 index rows
+        ["simulate", "--alg", "naive"],
+    ],
+)
+def test_running_out_of_memory_is_an_error_line(tmp_path, argv):
+    # dims whose element count fits int64 but whose arrays do not fit memory
+    (tmp_path / "t.txt").write_text("L A 0 0\nE A 0 0\n")
+    done = _capped(tmp_path, [*argv, "-m", "100000", "-n", "100000", "-k", "100000", "-S", "16"])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: m=100000, n=100000, k=100000, S=16: Unable to allocate ")
+    assert done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("dims", [(2**63, 1, 1), (1, 2**62, 2), (2**31, 2**31, 2**31)])
@@ -855,12 +880,15 @@ def test_rule_error_in_a_trace_file_is_named_in_bounded_memory(tmp_path, capsys)
 
 # run in a fresh interpreter: import iomma, then iomma.cli, then one CLI
 # command after another; print the iomma modules loaded after each step,
-# and those loaded when each command's first call into a layer came
+# and those loaded when each command's first call into a layer came, with
+# "numpy" among them once numpy has run: sys.modules["numpy"] may hold it
+# before it has loaded, so its presence proves nothing
 _LOADED = """
 import json, sys
 
 def loaded():
-    return sorted(name[len("iomma."):] for name in sys.modules if name.startswith("iomma."))
+    names = [name[len("iomma."):] for name in sys.modules if name.startswith("iomma.")]
+    return sorted(names + ["numpy"] * ("numpy._core" in sys.modules))
 
 steps = {}
 import iomma
@@ -895,14 +923,22 @@ _PARSER_LAYERS = ["algorithms", "bounds", "cli", "goto", "model"]
 
 def test_each_command_loads_only_its_layers(tmp_path):
     out = ["-o", os.devnull]
-    sweep = ["sweep", "--sizes", "8,16", "--capacities", "9", *out]
-    bounds = ["bounds", *_DIMS_6, *out]
-    report, _ = _loaded(tmp_path, sweep, bounds)
+    # the closed forms run without numpy
+    closed_forms = [
+        ["sweep", "--sizes", "8,16", "--capacities", "9", *out],
+        ["bounds", *_DIMS_6, *out],
+        ["predict", *_DIMS_6, "--alg", "alg-c", *out],
+        ["goto", *_GOTO_96, *out],
+    ]
+    report, _ = _loaded(tmp_path, *closed_forms)
+    assert report["codes"] == {"sweep": 0, "bounds": 0, "predict": 0, "goto": 0}
     assert report["steps"] == {
         "import iomma": [],
         "import iomma.cli": _PARSER_LAYERS,
         "sweep": _PARSER_LAYERS,
         "bounds": _PARSER_LAYERS,
+        "predict": _PARSER_LAYERS,
+        "goto": _PARSER_LAYERS,
     }
     trace = str(tmp_path / "t.txt")
     layers = {
@@ -915,10 +951,11 @@ def test_each_command_loads_only_its_layers(tmp_path):
     for argv, loaded in layers.items():
         report, _ = _loaded(tmp_path, list(argv))
         assert report["codes"] == {argv[0]: 0}
-        assert report["steps"][argv[0]] == sorted(_PARSER_LAYERS + loaded), argv
-        # the command's layers were loaded before its first call into one
+        assert report["steps"][argv[0]] == sorted(_PARSER_LAYERS + loaded + ["numpy"]), argv
+        # the command's layers, and numpy with them, were loaded before its
+        # first call into one
         (first_loaded,) = report["at_work"].values()
-        assert set(loaded) - {"tracefile"} <= set(first_loaded), argv
+        assert set(loaded) - {"tracefile"} | {"numpy"} <= set(first_loaded), argv
 
 
 def test_simulation_error_exits_1_in_a_fresh_interpreter(tmp_path):

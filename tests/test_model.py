@@ -136,3 +136,12 @@ def test_iostats_totals():
         )
     with pytest.raises(ValueError, match="equal reads"):
         IOStats(reads=10, writes=4, fmas=7, peak_residency=3, reads_a=5, reads_b=3, reads_c=1)
+
+
+def test_a_host_that_imported_numpy_shares_it():
+    import numpy
+
+    import iomma.model
+
+    assert iomma.model.np is numpy
+    assert iomma.model._numpy() is numpy

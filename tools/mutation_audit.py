@@ -1,8 +1,8 @@
-"""Mutation audit of the dumped-line reader's check pass.
+"""Mutation audit of the dumped-line reader's check pass and the move table.
 
     python3 tools/mutation_audit.py [--work DIR]
 
-Each mutation is one source substitution in ``src/iomma/tracefile.py``,
+Each mutation is one source substitution in one file under ``src/iomma``,
 applied to a fresh ``git archive`` copy of HEAD. The script runs
 the Tier-1 suite on each copy with ``-x`` and only
 ``test_criterion_10_goto_model`` deselected (its known failure would stop
@@ -26,12 +26,11 @@ import tempfile
 import time
 from pathlib import Path
 
-_TARGET = "src/iomma/tracefile.py"
 _DESELECT = "tests/test_acceptance.py::test_criterion_10_goto_model"
 
-# name -> (source, substitute): each drops or weakens one check of
-# _read_span's check pass (out is None)
-MUTATIONS = {
+# name -> (source, substitute) in src/iomma/tracefile.py: each drops or
+# weakens one check of _read_span's check pass (out is None)
+_READER = {
     "separator count": (
         "        if len(seps) % 4:\n            return None\n",
         "",
@@ -78,6 +77,29 @@ MUTATIONS = {
     ),
 }
 
+# name -> (source, substitute) in src/iomma/model.py: each moves one entry of
+# the operand map OPERAND_AXES, or of the fma row of _move_axes, to another axis
+_OPERAND_MAP = "OPERAND_AXES = ((0, 2), (2, 1), (0, 1))"
+_FMA_ROW = "[(3, 0, 1, 2)]"
+_MOVE_TABLE = {
+    "A row axis i -> j": (_OPERAND_MAP, "OPERAND_AXES = ((1, 2), (2, 1), (0, 1))"),
+    "A col axis p -> j": (_OPERAND_MAP, "OPERAND_AXES = ((0, 1), (2, 1), (0, 1))"),
+    "B row axis p -> i": (_OPERAND_MAP, "OPERAND_AXES = ((0, 2), (0, 1), (0, 1))"),
+    "B col axis j -> i": (_OPERAND_MAP, "OPERAND_AXES = ((0, 2), (2, 0), (0, 1))"),
+    "C row axis i -> p": (_OPERAND_MAP, "OPERAND_AXES = ((0, 2), (2, 1), (2, 1))"),
+    "C col axis j -> p": (_OPERAND_MAP, "OPERAND_AXES = ((0, 2), (2, 1), (0, 2))"),
+    "fma opcode moves with i": (_FMA_ROW, "[(0, 0, 1, 2)]"),
+    "fma i field moves with j": (_FMA_ROW, "[(3, 1, 1, 2)]"),
+    "fma j field moves with p": (_FMA_ROW, "[(3, 0, 2, 2)]"),
+    "fma p field moves with i": (_FMA_ROW, "[(3, 0, 1, 0)]"),
+}
+
+# name -> (file under the tree, source, substitute)
+MUTATIONS = {
+    **{name: ("src/iomma/tracefile.py", *sub) for name, sub in _READER.items()},
+    **{name: ("src/iomma/model.py", *sub) for name, sub in _MOVE_TABLE.items()},
+}
+
 
 def _copy(root: Path, into: Path) -> None:
     """Extract HEAD's tree into ``into``."""
@@ -102,11 +124,11 @@ def _first_failure(output: str) -> str:
 def run(name: str, root: Path, work: Path) -> tuple[str, str, float]:
     """Killed or survived, the first failing test and the wall time in s of
     one mutation's Tier-1 run."""
-    source, substitute = MUTATIONS[name]
+    target, source, substitute = MUTATIONS[name]
     copy = work / re.sub(r"\W+", "-", name)
     _copy(root, copy)
     try:
-        _mutate(copy / _TARGET, source, substitute)
+        _mutate(copy / target, source, substitute)
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
         start = time.perf_counter()
         done = subprocess.run(
