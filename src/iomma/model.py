@@ -25,6 +25,8 @@ def _numpy():
     model, algorithms and bounds take ``np`` from here, so a process that
     evaluates only closed forms never runs numpy; a layer that imports numpy
     itself, or any use of ``np``, loads it into this same module object.
+    Python 3.11's lazy load is not thread-safe, so a host whose threads may
+    first touch numpy at once imports numpy before iomma.
     """
     if "numpy" in sys.modules:
         return sys.modules["numpy"]
