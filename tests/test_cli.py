@@ -420,8 +420,9 @@ _HUGE_POINT = f"m={_HUGE}, n={_HUGE}, k={_HUGE}"
 _CUBE_ROOT_1E309 = "1" + "0" * 103
 
 
+# each case: the command, and the point its error names
 @pytest.mark.parametrize(
-    "argv, point",
+    "argv",
     [
         (["sweep", "--sizes", _HUGE, "--capacities", "16"], f"{_HUGE_POINT}, S=16"),
         # mnk = 10**309; the last point is the failing one
@@ -432,8 +433,9 @@ _CUBE_ROOT_1E309 = "1" + "0" * 103
         (["goto", *_HUGE_DIMS, *_GOTO_96[6:]], _HUGE_POINT),
     ],
 )
-def test_sizes_past_a_float_are_an_error_not_a_traceback(capsys, argv, point):
-    code, out, err = _run(capsys, *argv)
+def test_sizes_past_a_float_are_an_error_not_a_traceback(capsys, argv):
+    command, point = argv
+    code, out, err = _run(capsys, *command)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {point}: ") and err.count("\n") == 1
     assert "Traceback" not in err

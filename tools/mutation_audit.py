@@ -11,8 +11,8 @@ or survived, the first failing test and the wall time. A mutation that does
 not match its source exactly once is an error, so the list cannot go stale
 in silence. ``--work`` names the directory the copies go in (a temporary
 one by default); each copy is removed after its run. Naming mutations runs
-only those, so a change that edits one file re-runs that file's list. Uses only the
-standard library, git and the test suite's own requirements.
+only those, so a change that edits one file can re-run that file's list.
+Uses only the standard library, git and the test suite's own requirements.
 """
 
 from __future__ import annotations
