@@ -10,9 +10,9 @@ imported from its home module on first access (PEP 562), so a program that
 uses one layer never compiles the others. Nor does numpy run until a layer
 needs it: model, algorithms and bounds take it from ``model._numpy``, a lazy
 import unless numpy is already imported, so the closed forms (the CLI's
-predict, bounds, goto and sweep) run without it; inputs, memsim, phases
-and tracefile import numpy themselves, so simulate, phases, brute-force
-and verify load it with their layers.
+predict, bounds, goto and sweep) never load it, though it must be
+installed; inputs, memsim, phases and tracefile import numpy themselves,
+so simulate, phases, brute-force and verify load it with their layers.
 """
 
 import importlib

@@ -32,6 +32,7 @@ from .model import (
     _check_positive,
     _moved,
     np,
+    point,
 )
 
 if TYPE_CHECKING:
@@ -348,7 +349,7 @@ def build_schedule(algorithm: Algorithm, dims: ProblemDims, S: int) -> Schedule:
     resident, shape = _preset(algorithm, S)
     m, n, k = dims.m, dims.n, dims.k
     if m * k + k * n + m * n > _INT64_MAX:
-        raise ValueError(f"m={m}, n={n}, k={k} do not fit int64 code rows: "
+        raise ValueError(f"{point(m=m, n=n, k=k)} do not fit int64 code rows: "
                          f"the element count m*k + k*n + m*n must be at most 2**63 - 1")
     if resident is None:
         return naive_schedule(dims)

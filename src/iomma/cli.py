@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from .algorithms import Algorithm, build_schedule, predicted_io
 from .bounds import DEFAULT_NODE_BUDGET, BoundReport, lower_bound_final, tiny_optimal_schedule
 from .goto import DEFAULT_SUBOPTIMAL_THRESHOLD, GotoParams, goto_report
-from .model import ProblemDims, SimulationError
+from .model import ProblemDims, SimulationError, point
 
 if TYPE_CHECKING:
     from .memsim import MemoryConfig
@@ -204,11 +204,10 @@ def _dims(ns: argparse.Namespace) -> ProblemDims:
     return ProblemDims(ns.m, ns.n, ns.k)
 
 
-def _point(ns: argparse.Namespace) -> str:
-    """"m=…, n=…, k=…, S=…: ", the point an error names, from a command's
-    flags (S where it has one); "" for a command without dims."""
-    values = ", ".join(f"{name}={getattr(ns, name)}" for name in ("m", "n", "k", "S") if hasattr(ns, name))
-    return f"{values}: " if values else ""
+def _point(**values) -> str:
+    """"m=…, n=…, k=…, S=…: ", the prefix of an error at that point; "" for
+    no values."""
+    return f"{point(**values)}: " if values else ""
 
 
 def _phase_budget(ns: argparse.Namespace) -> int:
@@ -410,7 +409,7 @@ def cmd_sweep(ns: argparse.Namespace) -> str:
             io_total = predicted.io_total
             ratio = repr(io_total / lb) if lb > 0 else ""
         except OverflowError as exc:  # past a float's range
-            raise OverflowError(f"m={m}, n={n}, k={k}, S={S}: {exc}") from None
+            raise OverflowError(f"{_point(m=m, n=n, k=k, S=S)}{exc}") from None
         rows.append(f"{alg.value},{m},{n},{k},{S},{predicted.reads},{predicted.writes},"
                     f"{io_total},{lb!r},{ratio}")
     return "\n".join(rows) + "\n"
@@ -485,8 +484,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (OverflowError, MemoryError) as exc:
         # a closed form past a float's range, or an array past memory: name
-        # the point, which sweep's errors carry themselves
-        print(f"error: {_point(ns)}{str(exc) or 'out of memory'}", file=sys.stderr)
+        # the point of the command's flags (S where it has one), which
+        # sweep's errors carry themselves
+        flags = {name: getattr(ns, name) for name in ("m", "n", "k", "S") if hasattr(ns, name)}
+        print(f"error: {_point(**flags)}{str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     # simulate's is the one report with a verdict: a mismatch exits 2
     return 2 if isinstance(report, dict) and report.get("match") is False else 0

@@ -26,11 +26,14 @@ def _numpy():
     evaluates only closed forms never runs numpy; a layer that imports numpy
     itself, or any use of ``np``, loads it into this same module object.
     Python 3.11's lazy load is not thread-safe, so a host whose threads may
-    first touch numpy at once imports numpy before iomma.
+    first touch numpy at once imports numpy before iomma. Without numpy
+    installed this raises ModuleNotFoundError, as ``import numpy`` would.
     """
     if "numpy" in sys.modules:
         return sys.modules["numpy"]
     spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules["numpy"] = module
@@ -39,6 +42,11 @@ def _numpy():
 
 
 np = _numpy()
+
+
+def point(**values) -> str:
+    """"m=…, n=…, k=…", the point an error names: each value as name=value."""
+    return ", ".join(f"{name}={value}" for name, value in values.items())
 
 
 def _check_positive(**named: int) -> None:

@@ -882,9 +882,10 @@ def test_rule_error_in_a_trace_file_is_named_in_bounded_memory(tmp_path, capsys)
 
 # run in a fresh interpreter: import iomma, then iomma.cli, then one CLI
 # command after another; print the iomma modules loaded after each step,
-# and those loaded when each command's first call into a layer came, with
-# "numpy" among them once numpy has run: sys.modules["numpy"] may hold it
-# before it has loaded, so its presence proves nothing
+# and those loaded when the first parser was built and when each command's
+# first call into a layer came, with "numpy" among them once numpy has run:
+# sys.modules["numpy"] may hold it before it has loaded, so its presence
+# proves nothing
 _LOADED = """
 import json, sys
 
@@ -898,7 +899,7 @@ steps["import iomma"] = loaded()
 import iomma.cli as cli
 steps["import iomma.cli"] = loaded()
 at_work = {}
-for name in ("build_schedule", "parse_trace", "tiny_optimal_schedule"):
+for name in ("build_parser", "build_schedule", "parse_trace", "tiny_optimal_schedule"):
     def first_call(*args, real=getattr(cli, name), name=name):
         at_work.setdefault(name, loaded())
         return real(*args)
@@ -925,7 +926,7 @@ _PARSER_LAYERS = ["algorithms", "bounds", "cli", "goto", "model"]
 
 def test_each_command_loads_only_its_layers(tmp_path):
     out = ["-o", os.devnull]
-    # the closed forms run without numpy
+    # the closed forms never load numpy
     closed_forms = [
         ["sweep", "--sizes", "8,16", "--capacities", "9", *out],
         ["bounds", *_DIMS_6, *out],
@@ -954,10 +955,26 @@ def test_each_command_loads_only_its_layers(tmp_path):
         report, _ = _loaded(tmp_path, list(argv))
         assert report["codes"] == {argv[0]: 0}
         assert report["steps"][argv[0]] == sorted(_PARSER_LAYERS + loaded + ["numpy"]), argv
-        # the command's layers, and numpy with them, were loaded before its
-        # first call into one
-        (first_loaded,) = report["at_work"].values()
-        assert set(loaded) - {"tracefile"} | {"numpy"} <= set(first_loaded), argv
+        # the command's layers, and numpy with them, were loaded before the
+        # parser was built, so before its first call into one
+        at_parser = report["at_work"]["build_parser"]
+        assert set(loaded) - {"tracefile"} | {"numpy"} <= set(at_parser), argv
+    # verify's suite, and numpy with it, loads before the parser is built,
+    # so before the first check runs
+    report, _ = _loaded(tmp_path, ["verify", "--quick"])
+    assert report["codes"] == {"verify": 0}
+    assert {"verify", "numpy"} <= set(report["at_work"]["build_parser"])
+
+
+def test_missing_numpy_is_a_module_not_found_error(tmp_path):
+    # -S leaves site-packages, numpy's home, off the path; the lazy import
+    # then fails as "import numpy" would, not at the lazy loader's setup
+    src = Path(iomma.cli.__file__).resolve().parent.parent
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {str(src)!r}); import iomma.cli"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1] == "ModuleNotFoundError: No module named 'numpy'"
 
 
 def test_simulation_error_exits_1_in_a_fresh_interpreter(tmp_path):
